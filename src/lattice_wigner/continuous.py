@@ -402,7 +402,8 @@ def wigner_evolution_rhs(w: WignerMatrix, h: HamiltonianSpec, a: float = 1.0) ->
     return out
 
 
-def _m_support(values: np.ndarray) -> Optional[tuple]:
+def occupied_rows(values: np.ndarray) -> Optional[tuple]:
+    """(first, last) index along axis 0 holding a magnitude above the support tolerance."""
     mags = np.max(np.abs(values.reshape(values.shape[0], -1)), axis=1)
     scale = float(mags.max()) if mags.size else 0.0
     if scale == 0.0:
@@ -422,8 +423,19 @@ def _kernel_half_width(j_hop: float, lambda_a: float) -> int:
     return max(30, math.ceil(2.0 * abs(8.0 * j_hop / lambda_a)))
 
 
+def bessel_band_reach(j_hop: float, lambda_a: float, t: float) -> int:
+    """Empty m-rows the Bessel band needs on each side of the support at time t.
+
+    The band is cut at _kernel_half_width, and beyond the tail order of the
+    largest argument |8J/(lambda a) sin(lambda a t / 2)| its entries are below
+    1e-15, so the reach is the smaller of the two.
+    """
+    z_max = abs(8.0 * j_hop / lambda_a * math.sin(0.5 * (lambda_a * float(t))))
+    return min(_kernel_half_width(j_hop, lambda_a), bessel_tail_order(z_max, 1e-15))
+
+
 def _check_slack(values: np.ndarray, needed: int, what: str) -> None:
-    support = _m_support(values)
+    support = occupied_rows(values)
     if support is None:
         return
     lo, hi = support
@@ -471,13 +483,10 @@ def linear_potential_propagate(
         raise DomainError("linear propagator requires lambda_a != 0")
     grid = w0.kgrid
     delta = lambda_a * float(t)
-    half_width = _kernel_half_width(j_hop, lambda_a)
-    z_max = abs(8.0 * j_hop / lambda_a * math.sin(0.5 * delta))
-    needed = min(half_width, bessel_tail_order(z_max, 1e-15))
-    _check_slack(w0.values, needed, "linear propagator")
+    _check_slack(w0.values, bessel_band_reach(j_hop, lambda_a, t), "linear propagator")
     shifted = k_shift(w0.values, grid, delta, axis=1)
     z = -8.0 * (j_hop / lambda_a) * np.sin(grid.points + 0.5 * delta) * math.sin(0.5 * delta)
-    out = _bessel_band_apply(shifted, z, half_width)
+    out = _bessel_band_apply(shifted, z, _kernel_half_width(j_hop, lambda_a))
     return w0.with_values(out)
 
 
@@ -496,10 +505,9 @@ def spin_linear_propagate(
         raise DomainError("linear propagator requires lambda_a != 0")
     grid = w0.kgrid
     delta = lambda_a * float(t)
+    reach = bessel_band_reach(j_hop, lambda_a, t)
+    _check_slack(w0.values, reach, "spin-coupled linear propagator")
     half_width = _kernel_half_width(j_hop, lambda_a)
-    z_max = abs(8.0 * j_hop / lambda_a * math.sin(0.5 * delta))
-    needed = min(half_width, bessel_tail_order(z_max, 1e-15))
-    _check_slack(w0.values, needed, "spin-coupled linear propagator")
 
     out = np.zeros_like(w0.values)
     sin_half = math.sin(0.5 * delta)

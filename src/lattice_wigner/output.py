@@ -1,9 +1,11 @@
-"""Deterministic CSV/JSON writers for grids, marginals, and manifests.
+"""Deterministic CSV/JSON writers.
 
-Numbers are written with repr(float): the shortest representation that round
-trips (never more than 17 significant digits).  Runs with identical configs
-must produce byte-identical files, so nothing here consults the clock, the
-locale, or dict iteration order.
+Every CSV is one table: a header row, then one row per index of equal-length
+1-D columns.  A cell is repr() of the column's .tolist() value, so integer
+columns stay integers and floats take the shortest form that round trips
+(never more than 17 significant digits); every line ends in "\\n".  Runs with
+identical configs must produce byte-identical files, so nothing here consults
+the clock, the locale, or dict iteration order.
 """
 
 from __future__ import annotations
@@ -13,82 +15,27 @@ from pathlib import Path
 
 import numpy as np
 
-from .wigner import ScalarWigner, WignerMatrix
+SPIN_HEADER = ("re00", "im00", "re01", "im01", "re10", "im10", "re11", "im11")
 
-WIGNER_HEADER = "m,k,re00,im00,re01,im01,re10,im10,re11,im11"
-
-
-def fmt(x) -> str:
-    return repr(float(x))
+# Rows formatted per writelines call; formatting a whole grid at once holds
+# every cell as a Python object and raises the peak memory of a run.
+_BLOCK_ROWS = 4096
 
 
-def wigner_csv_lines(w: WignerMatrix, t=None):
-    """Rows over m (outer) then k (inner); optional leading time column."""
-    header = WIGNER_HEADER if t is None else "t," + WIGNER_HEADER
-    yield header
-    tcells = [] if t is None else [fmt(t)]
-    for i, m in enumerate(w.m_values):
-        for j, k in enumerate(w.kgrid.points):
-            block = w.values[i, j]
-            cells = tcells + [str(int(m)), fmt(k)]
-            for a in (0, 1):
-                for b in (0, 1):
-                    cells.append(fmt(block[a, b].real))
-                    cells.append(fmt(block[a, b].imag))
-            yield ",".join(cells)
+def spin_columns(blocks) -> list:
+    """(..., 2, 2) complex blocks -> the eight SPIN_HEADER columns, flattened in C order."""
+    flat = np.asarray(blocks).reshape(-1, 4)
+    return [part(flat[:, e]) for e in range(4) for part in (np.real, np.imag)]
 
 
-def write_wigner_csv(path, w: WignerMatrix, t=None) -> None:
-    Path(path).write_text("\n".join(wigner_csv_lines(w, t)) + "\n", newline="\n")
-
-
-def write_scalar_csv(path, w: ScalarWigner) -> None:
-    lines = ["m,k,re,im"]
-    for i, m in enumerate(w.m_values):
-        for j, k in enumerate(w.kgrid.points):
-            z = w.values[i, j]
-            lines.append(f"{int(m)},{fmt(k)},{fmt(z.real)},{fmt(z.imag)}")
-    Path(path).write_text("\n".join(lines) + "\n", newline="\n")
-
-
-def write_position_marginal_csv(path, sites, blocks) -> None:
-    lines = ["n,re00,im00,re01,im01,re10,im10,re11,im11"]
-    for n, block in zip(sites, np.asarray(blocks)):
-        cells = [str(int(n))]
-        for a in (0, 1):
-            for b in (0, 1):
-                cells.append(fmt(block[a, b].real))
-                cells.append(fmt(block[a, b].imag))
-        lines.append(",".join(cells))
-    Path(path).write_text("\n".join(lines) + "\n", newline="\n")
-
-
-def write_momentum_marginal_csv(path, kpoints, blocks) -> None:
-    lines = ["k,re00,im00,re01,im01,re10,im10,re11,im11"]
-    for k, block in zip(kpoints, np.asarray(blocks)):
-        cells = [fmt(k)]
-        for a in (0, 1):
-            for b in (0, 1):
-                cells.append(fmt(block[a, b].real))
-                cells.append(fmt(block[a, b].imag))
-        lines.append(",".join(cells))
-    Path(path).write_text("\n".join(lines) + "\n", newline="\n")
-
-
-def write_site_distribution_csv(path, sites, populations) -> None:
-    """populations: (W, 2) spin-resolved site probabilities."""
-    lines = ["n,p_spin0,p_spin1,p_total"]
-    pops = np.asarray(populations)
-    for n, row in zip(sites, pops):
-        lines.append(f"{int(n)},{fmt(row[0])},{fmt(row[1])},{fmt(row[0] + row[1])}")
-    Path(path).write_text("\n".join(lines) + "\n", newline="\n")
-
-
-def write_timeseries_csv(path, pairs) -> None:
-    lines = ["t,eta"]
-    for t, eta in pairs:
-        lines.append(f"{fmt(t)},{fmt(eta)}")
-    Path(path).write_text("\n".join(lines) + "\n", newline="\n")
+def write_csv(path, header, columns) -> None:
+    """Write equal-length 1-D numpy columns under a header of column names."""
+    rows = len(columns[0])
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        for start in range(0, rows, _BLOCK_ROWS):
+            cells = [c[start : start + _BLOCK_ROWS].tolist() for c in columns]
+            fh.writelines(",".join(map(repr, row)) + "\n" for row in zip(*cells, strict=True))
 
 
 def write_json(path, doc) -> None:

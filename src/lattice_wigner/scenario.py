@@ -9,6 +9,7 @@ JSON outputs (the manifest's wall-clock field is the one exception).
 
 from __future__ import annotations
 
+import json
 import math
 import time
 from dataclasses import dataclass, field
@@ -24,22 +25,17 @@ from .continuous import (
     HamiltonianSpec,
     NoiseSpec,
     Potential,
+    bessel_band_reach,
     lindblad_rk4,
     lindblad_wigner_closed,
     linear_potential_propagate,
+    occupied_rows,
     spin_linear_propagate,
 )
 from .errors import ConfigError, InvariantViolation, LatticeWignerError
 from .grids import KGrid
 from .negativity import matrix_negativity, negativity_timeseries
-from .output import (
-    write_json,
-    write_momentum_marginal_csv,
-    write_position_marginal_csv,
-    write_site_distribution_csv,
-    write_timeseries_csv,
-    write_wigner_csv,
-)
+from .output import SPIN_HEADER, spin_columns, write_csv, write_json
 from .states import SPIN_MATRICES, DensityOperator, LatticeWindow, PureState, density_from_pure
 from .walk import CoinSpec, ProjectiveNoiseSpec, walk_trajectory
 from .wigner import (
@@ -120,10 +116,19 @@ def _as_int(value, where: str) -> int:
     return value
 
 
-def _as_number(value, where: str) -> float:
+def _as_number(value, where: str, nonnegative: bool = False) -> float:
+    """A finite JSON number (json.load accepts NaN and +-Infinity; they are rejected here)."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where} must be a number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(f"{where} must be finite, got {value!r}")
+    if nonnegative and number < 0.0:
+        raise ConfigError(f"{where} must be >= 0, got {value!r}")
+    return number
 
 
 def _parse_potential(doc, where: str) -> Optional[Potential]:
@@ -153,16 +158,14 @@ def _parse_noise_terms(doc, where: str) -> tuple:
     if doc is None:
         return ()
     entries = doc.get("lindblad") if isinstance(doc, dict) else None
-    if entries is None:
+    if not isinstance(entries, list):
         raise ConfigError(f"{where} must be an object with a 'lindblad' list")
     terms = []
     for i, entry in enumerate(entries):
         here = f"{where}.lindblad[{i}]"
         if not isinstance(entry, dict):
             raise ConfigError(f"{here} must be an object")
-        gamma = _as_number(_need(entry, "gamma", here), f"{here}.gamma")
-        if gamma < 0.0:
-            raise ConfigError(f"{here}.gamma must be >= 0")
+        gamma = _as_number(_need(entry, "gamma", here), f"{here}.gamma", nonnegative=True)
         op = _need(entry, "op", here)
         if isinstance(op, str):
             if op not in SPIN_MATRICES:
@@ -195,9 +198,7 @@ def _parse_continuous(doc: dict, where: str) -> ContinuousDynamics:
     times_doc = _need(doc, "times", where)
     if not isinstance(times_doc, list) or not times_doc:
         raise ConfigError(f"{where}.times must be a non-empty list")
-    times = tuple(_as_number(t, f"{where}.times") for t in times_doc)
-    if any(t < 0 for t in times):
-        raise ConfigError(f"{where}.times must be >= 0")
+    times = tuple(_as_number(t, f"{where}.times", nonnegative=True) for t in times_doc)
     if any(b < a for a, b in zip(times, times[1:])):
         raise ConfigError(f"{where}.times must be sorted ascending")
     dt = doc.get("dt")
@@ -205,7 +206,7 @@ def _parse_continuous(doc: dict, where: str) -> ContinuousDynamics:
         dt = _as_number(dt, f"{where}.dt")
         if dt <= 0:
             raise ConfigError(f"{where}.dt must be positive")
-    noise_terms = _parse_noise_terms(doc.get("noise"), where)
+    noise_terms = _parse_noise_terms(doc.get("noise"), f"{where}.noise")
     return ContinuousDynamics(
         HamiltonianSpec(j_hop, potential, spin_coupled), noise_terms, method, times, dt
     )
@@ -290,8 +291,10 @@ def parse_config(doc: dict) -> ScenarioConfig:
     out_dir = odoc.get("directory") if isinstance(odoc, dict) else None
     tdoc = doc.get("tolerances", {})
     tolerances = Tolerances(
-        eps_boundary=_as_number(tdoc.get("eps_boundary", DEFAULT_EPS_BOUNDARY), "tolerances.eps_boundary"),
-        two_path=_as_number(tdoc.get("two_path", 1e-6), "tolerances.two_path"),
+        eps_boundary=_as_number(
+            tdoc.get("eps_boundary", DEFAULT_EPS_BOUNDARY), "tolerances.eps_boundary", nonnegative=True
+        ),
+        two_path=_as_number(tdoc.get("two_path", 1e-6), "tolerances.two_path", nonnegative=True),
     )
     return ScenarioConfig(window, kgrid, name, params, dynamics, out_dir, tolerances, doc)
 
@@ -300,32 +303,8 @@ def parse_config(doc: dict) -> ScenarioConfig:
 # Static validation
 # ---------------------------------------------------------------------------
 
-def _state_m_support(cfg: ScenarioConfig):
-    """Conservative [m_lo, m_hi] support estimate for the named state."""
-    p = cfg.state_params
-    name = cfg.state_name
-    try:
-        if name in ("double_delta",):
-            sites = [int(p["n1"]), int(p["n2"])]
-        elif name in ("werner", "cat"):
-            sites = [int(p["a_site"]), int(p["b_site"])]
-        elif name == "two_gaussian":
-            reach = math.ceil(12.0 * float(p["sigma"]))
-            lo = 2 * min(int(p["a_center"]), int(p["b_center"])) - reach
-            hi = 2 * max(int(p["a_center"]), int(p["b_center"])) + reach
-            return lo, hi
-        elif name == "product_gaussian":
-            reach = math.ceil(12.0 * float(p["sigma"]))
-            return 2 * int(p["center"]) - reach, 2 * int(p["center"]) + reach
-        else:
-            return None
-    except (KeyError, TypeError, ValueError):
-        return None
-    return 2 * min(sites), 2 * max(sites)
-
-
 def validate_config(cfg: ScenarioConfig) -> list:
-    """Static checks only; no dynamics are executed."""
+    """Static checks only; the state is built but no dynamics are executed."""
     diags = []
     width = cfg.window.width
     need = 2 * width + 1
@@ -337,10 +316,9 @@ def validate_config(cfg: ScenarioConfig) -> list:
                 f"n_k >= 2W+1 = {need} for window width W={width}",
             )
         )
-    if cfg.state_name not in ("double_delta", "two_gaussian", "product_gaussian", "werner", "cat"):
-        diags.append(Diagnostic("error", f"unknown state name {cfg.state_name!r}"))
 
     p = cfg.state_params
+    buildable = True  # the builders refuse a Gaussian whose +- 6 sigma leaves the window
     if cfg.state_name in ("two_gaussian", "product_gaussian"):
         try:
             sigma = float(p["sigma"])
@@ -351,6 +329,7 @@ def validate_config(cfg: ScenarioConfig) -> list:
             )
             for c in centers:
                 if c - 6 * sigma < cfg.window.n_min or c + 6 * sigma > cfg.window.n_max:
+                    buildable = False
                     diags.append(
                         Diagnostic(
                             "warning",
@@ -359,7 +338,19 @@ def validate_config(cfg: ScenarioConfig) -> list:
                         )
                     )
         except (KeyError, TypeError, ValueError):
+            buildable = False
             diags.append(Diagnostic("error", f"state.params incomplete for {cfg.state_name}"))
+
+    occupied = None  # (first, last) occupied window index of the built state
+    if buildable:
+        try:
+            state = build_state(cfg.state_name, p, cfg.window)
+        except KeyError as exc:
+            diags.append(Diagnostic("error", f"state.params for {cfg.state_name} is missing {exc}"))
+        except (LatticeWignerError, TypeError, ValueError, OverflowError) as exc:
+            diags.append(Diagnostic("error", f"state: {exc}"))
+        else:
+            occupied = occupied_rows(state.site_populations())
 
     dyn = cfg.dynamics
     if isinstance(dyn, ContinuousDynamics):
@@ -382,21 +373,19 @@ def validate_config(cfg: ScenarioConfig) -> list:
                 diags.append(
                     Diagnostic("error", "closed-form decoherence supports a single channel")
                 )
-            if h.potential is not None and h.potential.kind == "linear":
-                lam_a = h.potential.slope * cfg.window.a
-                kernel = math.ceil(abs(8.0 * h.j_hop / lam_a)) + 20
-                support = _state_m_support(cfg)
-                if support is not None:
-                    lo, hi = support
-                    slack = min(lo - 2 * cfg.window.n_min, 2 * cfg.window.n_max - hi)
-                    if slack < kernel:
-                        diags.append(
-                            Diagnostic(
-                                "warning",
-                                f"propagator kernel needs about {kernel} empty m-rows, "
-                                f"estimated slack is {slack}",
-                            )
+            if h.potential is not None and h.potential.kind == "linear" and occupied is not None:
+                lam_a = h.lambda_a(cfg.window)
+                reach = max(bessel_band_reach(h.j_hop, lam_a, t) for t in dyn.times)
+                lo, hi = occupied
+                slack = 2 * min(lo, width - 1 - hi)
+                if slack < reach:
+                    diags.append(
+                        Diagnostic(
+                            "warning",
+                            f"propagator kernel needs {reach} empty m-rows on each side, "
+                            f"the state leaves {slack}",
                         )
+                    )
         if dyn.dt is not None:
             norm_est = h.norm_estimate(cfg.window) + 2.0 * sum(g for _, _, g in dyn.noise_terms)
             if norm_est > 0 and dyn.dt * norm_est > 0.5:
@@ -407,21 +396,15 @@ def validate_config(cfg: ScenarioConfig) -> list:
                         f"0.5/norm_estimate = {0.5 / norm_est:.3e}",
                     )
                 )
-    elif isinstance(dyn, WalkDynamics):
-        support = _state_m_support(cfg)
-        if support is not None and dyn.mode == "walk":
-            lo, hi = support
-            site_lo, site_hi = lo // 2, hi // 2 + 1
-            if (
-                site_lo - dyn.steps <= cfg.window.n_min
-                or site_hi + dyn.steps >= cfg.window.n_max
-            ):
-                diags.append(
-                    Diagnostic(
-                        "warning",
-                        f"{dyn.steps} walk steps may reach the window boundary",
-                    )
+    elif isinstance(dyn, WalkDynamics) and dyn.mode == "walk" and occupied is not None:
+        lo, hi = occupied
+        if lo - dyn.steps <= 0 or hi + dyn.steps >= width - 1:
+            diags.append(
+                Diagnostic(
+                    "warning",
+                    f"{dyn.steps} walk steps may reach the window boundary",
                 )
+            )
     return diags
 
 
@@ -480,9 +463,19 @@ def _sidecar(cfg: ScenarioConfig, command: str, w: WignerMatrix) -> dict:
     }
 
 
-def _spin_populations(rho: DensityOperator) -> np.ndarray:
-    diag = np.real(np.diagonal(rho.matrix))
-    return diag.reshape(rho.window.width, 2)
+def _grid_table(w: WignerMatrix, t=None):
+    """Header and columns of a Wigner grid: rows over m (outer) then k (inner)."""
+    n_m, n_k = w.values.shape[:2]
+    header = ("m", "k") + SPIN_HEADER
+    columns = [np.repeat(w.m_values, n_k), np.tile(w.kgrid.points, n_m), *spin_columns(w.values)]
+    if t is None:
+        return header, columns
+    return ("t",) + header, [np.full(n_m * n_k, float(t)), *columns]
+
+
+def _timeseries_table(trajectory, times):
+    pairs = np.array(negativity_timeseries(trajectory, times), dtype=float).reshape(-1, 2)
+    return ("t", "eta"), list(pairs.T)
 
 
 def run(cfg: ScenarioConfig, command: str, out_dir, quiet: bool = False) -> dict:
@@ -520,21 +513,15 @@ def run(cfg: ScenarioConfig, command: str, out_dir, quiet: bool = False) -> dict
     boundary = rho0.boundary_population()
 
     if command == "state" or dyn is None:
-        emit("wigner.csv", write_wigner_csv, w0)
+        emit("wigner.csv", write_csv, *_grid_table(w0))
         sites, blocks = marginal_position(w0)
-        emit("marginal_position.csv", write_position_marginal_csv, sites, blocks)
-        emit("marginal_momentum.csv", write_momentum_marginal_csv, cfg.kgrid.points, marginal_momentum(w0))
-        if command == "negativity":
-            report = matrix_negativity(w0)
-            emit(
-                "negativity.json",
-                write_json,
-                {
-                    "eta": report.eta,
-                    "per_m": [[m, c] for m, c in report.per_m_contributions],
-                    "params": {"state": cfg.state_name, **{k: v for k, v in cfg.state_params.items()}},
-                },
-            )
+        emit("marginal_position.csv", write_csv, ("n",) + SPIN_HEADER, [sites, *spin_columns(blocks)])
+        emit(
+            "marginal_momentum.csv",
+            write_csv,
+            ("k",) + SPIN_HEADER,
+            [cfg.kgrid.points, *spin_columns(marginal_momentum(w0))],
+        )
     elif isinstance(dyn, ContinuousDynamics):
         closed = rk4_snaps = rk4_result = None
         if dyn.method in ("closed_form", "both"):
@@ -547,14 +534,15 @@ def run(cfg: ScenarioConfig, command: str, out_dir, quiet: bool = False) -> dict
                 float(np.max(np.abs(a.values - b.values))) for a, b in zip(closed, rk4_snaps)
             )
         for i, (t, wt) in enumerate(zip(dyn.times, primary)):
-            emit(f"snapshot_{i:03d}.csv", write_wigner_csv, wt, t)
+            emit(f"snapshot_{i:03d}.csv", write_csv, *_grid_table(wt, t))
             sites, blocks = marginal_position(wt)
-            emit(f"marginal_position_{i:03d}.csv", write_position_marginal_csv, sites, blocks)
-        emit(
-            "negativity_timeseries.csv",
-            write_timeseries_csv,
-            negativity_timeseries(primary, dyn.times),
-        )
+            emit(
+                f"marginal_position_{i:03d}.csv",
+                write_csv,
+                ("n",) + SPIN_HEADER,
+                [sites, *spin_columns(blocks)],
+            )
+        emit("negativity_timeseries.csv", write_csv, *_timeseries_table(primary, dyn.times))
         if rk4_result is not None:
             boundary = max(boundary, rk4_result.boundary_leak)
         if closed is not None:
@@ -570,23 +558,24 @@ def run(cfg: ScenarioConfig, command: str, out_dir, quiet: bool = False) -> dict
         )
         wms = [wigner_of_density(d, cfg.kgrid) for d in densities]
         for i, (step, rho, wt) in enumerate(zip(steps_list, densities, wms)):
-            emit(f"snapshot_{i:03d}.csv", write_wigner_csv, wt, float(step))
+            emit(f"snapshot_{i:03d}.csv", write_csv, *_grid_table(wt, step))
+            pops = np.real(np.diagonal(rho.matrix)).reshape(rho.window.width, 2)
             emit(
                 f"site_distribution_{i:03d}.csv",
-                write_site_distribution_csv,
-                cfg.window.sites,
-                _spin_populations(rho),
+                write_csv,
+                ("n", "p_spin0", "p_spin1", "p_total"),
+                [cfg.window.sites, pops[:, 0], pops[:, 1], pops[:, 0] + pops[:, 1]],
             )
             boundary = max(boundary, rho.boundary_population())
         emit(
             "negativity_timeseries.csv",
-            write_timeseries_csv,
-            negativity_timeseries(wms, [float(s) for s in steps_list]),
+            write_csv,
+            *_timeseries_table(wms, [float(s) for s in steps_list]),
         )
     else:
         raise ConfigError(f"command {command!r} incompatible with the dynamics block")
 
-    if command == "negativity" and dyn is not None:
+    if command == "negativity":
         report = matrix_negativity(w0)
         emit(
             "negativity.json",
@@ -594,7 +583,7 @@ def run(cfg: ScenarioConfig, command: str, out_dir, quiet: bool = False) -> dict
             {
                 "eta": report.eta,
                 "per_m": [[m, c] for m, c in report.per_m_contributions],
-                "params": {"state": cfg.state_name, **{k: v for k, v in cfg.state_params.items()}},
+                "params": {"state": cfg.state_name, **cfg.state_params},
             },
         )
 
@@ -628,16 +617,15 @@ def run(cfg: ScenarioConfig, command: str, out_dir, quiet: bool = False) -> dict
 
 
 def _verify_outputs(out: Path, manifest: dict) -> None:
-    """Manifest contract: every listed file exists and parses."""
-    import json as _json
-
+    """Manifest contract: every listed file exists and parses (CSVs: header line only)."""
     for name in manifest["files"]:
         path = out / name
         if not path.is_file():
             raise InvariantViolation(f"manifest lists missing file {name}")
         if name.endswith(".json"):
-            _json.loads(path.read_text())
+            json.loads(path.read_text())
         elif name.endswith(".csv"):
-            first = path.read_text().splitlines()[0]
+            with open(path, encoding="utf-8") as fh:
+                first = fh.readline()
             if "," not in first:
                 raise InvariantViolation(f"{name} has no CSV header")

@@ -5,9 +5,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lattice_wigner import KGrid, LatticeWindow, TwoGaussianSpec, two_gaussian_state
+from lattice_wigner import KGrid, LatticeWindow, TwoGaussianSpec, WignerMatrix, two_gaussian_state
 from lattice_wigner.cli import main
 from lattice_wigner import wigner_of_pure
+from lattice_wigner.output import write_csv
+from lattice_wigner.scenario import _grid_table
 
 REPO = Path(__file__).resolve().parents[1]
 SCENARIOS = REPO / "scenarios"
@@ -60,8 +62,8 @@ class TestStateCommand:
         i = w.m_index(12)
         row = lines[1 + i * grid.n_k].split(",")
         assert int(row[0]) == 12
-        assert float(row[1]) == pytest.approx(-math.pi, abs=1e-15)
-        assert float(row[2]) == pytest.approx(w.values[i, 0, 0, 0].real, abs=1e-15)
+        assert float(row[1]) == -math.pi
+        assert float(row[2]) == w.values[i, 0, 0, 0].real
 
     def test_row_count(self, tmp_path):
         cfg = write_config(tmp_path, base_config())
@@ -69,6 +71,67 @@ class TestStateCommand:
         main(["state", "--config", cfg, "--out", str(out), "--quiet"])
         lines = (out / "wigner.csv").read_text().splitlines()
         assert len(lines) == 1 + (2 * 21 - 1) * 48
+
+
+class TestCsvRoundTrip:
+    # Shortest round-trip repr: every value reads back bit for bit, including
+    # the sign of zero, subnormals and values that need 17 significant digits.
+    SPECIAL = np.array([-0.0, 5e-324, 2.5e-310, 0.1 + 0.2, -1.0000000000000002])
+
+    @staticmethod
+    def read(path):
+        lines = path.read_bytes().decode().split("\n")
+        assert lines[-1] == "" and "\r" not in lines[0]
+        return lines[0].split(","), [row.split(",") for row in lines[1:-1]]
+
+    @staticmethod
+    def assert_bits(cells, source):
+        parsed = np.array([float(c) for c in cells])
+        assert parsed.tobytes() == np.asarray(source, dtype=float).tobytes()
+
+    def test_tables_round_trip_exactly(self, tmp_path):
+        rng = np.random.default_rng(7)
+        grid = KGrid(5)
+        values = rng.normal(size=(7, 5, 2, 2)) + 1j * rng.normal(size=(7, 5, 2, 2))
+        values.reshape(-1)[: self.SPECIAL.size] = self.SPECIAL + 1j * self.SPECIAL[::-1]
+        w = WignerMatrix(-3, 3, grid, values)
+        spin = np.stack([f(values.reshape(-1, 4)[:, e]) for e in range(4) for f in (np.real, np.imag)])
+        for t in (None, 0.1 + 0.2):
+            path = tmp_path / f"grid_{t}.csv"
+            write_csv(path, *_grid_table(w, t))
+            header, rows = self.read(path)
+            cols = list(zip(*rows))
+            if t is not None:
+                assert header[0] == "t"
+                self.assert_bits(cols.pop(0), np.full(len(rows), t))
+                header = header[1:]
+            assert header == "m,k,re00,im00,re01,im01,re10,im10,re11,im11".split(",")
+            assert [int(c) for c in cols[0]] == np.repeat(w.m_values, grid.n_k).tolist()
+            self.assert_bits(cols[1], np.tile(grid.points, w.n_m))
+            for got, want in zip(cols[2:], spin):
+                self.assert_bits(got, want)
+
+        sites = np.arange(-2, 3)
+        pops = np.abs(rng.normal(size=(5, 2)))
+        pops[:, 0] = self.SPECIAL
+        path = tmp_path / "site_distribution.csv"
+        columns = [sites, pops[:, 0], pops[:, 1], pops[:, 0] + pops[:, 1]]
+        write_csv(path, ("n", "p_spin0", "p_spin1", "p_total"), columns)
+        header, rows = self.read(path)
+        cols = list(zip(*rows))
+        assert header == ["n", "p_spin0", "p_spin1", "p_total"]
+        assert [int(c) for c in cols[0]] == sites.tolist()
+        for got, want in zip(cols[1:], columns[1:]):
+            self.assert_bits(got, want)
+
+        times, etas = np.array([0.0, 0.1 + 0.2, 1e300, 3.0, 7.5]), self.SPECIAL[::-1]
+        path = tmp_path / "timeseries.csv"
+        write_csv(path, ("t", "eta"), [times, etas])
+        header, rows = self.read(path)
+        cols = list(zip(*rows))
+        assert header == ["t", "eta"]
+        self.assert_bits(cols[0], times)
+        self.assert_bits(cols[1], etas)
 
 
 class TestValidateCommand:
@@ -149,6 +212,88 @@ class TestExitCodes:
         doc = base_config()
         cfg = write_config(tmp_path, doc)
         assert main(["state", "--config", cfg]) == 2
+
+
+def continuous_config(**dynamics):
+    doc = {
+        "window": {"n_min": -12, "n_max": 12, "a": 1.0},
+        "kgrid": {"n_k": 52},
+        "state": {"name": "product_gaussian", "params": {"center": 0, "sigma": 1.5, "spin": "up"}},
+        "dynamics": {
+            "kind": "continuous",
+            "hamiltonian": {"j_hop": 1.0, "potential": {"kind": "linear", "slope": 1.0}},
+            "method": "both",
+            "times": [0.0, 0.5],
+            "dt": 0.002,
+            "noise": {"lindblad": [{"op": "sigma_z", "gamma": 0.1}]},
+        },
+        "tolerances": {"eps_boundary": 1e-8, "two_path": 1e-6},
+    }
+    doc["dynamics"].update(dynamics)
+    return doc
+
+
+def _set(path, value):
+    def edit(doc):
+        *parents, leaf = path
+        for key in parents:
+            doc = doc[key]
+        doc[leaf] = value
+
+    return edit
+
+
+class TestNonFiniteConfig:
+    @pytest.mark.parametrize(
+        "edit, field",
+        [
+            (_set(("dynamics", "times"), [0.0, math.inf]), "dynamics.times"),
+            (_set(("dynamics", "hamiltonian", "j_hop"), math.nan), "dynamics.hamiltonian.j_hop"),
+            (_set(("dynamics", "hamiltonian", "j_hop"), 10**400), "dynamics.hamiltonian.j_hop"),
+            (
+                _set(("dynamics", "hamiltonian", "potential", "slope"), math.inf),
+                "dynamics.hamiltonian.potential.slope",
+            ),
+            (_set(("dynamics", "dt"), -math.inf), "dynamics.dt"),
+            (_set(("tolerances", "two_path"), math.nan), "tolerances.two_path"),
+            (_set(("tolerances", "two_path"), -1e-6), "tolerances.two_path"),
+            (_set(("tolerances", "eps_boundary"), -1e-8), "tolerances.eps_boundary"),
+            (
+                _set(("dynamics", "noise", "lindblad"), [{"op": "sigma_z", "gamma": math.nan}]),
+                "dynamics.noise.lindblad[0].gamma",
+            ),
+        ],
+        ids=[
+            "times_inf", "j_hop_nan", "j_hop_overflow", "slope_inf", "dt_minus_inf",
+            "two_path_nan", "two_path_negative", "eps_boundary_negative", "gamma_nan",
+        ],
+    )
+    def test_rejected_with_field_name(self, tmp_path, capsys, edit, field):
+        doc = continuous_config()
+        edit(doc)
+        cfg = write_config(tmp_path, doc)
+        assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert field in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+
+class TestBesselSlack:
+    def test_validate_warns_where_evolve_refuses(self, tmp_path, capsys):
+        # Near half a Bloch period the band reaches 30 rows; the state leaves fewer.
+        doc = continuous_config(method="closed_form", times=[0.0, 3.1], noise=None)
+        cfg = write_config(tmp_path, doc)
+        assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "kernel needs 30 empty m-rows" in capsys.readouterr().err
+        assert main(["validate", "--config", cfg]) == 0
+        assert "warning: propagator kernel needs 30 empty m-rows" in capsys.readouterr().out
+
+    def test_build_failure_is_a_diagnostic(self, tmp_path, capsys):
+        doc = continuous_config()
+        doc["state"] = {"name": "cat", "params": {"a_site": -2}}
+        cfg = write_config(tmp_path, doc)
+        assert main(["validate", "--config", cfg]) == 2
+        assert "error: state.params for cat is missing 'b_site'" in capsys.readouterr().out
+        assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
 
 class TestEvolveCommand:
