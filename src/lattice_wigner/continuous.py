@@ -8,7 +8,9 @@ Two independent routes run through this module and are required to agree:
 * the phase-space route: the evolution equation for the Wigner field
   (hopping term plus a finite derivative series in k for polynomial
   potentials) and, for a linear potential, its exact solution as a band
-  matrix of Bessel functions acting in m with a rigid shift in k.
+  of Bessel functions acting in m with a rigid shift in k.  By the
+  Jacobi-Anger identity the band is a pointwise phase in the Fourier
+  variable conjugate to m, so it is applied with one FFT pair along m.
 
 The density route is the oracle: it knows nothing about phase space.  The
 phase-space route is where the structure lives.  Their agreement at stated
@@ -29,8 +31,8 @@ from .errors import (
     StepSizeError,
     WindowError,
 )
-from .grids import KGrid, k_derivative, k_shift
-from .special import bessel_jn_band, bessel_tail_order
+from .grids import TWO_PI, KGrid, k_derivative
+from .special import bessel_tail_order
 from .states import DensityOperator, LatticeWindow
 from .wigner import WignerMatrix
 
@@ -414,24 +416,14 @@ def occupied_rows(values: np.ndarray) -> Optional[tuple]:
     return int(occupied[0]), int(occupied[-1])
 
 
-def _kernel_half_width(j_hop: float, lambda_a: float) -> int:
-    """Band truncation |m - l| <= L for the Bessel kernel.
-
-    L = max(30, ceil(2 |8J/(lambda a)|)); the tail is controlled by the
-    super-exponential decay of J_n beyond n = |argument|.
-    """
-    return max(30, math.ceil(2.0 * abs(8.0 * j_hop / lambda_a)))
-
-
 def bessel_band_reach(j_hop: float, lambda_a: float, t: float) -> int:
     """Empty m-rows the Bessel band needs on each side of the support at time t.
 
-    The band is cut at _kernel_half_width, and beyond the tail order of the
-    largest argument |8J/(lambda a) sin(lambda a t / 2)| its entries are below
-    1e-15, so the reach is the smaller of the two.
+    Beyond the tail order of the largest argument |8J/(lambda a) sin(lambda a
+    t / 2)| every band entry J_d is below 1e-15.
     """
     z_max = abs(8.0 * j_hop / lambda_a * math.sin(0.5 * (lambda_a * float(t))))
-    return min(_kernel_half_width(j_hop, lambda_a), bessel_tail_order(z_max, 1e-15))
+    return bessel_tail_order(z_max, 1e-15)
 
 
 def _check_slack(values: np.ndarray, needed: int, what: str) -> None:
@@ -447,24 +439,51 @@ def _check_slack(values: np.ndarray, needed: int, what: str) -> None:
         )
 
 
-def _bessel_band_apply(values: np.ndarray, z_per_k: np.ndarray, half_width: int) -> np.ndarray:
-    """out[m, k, ...] = sum_{|d| <= L} J_d(z_k) values[m - d, k, ...]."""
-    n_m = values.shape[0]
-    n_k = z_per_k.shape[0]
-    bands = np.empty((2 * half_width + 1, n_k))
-    for jdx in range(n_k):
-        bands[:, jdx] = bessel_jn_band(half_width, float(z_per_k[jdx]))
-    trailing = (1,) * (values.ndim - 2)
-    out = np.zeros_like(values)
-    for d in range(-half_width, half_width + 1):
-        if abs(d) >= n_m:
-            continue
-        coef = bands[d + half_width].reshape((1, n_k) + trailing)
-        if d >= 0:
-            out[d:] += coef * values[: n_m - d]
-        else:
-            out[: n_m + d] += coef * values[-d:]
-    return out
+def _smooth_length(n: int) -> int:
+    """Smallest 2^a 3^b 5^c >= n: a length the FFT handles without a slow prime factor."""
+    while True:
+        rest = n
+        for p in (2, 3, 5):
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            return n
+        n += 1
+
+
+def _bessel_band_propagate(
+    w0: WignerMatrix, j_hop: float, lambda_a: float, t: float, shift, what: str, dress=1.0
+) -> WignerMatrix:
+    """out[m, k, a, b] = dress_ab(m) sum_d J_d(z_ab(k)) (dress W0)(m - d, k + shift_ab, a, b).
+
+    z_ab(k) = -8 (J / lambda_a) sin(k + shift_ab / 2) sin(lambda_a t / 2), with
+    shift one value for every spin entry or a (2, 2) array of them.  The
+    k-shift is exact trigonometric interpolation.  By the Jacobi-Anger
+    identity sum_d J_d(z) e^{-i d q} = e^{-i z sin q}, the band in m is the
+    phase e^{-i z(k) sin q} in the Fourier variable q conjugate to m.  The m
+    axis is zero-padded by at least the band reach, past which every J_d is
+    below the tail tolerance, so nothing wraps around; rows pushed beyond the
+    grid edge are dropped.  Raises WindowError when the band would push
+    support off the m-grid.
+    """
+    if lambda_a == 0.0:
+        raise DomainError("linear propagator requires lambda_a != 0")
+    reach = bessel_band_reach(j_hop, lambda_a, t)
+    _check_slack(w0.values, reach, what)
+    shifts, entry = np.unique(np.broadcast_to(shift, (2, 2)), return_inverse=True)
+    entry = entry.reshape(2, 2)
+    # One transform per statement: each frees the grid-sized array it replaces.
+    spec = np.fft.fft(dress * w0.values, axis=1)
+    spec *= np.exp(1j * np.multiply.outer(w0.kgrid.modes(), shifts))[:, entry]
+    spec = np.fft.ifft(spec, axis=1)
+    n_pad = _smooth_length(w0.n_m + reach)
+    spec = np.fft.fft(spec, n=n_pad, axis=0)
+    scale = -8.0 * (j_hop / lambda_a) * math.sin(0.5 * lambda_a * float(t))
+    z = scale * np.sin(np.add.outer(w0.kgrid.points, 0.5 * shifts))
+    sin_q = np.sin(TWO_PI * np.arange(n_pad) / n_pad)
+    spec *= np.exp(-1j * np.multiply.outer(sin_q, z))[:, :, entry]
+    spec = np.fft.ifft(spec, axis=0)[: w0.n_m]
+    return w0.with_values(dress * spec)
 
 
 def linear_potential_propagate(
@@ -475,19 +494,13 @@ def linear_potential_propagate(
     W(m, k, t) = sum_l J_{m-l}(z) W(l, k + lambda_a t, 0) with the argument
     z = -8 (J / lambda_a) sin(k + lambda_a t / 2) sin(lambda_a t / 2).  The
     quasi-momentum shift is periodic, which makes the motion recur with the
-    Bloch period 2 pi / |lambda_a|.  The k-shift is evaluated by exact
-    trigonometric interpolation; the l-sum is truncated to the Bessel band.
-    Raises WindowError when the band would push support off the m-grid.
+    Bloch period 2 pi / |lambda_a|.  The k-shift is exact trigonometric
+    interpolation; the l-sum is applied as the Jacobi-Anger phase between one
+    FFT pair along m (see _bessel_band_propagate).  Raises WindowError when
+    the band would push support off the m-grid.
     """
-    if lambda_a == 0.0:
-        raise DomainError("linear propagator requires lambda_a != 0")
-    grid = w0.kgrid
     delta = lambda_a * float(t)
-    _check_slack(w0.values, bessel_band_reach(j_hop, lambda_a, t), "linear propagator")
-    shifted = k_shift(w0.values, grid, delta, axis=1)
-    z = -8.0 * (j_hop / lambda_a) * np.sin(grid.points + 0.5 * delta) * math.sin(0.5 * delta)
-    out = _bessel_band_apply(shifted, z, _kernel_half_width(j_hop, lambda_a))
-    return w0.with_values(out)
+    return _bessel_band_propagate(w0, j_hop, lambda_a, t, delta, "linear propagator")
 
 
 def spin_linear_propagate(
@@ -500,34 +513,20 @@ def spin_linear_propagate(
     drift apart.  The off-diagonal entries see the mean potential only as a
     phase: a Bessel band with an unshifted-k argument, dressed by phases
     e^{(-1)^alpha i (m + l) lambda_a t / 2} on the in- and outgoing m indices.
+    All four entries go through one batched k-shift and one FFT pair along m,
+    each with its own shift and Bessel argument.
     """
-    if lambda_a == 0.0:
-        raise DomainError("linear propagator requires lambda_a != 0")
-    grid = w0.kgrid
     delta = lambda_a * float(t)
-    reach = bessel_band_reach(j_hop, lambda_a, t)
-    _check_slack(w0.values, reach, "spin-coupled linear propagator")
-    half_width = _kernel_half_width(j_hop, lambda_a)
-
-    out = np.zeros_like(w0.values)
-    sin_half = math.sin(0.5 * delta)
-    for alpha in (0, 1):
-        sign = 1.0 if alpha == 0 else -1.0
-        entry = w0.values[:, :, alpha, alpha]
-        shifted = k_shift(entry, grid, sign * delta, axis=1)
-        z = -8.0 * (j_hop / lambda_a) * np.sin(grid.points + sign * 0.5 * delta) * sin_half
-        out[:, :, alpha, alpha] = _bessel_band_apply(shifted, z, half_width)
-
     # Off-diagonal phases are e^{-i(-1)^alpha (m+l) lambda_a t/2}: the sign is
     # pinned by the J=0 limit, where <n,0|rho_t|m-n,1> = e^{-i lambda_a m t}
     # times the initial element, and by the RK4 oracle.
-    z_off = -8.0 * (j_hop / lambda_a) * np.sin(grid.points) * sin_half
-    for alpha, beta in ((0, 1), (1, 0)):
-        sign = 1.0 if alpha == 0 else -1.0
-        phase = np.exp(-0.5j * sign * delta * w0.m_values)[:, None]
-        banded = _bessel_band_apply(phase * w0.values[:, :, alpha, beta], z_off, half_width)
-        out[:, :, alpha, beta] = phase * banded
-    return w0.with_values(out)
+    dress = np.ones((w0.n_m, 1, 2, 2), dtype=complex)
+    dress[:, 0, 0, 1] = np.exp(-0.5j * delta * w0.m_values)
+    dress[:, 0, 1, 0] = dress[:, 0, 0, 1].conj()
+    shift = np.array([[delta, 0.0], [0.0, -delta]])
+    return _bessel_band_propagate(
+        w0, j_hop, lambda_a, t, shift, "spin-coupled linear propagator", dress
+    )
 
 
 def lindblad_wigner_closed(

@@ -104,6 +104,28 @@ class ScenarioConfig:
 # Parsing
 # ---------------------------------------------------------------------------
 
+# Config blocks that must be JSON objects, each with the blocks nested in it;
+# a block whose flag is True may also be null, which means absent.
+_BLOCKS = {
+    "window": (False, {}),
+    "kgrid": (False, {}),
+    "state": (False, {"params": (False, {})}),
+    "dynamics": (True, {"hamiltonian": (False, {"potential": (True, {})}), "noise": (True, {})}),
+    "outputs": (True, {}),
+    "tolerances": (False, {}),
+}
+
+
+def _check_blocks(doc: dict, blocks: dict = _BLOCKS, where: str = "") -> None:
+    """Every config block that is present is a JSON object (the parsers rely on it)."""
+    for key, (nullable, inner) in blocks.items():
+        if key not in doc or (nullable and doc[key] is None):
+            continue
+        if not isinstance(doc[key], dict):
+            raise ConfigError(f"{where}{key} must be a JSON object, got {doc[key]!r}")
+        _check_blocks(doc[key], inner, f"{where}{key}.")
+
+
 def _need(doc: dict, key: str, where: str):
     if key not in doc:
         raise ConfigError(f"missing required field {where}.{key}")
@@ -134,8 +156,6 @@ def _as_number(value, where: str, nonnegative: bool = False) -> float:
 def _parse_potential(doc, where: str) -> Optional[Potential]:
     if doc is None:
         return None
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{where} must be an object or null")
     kind = _need(doc, "kind", where)
     try:
         if kind == "none":
@@ -157,9 +177,9 @@ def _parse_potential(doc, where: str) -> Optional[Potential]:
 def _parse_noise_terms(doc, where: str) -> tuple:
     if doc is None:
         return ()
-    entries = doc.get("lindblad") if isinstance(doc, dict) else None
+    entries = doc.get("lindblad")
     if not isinstance(entries, list):
-        raise ConfigError(f"{where} must be an object with a 'lindblad' list")
+        raise ConfigError(f"{where}.lindblad must be a list")
     terms = []
     for i, entry in enumerate(entries):
         here = f"{where}.lindblad[{i}]"
@@ -250,6 +270,7 @@ def _parse_walk(doc: dict, where: str) -> WalkDynamics:
 def parse_config(doc: dict) -> ScenarioConfig:
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a JSON object")
+    _check_blocks(doc)
     wdoc = _need(doc, "window", "config")
     try:
         window = LatticeWindow(
@@ -271,8 +292,6 @@ def parse_config(doc: dict) -> ScenarioConfig:
     sdoc = _need(doc, "state", "config")
     name = _need(sdoc, "name", "state")
     params = sdoc.get("params", {})
-    if not isinstance(params, dict):
-        raise ConfigError("state.params must be an object")
 
     dyn_doc = doc.get("dynamics")
     dynamics = None
@@ -287,8 +306,7 @@ def parse_config(doc: dict) -> ScenarioConfig:
         else:
             raise ConfigError(f"dynamics.kind must be none/continuous/walk, got {kind!r}")
 
-    odoc = doc.get("outputs", {})
-    out_dir = odoc.get("directory") if isinstance(odoc, dict) else None
+    out_dir = (doc.get("outputs") or {}).get("directory")
     tdoc = doc.get("tolerances", {})
     tolerances = Tolerances(
         eps_boundary=_as_number(
@@ -317,40 +335,15 @@ def validate_config(cfg: ScenarioConfig) -> list:
             )
         )
 
-    p = cfg.state_params
-    buildable = True  # the builders refuse a Gaussian whose +- 6 sigma leaves the window
-    if cfg.state_name in ("two_gaussian", "product_gaussian"):
-        try:
-            sigma = float(p["sigma"])
-            centers = (
-                [int(p["center"])]
-                if cfg.state_name == "product_gaussian"
-                else [int(p["a_center"]), int(p["b_center"])]
-            )
-            for c in centers:
-                if c - 6 * sigma < cfg.window.n_min or c + 6 * sigma > cfg.window.n_max:
-                    buildable = False
-                    diags.append(
-                        Diagnostic(
-                            "warning",
-                            f"Gaussian center {c} +- 6 sigma does not fit the window; "
-                            "truncation error may exceed tolerances",
-                        )
-                    )
-        except (KeyError, TypeError, ValueError):
-            buildable = False
-            diags.append(Diagnostic("error", f"state.params incomplete for {cfg.state_name}"))
-
     occupied = None  # (first, last) occupied window index of the built state
-    if buildable:
-        try:
-            state = build_state(cfg.state_name, p, cfg.window)
-        except KeyError as exc:
-            diags.append(Diagnostic("error", f"state.params for {cfg.state_name} is missing {exc}"))
-        except (LatticeWignerError, TypeError, ValueError, OverflowError) as exc:
-            diags.append(Diagnostic("error", f"state: {exc}"))
-        else:
-            occupied = occupied_rows(state.site_populations())
+    try:
+        state = build_state(cfg.state_name, cfg.state_params, cfg.window)
+    except KeyError as exc:
+        diags.append(Diagnostic("error", f"state.params for {cfg.state_name} is missing {exc}"))
+    except (LatticeWignerError, TypeError, ValueError, OverflowError) as exc:
+        diags.append(Diagnostic("error", f"state: {exc}"))
+    else:
+        occupied = occupied_rows(state.site_populations())
 
     dyn = cfg.dynamics
     if isinstance(dyn, ContinuousDynamics):

@@ -123,30 +123,36 @@ def _require_grid(window: LatticeWindow, kgrid: KGrid) -> None:
         )
 
 
+def _pair_map(width: int, n_k: int):
+    """Index map between site pairs (n, n') and FFT cells (m, d mod n_k).
+
+    For window offsets p = n - n_min and q = n' - n_min the pair sits on row
+    i = p + q (m = 2 n_min + i) with mode d = p - q = 2n - m.  Returns (i, col,
+    sign) as (width, width) arrays, col = d mod n_k and sign = (-1)^d: on the
+    grid k_j = -pi + 2 pi j / n_k the phase e^{-i d k_j} is (-1)^d times the
+    DFT kernel, and for odd n_k the parity of d mod n_k is not that of d.
+    The cells are distinct whenever n_k >= 2W - 1.
+    """
+    p, q = np.indices((width, width))
+    d = p - q
+    return p + q, d % n_k, np.where(d % 2 == 0, 1.0, -1.0)
+
+
 def _transform_blocks(blocks: np.ndarray, window: LatticeWindow, kgrid: KGrid) -> np.ndarray:
     """Shared kernel: blocks[n, a, n', b] -> values[m, k, a, b].
 
-    For each m the contributing pairs are (n, m-n) with both sites inside the
-    window; their phases e^{-i(2n-m)k} span modes |2n-m| <= W-1.
+    Each pair's block is placed at its (m, d mod n_k) cell with the sign
+    (-1)^d, then one FFT along k sums every row's modes |2n-m| <= W-1.
     """
-    n_min, n_max = window.n_min, window.n_max
-    n_m = 2 * window.width - 1
-    k = kgrid.points
-    out = np.zeros((n_m, kgrid.n_k, 2, 2), dtype=complex)
-    for i in range(n_m):
-        m = 2 * n_min + i
-        lo = max(n_min, m - n_max)
-        hi = min(n_max, m - n_min)
-        ns = np.arange(lo, hi + 1)
-        phases = np.exp(-1j * np.outer(2 * ns - m, k))
-        coeffs = blocks[ns - n_min, :, m - ns - n_min, :]
-        out[i] = INV_TWO_PI * np.tensordot(phases, coeffs, axes=(0, 0))
-    return out
+    _require_grid(window, kgrid)
+    rows, cols, sign = _pair_map(window.width, kgrid.n_k)
+    coeffs = np.zeros((2 * window.width - 1, kgrid.n_k, 2, 2), dtype=complex)
+    coeffs[rows, cols] = sign[:, :, None, None] * blocks.transpose(0, 2, 1, 3)
+    return INV_TWO_PI * np.fft.fft(coeffs, axis=1)
 
 
 def wigner_of_density(rho: DensityOperator, kgrid: KGrid) -> WignerMatrix:
     """Forward transform of a density operator."""
-    _require_grid(rho.window, kgrid)
     vals = _transform_blocks(rho.blocks(), rho.window, kgrid)
     return WignerMatrix(2 * rho.window.n_min, 2 * rho.window.n_max, kgrid, vals)
 
@@ -156,7 +162,6 @@ def wigner_of_pure(psi: PureState, kgrid: KGrid) -> WignerMatrix:
 
     Agrees with wigner_of_density(density_from_pure(psi)) to rounding.
     """
-    _require_grid(psi.window, kgrid)
     a = psi.amplitudes
     blocks = a[:, :, None, None] * a.conj()[None, None, :, :]  # [n, a, n', b]
     vals = _transform_blocks(blocks, psi.window, kgrid)
@@ -180,7 +185,6 @@ def wigner_of_operator(op, window: LatticeWindow, kgrid: KGrid) -> WignerMatrix:
 
 def scalar_wigner_of_lattice(rho_l: LatticeDensity, kgrid: KGrid) -> ScalarWigner:
     """Spinless transform of a lattice-only density operator."""
-    _require_grid(rho_l.window, kgrid)
     w = rho_l.window.width
     blocks = np.zeros((w, 2, w, 2), dtype=complex)
     blocks[:, 0, :, 0] = rho_l.matrix
@@ -231,26 +235,18 @@ def reconstruct_density(w: WignerMatrix, a: float = 1.0) -> DensityOperator:
     """Invert the transform back to a density operator.
 
     The double k-integral against the phase-point kernel collapses to
-    <n, a| rho |n', b> = int dk W_ab(n + n', k) e^{i (n - n') k}, so the
-    reconstruction costs O(W^2 n_k) and never materializes the kernel.
-    Exact (to rounding) whenever the grid satisfies n_k >= 2W+1.
+    <n, a| rho |n', b> = int dk W_ab(n + n', k) e^{i (n - n') k}: one inverse
+    FFT along k and one gather of each pair's (m, d mod n_k) cell, O(W n_k log
+    n_k + W^2), never materializing the kernel.  Exact (to rounding) whenever
+    the grid satisfies n_k >= 2W+1.
     """
     if w.m_min % 2 != 0 or w.m_max % 2 != 0:
         raise GridError("reconstruction expects an even-to-even m range")
-    n_min, n_max = w.m_min // 2, w.m_max // 2
-    window = LatticeWindow(n_min, n_max, a)
+    window = LatticeWindow(w.m_min // 2, w.m_max // 2, a)
     _require_grid(window, w.kgrid)
-    width = window.width
-    k = w.kgrid.points
-    blocks = np.zeros((width, 2, width, 2), dtype=complex)
-    for i in range(w.n_m):
-        m = w.m_min + i
-        lo = max(n_min, m - n_max)
-        hi = min(n_max, m - n_min)
-        ns = np.arange(lo, hi + 1)
-        quad = w.kgrid.weight * np.exp(1j * np.outer(2 * ns - m, k))
-        res = np.tensordot(quad, w.values[i], axes=(1, 0))
-        blocks[ns - n_min, :, m - ns - n_min, :] = res
+    rows, cols, sign = _pair_map(window.width, w.kgrid.n_k)
+    modes = np.fft.ifft(w.values, axis=1)[rows, cols]  # [n, n', a, b]
+    blocks = (TWO_PI * sign[:, :, None, None] * modes).transpose(0, 2, 1, 3)
     return DensityOperator(window, blocks.reshape(window.dim, window.dim))
 
 

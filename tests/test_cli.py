@@ -148,15 +148,16 @@ class TestValidateCommand:
         out = capsys.readouterr().out
         assert "2W+1" in out and "43" in out
 
-    def test_gaussian_adequacy_warning(self, tmp_path, capsys):
+    def test_gaussian_outside_window_is_an_error(self, tmp_path, capsys):
         doc = base_config()
         doc["state"] = {
             "name": "product_gaussian",
             "params": {"center": 8, "sigma": 2.0, "spin": "up"},
         }
         cfg = write_config(tmp_path, doc)
-        assert main(["validate", "--config", cfg]) == 0
-        assert "warning" in capsys.readouterr().out
+        assert main(["validate", "--config", cfg]) == 2
+        assert "error: state: window [-10, 10] does not contain center 8" in capsys.readouterr().out
+        assert main(["state", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
     def test_malformed_json(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
@@ -277,15 +278,44 @@ class TestNonFiniteConfig:
         assert not (tmp_path / "o").exists()
 
 
+NON_OBJECT_BLOCKS = [
+    (("window",), 5),
+    (("kgrid",), [48]),
+    (("state",), 3),
+    (("state", "params"), "center"),
+    (("dynamics",), True),
+    (("dynamics", "hamiltonian"), 5),
+    (("dynamics", "hamiltonian", "potential"), "linear"),
+    (("dynamics", "noise"), ["sigma_z"]),
+    (("outputs",), "out"),
+    (("tolerances",), []),
+]
+
+
+class TestConfigBlocks:
+    @pytest.mark.parametrize(
+        "path, value", NON_OBJECT_BLOCKS, ids=[".".join(path) for path, _ in NON_OBJECT_BLOCKS]
+    )
+    def test_non_object_block_names_its_path(self, tmp_path, capsys, path, value):
+        doc = continuous_config()
+        _set(path, value)(doc)
+        cfg = write_config(tmp_path, doc)
+        field = ".".join(path) + " must be a JSON object"
+        for command in ("validate", "evolve"):
+            assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+            assert field in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+
 class TestBesselSlack:
     def test_validate_warns_where_evolve_refuses(self, tmp_path, capsys):
-        # Near half a Bloch period the band reaches 30 rows; the state leaves fewer.
+        # Near half a Bloch period the band reaches 31 rows; the state leaves fewer.
         doc = continuous_config(method="closed_form", times=[0.0, 3.1], noise=None)
         cfg = write_config(tmp_path, doc)
         assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-        assert "kernel needs 30 empty m-rows" in capsys.readouterr().err
+        assert "kernel needs 31 empty m-rows" in capsys.readouterr().err
         assert main(["validate", "--config", cfg]) == 0
-        assert "warning: propagator kernel needs 30 empty m-rows" in capsys.readouterr().out
+        assert "warning: propagator kernel needs 31 empty m-rows" in capsys.readouterr().out
 
     def test_build_failure_is_a_diagnostic(self, tmp_path, capsys):
         doc = continuous_config()

@@ -5,6 +5,7 @@ import pytest
 
 from lattice_wigner import (
     BoundaryLeakError,
+    DensityOperator,
     DomainError,
     HamiltonianSpec,
     KGrid,
@@ -231,6 +232,26 @@ class TestSpinPropagator:
         _, _, _, w0 = gaussian_setup(spin="plus")
         out = spin_linear_propagate(w0, 1.0, 1.0, 1.3)
         assert hermiticity_defect(out) < 1e-13
+
+
+class TestDenseReference:
+    """Both propagators against U(t) rho0 U(t)^+ from one eigh of the dense Hamiltonian."""
+
+    @pytest.mark.parametrize(
+        "propagate, spin_coupled",
+        [(linear_potential_propagate, False), (spin_linear_propagate, True)],
+        ids=["scalar", "spin_coupled"],
+    )
+    def test_wide_band_matches_to_rounding(self, propagate, spin_coupled):
+        # J / (lambda a) = 2 at t = pi puts Bessel orders up to 33 above 1e-15.
+        j_hop, lam_a, t = 2.0, 1.0, math.pi
+        window, grid, rho0, w0 = gaussian_setup(LatticeWindow(-60, 60), KGrid(256), sigma=3.0, spin="plus")
+        h = HamiltonianSpec(j_hop, Potential.linear(lam_a), spin_coupled=spin_coupled)
+        energies, vecs = np.linalg.eigh(h.dense_matrix(window))
+        u = (vecs * np.exp(-1j * energies * t)) @ vecs.conj().T
+        dense = wigner_of_density(DensityOperator(window, u @ rho0.matrix @ u.conj().T), grid)
+        closed = propagate(w0, j_hop, lam_a, t)
+        assert np.max(np.abs(closed.values - dense.values)) <= 1e-13
 
 
 class TestWignerEvolutionRHS:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from lattice_wigner import (
+    DensityOperator,
     DomainError,
     GridError,
     KGrid,
@@ -40,6 +41,59 @@ def delta_state(window, site, spin=0):
     amps = np.zeros((window.width, 2), dtype=complex)
     amps[window.index(site), spin] = 1.0
     return PureState(window, amps)
+
+
+def per_m_transform(op, window, kgrid):
+    """Direct sum, one m-row at a time: explicit phases e^{-i(2n-m)k} for every pair."""
+    n_min, n_max, w = window.n_min, window.n_max, window.width
+    blocks = np.asarray(op).reshape(w, 2, w, 2)
+    out = np.zeros((2 * w - 1, kgrid.n_k, 2, 2), dtype=complex)
+    for i in range(2 * w - 1):
+        m = 2 * n_min + i
+        ns = np.arange(max(n_min, m - n_max), min(n_max, m - n_min) + 1)
+        phases = np.exp(-1j * np.outer(2 * ns - m, kgrid.points))
+        coeffs = blocks[ns - n_min, :, m - ns - n_min, :]
+        out[i] = np.tensordot(phases, coeffs, axes=(0, 0)) / TWO_PI
+    return out
+
+
+def per_m_reconstruction(values, window, kgrid):
+    """Direct k-quadrature of <n,a|rho|n',b> = int dk W_ab(n+n', k) e^{i(n-n')k}, row by row."""
+    n_min, n_max, w = window.n_min, window.n_max, window.width
+    blocks = np.zeros((w, 2, w, 2), dtype=complex)
+    for i in range(2 * w - 1):
+        m = 2 * n_min + i
+        ns = np.arange(max(n_min, m - n_max), min(n_max, m - n_min) + 1)
+        quad = kgrid.weight * np.exp(1j * np.outer(2 * ns - m, kgrid.points))
+        blocks[ns - n_min, :, m - ns - n_min, :] = np.tensordot(quad, values[i], axes=(1, 0))
+    return blocks.reshape(window.dim, window.dim)
+
+
+# Window widths with odd and even n_k, starting at the bound n_k = 2W+1.  With
+# an odd n_k the parity of d mod n_k differs from that of d = 2n - m.
+FFT_CASES = [(w, n_k) for w in (1, 7, 10, 49) for n_k in (2 * w + 1, 2 * w + 2, 3 * w + 5)]
+
+
+class TestFftKernelsAgainstDirectSum:
+    @pytest.mark.parametrize("width, n_k", FFT_CASES)
+    def test_transform(self, width, n_k, rng):
+        window, grid = LatticeWindow(3 - width, 2), KGrid(n_k)
+        op = (rng.normal(size=(window.dim,) * 2) + 1j * rng.normal(size=(window.dim,) * 2)) / window.dim
+        w = wigner_of_operator(op, window, grid)
+        assert np.max(np.abs(w.values - per_m_transform(op, window, grid))) < 1e-14
+
+    @pytest.mark.parametrize("width, n_k", FFT_CASES)
+    def test_reconstruction_round_trip(self, width, n_k, rng):
+        # Hermitian and unit-trace but not positive: every entry is random.
+        window, grid = LatticeWindow(3 - width, 2), KGrid(n_k)
+        a = rng.normal(size=(window.dim,) * 2) + 1j * rng.normal(size=(window.dim,) * 2)
+        herm = a + a.conj().T
+        op = herm / np.trace(herm).real
+        w = wigner_of_density(DensityOperator(window, op), grid)
+        back = reconstruct_density(w)
+        scale = np.max(np.abs(op))
+        assert np.max(np.abs(back.matrix - per_m_reconstruction(w.values, window, grid))) < 1e-14 * scale
+        assert np.max(np.abs(back.matrix - op)) < 1e-13 * scale
 
 
 class TestForwardTransform:
@@ -115,6 +169,11 @@ class TestOperatorTransform:
         mask = np.ones(w.n_m, dtype=bool)
         mask[i] = False
         assert np.max(np.abs(w.values[mask])) < 1e-15
+
+    def test_grid_too_coarse_rejected(self, small_window):
+        # Below 2W - 1 points two modes of one row would share an FFT cell.
+        with pytest.raises(GridError):
+            wigner_of_operator(np.eye(small_window.dim), small_window, KGrid(2 * small_window.width - 2))
 
     def test_state_as_operator_matches_density_path(self, small_window, small_grid, rng):
         rho = random_density(small_window, rng)
