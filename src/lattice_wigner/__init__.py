@@ -83,6 +83,7 @@ from .continuous import (
     lindblad_wigner_closed,
     linear_potential_propagate,
     spin_linear_propagate,
+    von_neumann_exact,
     von_neumann_rk4,
     wigner_evolution_rhs,
 )

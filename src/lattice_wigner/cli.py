@@ -2,7 +2,8 @@
 
 Subcommands:
   state       build a state, transform it, write the Wigner grid + marginals
-  evolve      continuous-time dynamics (closed_form / rk4 / both)
+  evolve      continuous-time dynamics: closed_form (phase space), rk4 (density
+              operator: exact eigh when closed, RK4 with Lindblad noise), or both
   walk        discrete-time quantum walk, optionally with projective noise
   negativity  trace-norm negativity (JSON; timeseries CSV under dynamics)
   validate    static config checks only, no execution

@@ -31,6 +31,7 @@ from .continuous import (
     linear_potential_propagate,
     occupied_rows,
     spin_linear_propagate,
+    von_neumann_exact,
 )
 from .errors import ConfigError, InvariantViolation, LatticeWignerError
 from .grids import KGrid
@@ -174,6 +175,21 @@ def _parse_potential(doc, where: str) -> Optional[Potential]:
     raise ConfigError(f"{where}.kind must be one of none/linear/polynomial, got {kind!r}")
 
 
+def _parse_op_matrix(op, where: str) -> np.ndarray:
+    """A custom spin operator: two rows of two [re, im] pairs of finite numbers."""
+    if not isinstance(op, list) or len(op) != 2 or any(
+        not isinstance(row, list) or len(row) != 2 for row in op
+    ):
+        raise ConfigError(f"{where} must be a name or 2x2 [re,im] rows, got {op!r}")
+    mat = np.empty((2, 2), dtype=complex)
+    for i, row in enumerate(op):
+        for j, pair in enumerate(row):
+            if not isinstance(pair, list) or len(pair) != 2:
+                raise ConfigError(f"{where} entries must be [re, im] pairs, got {pair!r}")
+            mat[i, j] = complex(*(_as_number(x, where) for x in pair))
+    return mat
+
+
 def _parse_noise_terms(doc, where: str) -> tuple:
     if doc is None:
         return ()
@@ -195,15 +211,7 @@ def _parse_noise_terms(doc, where: str) -> tuple:
                 )
             terms.append((op, SPIN_MATRICES[op], gamma))
         else:
-            try:
-                mat = np.array(
-                    [[complex(c[0], c[1]) for c in row] for row in op], dtype=complex
-                )
-            except (TypeError, IndexError) as exc:
-                raise ConfigError(f"{here}.op must be a name or 2x2 [re,im] rows") from exc
-            if mat.shape != (2, 2):
-                raise ConfigError(f"{here}.op must be 2x2")
-            terms.append((None, mat, gamma))
+            terms.append((None, _parse_op_matrix(op, f"{here}.op"), gamma))
     return tuple(terms)
 
 
@@ -211,7 +219,11 @@ def _parse_continuous(doc: dict, where: str) -> ContinuousDynamics:
     hdoc = _need(doc, "hamiltonian", where)
     j_hop = _as_number(_need(hdoc, "j_hop", f"{where}.hamiltonian"), f"{where}.hamiltonian.j_hop")
     potential = _parse_potential(hdoc.get("potential"), f"{where}.hamiltonian.potential")
-    spin_coupled = bool(hdoc.get("spin_coupled", False))
+    spin_coupled = hdoc.get("spin_coupled", False)
+    if not isinstance(spin_coupled, bool):
+        raise ConfigError(
+            f"{where}.hamiltonian.spin_coupled must be true or false, got {spin_coupled!r}"
+        )
     method = doc.get("method", "closed_form")
     if method not in ("closed_form", "rk4", "both"):
         raise ConfigError(f"{where}.method must be closed_form/rk4/both, got {method!r}")
@@ -426,17 +438,18 @@ def _closed_form_snapshots(cfg: ScenarioConfig, dyn: ContinuousDynamics, w0: Wig
     return snapshots
 
 
-def _rk4_snapshots(cfg: ScenarioConfig, dyn: ContinuousDynamics, rho0: DensityOperator):
-    noise = dyn.noise_spec()
-    result = lindblad_rk4(
-        rho0,
-        dyn.hamiltonian,
-        noise,
+def _oracle_snapshots(cfg: ScenarioConfig, dyn: ContinuousDynamics, rho0: DensityOperator):
+    """Density route: exact eigh propagation for a closed system, RK4 once a channel is active."""
+    schedule = dict(
         t_final=dyn.times[-1],
         dt=dyn.dt,
         snapshot_times=dyn.times,
         eps_boundary=cfg.tolerances.eps_boundary,
     )
+    if any(g > 0 for _, _, g in dyn.noise_terms):
+        result = lindblad_rk4(rho0, dyn.hamiltonian, dyn.noise_spec(), **schedule)
+    else:
+        result = von_neumann_exact(rho0, dyn.hamiltonian, **schedule)
     return [wigner_of_density(s, cfg.kgrid) for s in result.snapshots], result
 
 
@@ -516,15 +529,15 @@ def run(cfg: ScenarioConfig, command: str, out_dir, quiet: bool = False) -> dict
             [cfg.kgrid.points, *spin_columns(marginal_momentum(w0))],
         )
     elif isinstance(dyn, ContinuousDynamics):
-        closed = rk4_snaps = rk4_result = None
+        closed = oracle_snaps = oracle_result = None
         if dyn.method in ("closed_form", "both"):
             closed = _closed_form_snapshots(cfg, dyn, w0)
         if dyn.method in ("rk4", "both"):
-            rk4_snaps, rk4_result = _rk4_snapshots(cfg, dyn, rho0)
-        primary = closed if closed is not None else rk4_snaps
+            oracle_snaps, oracle_result = _oracle_snapshots(cfg, dyn, rho0)
+        primary = closed if closed is not None else oracle_snaps
         if dyn.method == "both":
             two_path_dev = max(
-                float(np.max(np.abs(a.values - b.values))) for a, b in zip(closed, rk4_snaps)
+                float(np.max(np.abs(a.values - b.values))) for a, b in zip(closed, oracle_snaps)
             )
         for i, (t, wt) in enumerate(zip(dyn.times, primary)):
             emit(f"snapshot_{i:03d}.csv", write_csv, *_grid_table(wt, t))
@@ -536,8 +549,8 @@ def run(cfg: ScenarioConfig, command: str, out_dir, quiet: bool = False) -> dict
                 [sites, *spin_columns(blocks)],
             )
         emit("negativity_timeseries.csv", write_csv, *_timeseries_table(primary, dyn.times))
-        if rk4_result is not None:
-            boundary = max(boundary, rk4_result.boundary_leak)
+        if oracle_result is not None:
+            boundary = max(boundary, oracle_result.boundary_leak)
         if closed is not None:
             diagnostics["wigner_boundary_weight"] = max(_wm_boundary_weight(s) for s in closed)
     elif isinstance(dyn, WalkDynamics):

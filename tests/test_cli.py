@@ -278,6 +278,41 @@ class TestNonFiniteConfig:
         assert not (tmp_path / "o").exists()
 
 
+class TestConfigTypes:
+    @pytest.mark.parametrize("value", ["false", 0.5, None], ids=["string", "number", "null"])
+    def test_spin_coupled_must_be_boolean(self, tmp_path, capsys, value):
+        doc = continuous_config()
+        doc["dynamics"]["hamiltonian"]["spin_coupled"] = value
+        cfg = write_config(tmp_path, doc)
+        assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "dynamics.hamiltonian.spin_coupled" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "entry",
+        [[math.nan, 0.0], [0.0, math.inf], [1.0, 0.0, 0.0], "1"],
+        ids=["nan", "infinity", "three_numbers", "string"],
+    )
+    def test_custom_lindblad_op_entries(self, tmp_path, capsys, entry):
+        op = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-1.0, 0.0]]]
+        op[1][0] = entry
+        doc = continuous_config(method="rk4", noise={"lindblad": [{"op": op, "gamma": 0.1}]})
+        cfg = write_config(tmp_path, doc)
+        assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "dynamics.noise.lindblad[0].op" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_custom_lindblad_op_matches_named(self, tmp_path):
+        outputs = []
+        for name, op in (("named", "sigma_z"), ("custom", [[[1, 0], [0, 0]], [[0, 0], [-1, 0]]])):
+            doc = continuous_config(method="rk4", noise={"lindblad": [{"op": op, "gamma": 0.1}]})
+            cfg = write_config(tmp_path, doc, name=f"{name}.json")
+            out = tmp_path / name
+            assert main(["evolve", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+            outputs.append((out / "snapshot_001.csv").read_bytes())
+        assert outputs[0] == outputs[1]
+
+
 NON_OBJECT_BLOCKS = [
     (("window",), 5),
     (("kgrid",), [48]),
@@ -345,7 +380,7 @@ class TestEvolveCommand:
         out = tmp_path / "out"
         assert main(["evolve", "--config", cfg, "--out", str(out), "--quiet"]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["diagnostics"]["two_path_max_deviation"] < 1e-6
+        assert manifest["diagnostics"]["two_path_max_deviation"] < 1e-12
         assert "snapshot_000.csv" in manifest["files"]
         first = (out / "snapshot_001.csv").read_text().splitlines()
         assert first[0].startswith("t,m,k")

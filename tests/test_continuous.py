@@ -23,6 +23,7 @@ from lattice_wigner import (
     marginal_momentum,
     normalization_total,
     spin_linear_propagate,
+    von_neumann_exact,
     von_neumann_rk4,
     wigner_evolution_rhs,
     wigner_of_density,
@@ -39,6 +40,19 @@ def gaussian_setup(window=None, grid=None, center=0, sigma=1.5, spin="up"):
     psi = gaussian_product_state(center, sigma, spin, window)
     rho0 = density_from_pure(psi)
     return window, grid, rho0, wigner_of_density(rho0, grid)
+
+
+def einsum_dissipator(rho, channels, width):
+    """Reference Lindblad dissipator: three einsum contractions per (op, gamma) channel."""
+    blocks = rho.reshape(width, 2, width, 2)
+    out = np.zeros_like(blocks)
+    for op, gamma in channels:
+        gram = op.conj().T @ op
+        jump = np.einsum("ab,ibjc,dc->iajd", op, blocks, op.conj())
+        anti = np.einsum("ab,ibjc->iajc", gram, blocks)
+        anti = anti + np.einsum("iajc,cb->iajb", blocks, gram)
+        out += gamma * (jump - 0.5 * anti)
+    return out.reshape(rho.shape)
 
 
 def negate_potential(pot):
@@ -79,6 +93,25 @@ class TestHamiltonianSpec:
                 - 0.5 * (gram @ rho.matrix + rho.matrix @ gram)
             )
         assert np.max(np.abs(rhs - want)) < 1e-13
+
+    def test_superoperator_matches_einsum_reference(self, rng):
+        from lattice_wigner.continuous import _make_rhs
+
+        window = LatticeWindow(-5, 5)
+        h = HamiltonianSpec(0.8, Potential.polynomial([0.1, 0.0, 0.0, 0.02]), spin_coupled=True)
+        channels = (
+            (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)), 0.7),
+            (np.array([[0.0, 0.0], [1.0, 0.0]]), 0.4),  # sigma_-
+            (PAULI_Z, 0.0),
+            (PAULI_X, 0.25),
+        )
+        active = [(op, g) for op, g in channels if g > 0.0]
+        rho = random_density(window, rng).matrix
+        got = _make_rhs(h, NoiseSpec(channels), window)(rho.copy())
+        coherent = _make_rhs(h, None, window)(rho.copy())
+        want = coherent + einsum_dissipator(rho, active, window.width)
+        scale = float(np.max(np.abs(want)))
+        assert np.max(np.abs(got - want)) <= 1e-14 * max(1.0, scale)
 
     def test_degree_cap(self):
         with pytest.raises(DomainError):
@@ -128,6 +161,66 @@ class TestVonNeumannRK4:
         rho0 = density_from_pure(psi)
         with pytest.raises(BoundaryLeakError):
             von_neumann_rk4(rho0, HamiltonianSpec(1.0), 6.0)
+
+
+class TestVonNeumannExact:
+    def test_matches_rk4_within_step_error(self):
+        window, grid, rho0, _ = gaussian_setup(LatticeWindow(-20, 20), KGrid(96), spin="plus")
+        h = HamiltonianSpec(1.0, Potential.linear(0.5), spin_coupled=True)
+        times = [0.0, 1.0, 2.0]
+        exact = von_neumann_exact(rho0, h, 2.0, snapshot_times=times)
+        rk4 = von_neumann_rk4(rho0, h, 2.0, dt=0.01, snapshot_times=times)
+        assert exact.method == "exact" and exact.times == rk4.times
+        assert np.array_equal(exact.snapshots[0].matrix, rho0.matrix)
+        for a, b in zip(exact.snapshots, rk4.snapshots):
+            # RK4 global error at dt = 0.01 is about 3e-10 here.
+            assert np.max(np.abs(a.matrix - b.matrix)) < 1e-9
+        assert exact.boundary_leak == pytest.approx(rk4.boundary_leak, rel=1e-3, abs=0.0)
+
+    def test_zero_hopping_is_a_pure_phase(self, rng):
+        # J = 0: H is diagonal, so element (n, n') only picks up e^{-i (V_n - V_n') t}.
+        window = LatticeWindow(-5, 5)
+        rho0 = random_density(window, rng)
+        h = HamiltonianSpec(0.0, Potential.polynomial([0.1, 0.3, 0.05]), spin_coupled=True)
+        t = 2.7
+        res = von_neumann_exact(rho0, h, t, eps_boundary=2.0)
+        v = np.real(np.diagonal(h.dense_matrix(window)))
+        want = rho0.matrix * np.exp(-1j * np.subtract.outer(v, v) * t)
+        assert np.max(np.abs(res.snapshots[-1].matrix - want)) <= 1e-14
+
+    def test_boundary_leak_detected(self):
+        window = LatticeWindow(-8, 8)
+        rho0 = density_from_pure(gaussian_product_state(0, 1.3, "up", window))
+        with pytest.raises(BoundaryLeakError, match="during step towards t=6.0"):
+            von_neumann_exact(rho0, HamiltonianSpec(1.0), 6.0)
+
+    def test_initial_leak_detected(self, rng):
+        rho0 = random_density(LatticeWindow(-5, 5), rng)
+        with pytest.raises(BoundaryLeakError, match="initial boundary population"):
+            von_neumann_exact(rho0, HamiltonianSpec(1.0), 1.0)
+
+    def test_step_size_guard(self):
+        window, grid, rho0, _ = gaussian_setup(LatticeWindow(-16, 16), KGrid(72))
+        h = HamiltonianSpec(1.0, Potential.linear(1.0))
+        with pytest.raises(StepSizeError):
+            von_neumann_exact(rho0, h, 1.0, dt=1.0)
+
+    @pytest.mark.parametrize(
+        "propagate, spin_coupled",
+        [(linear_potential_propagate, False), (spin_linear_propagate, True)],
+        ids=["scalar", "spin_coupled"],
+    )
+    def test_propagators_match_over_a_bloch_period(self, propagate, spin_coupled):
+        window, grid, rho0, w0 = gaussian_setup(
+            LatticeWindow(-30, 30), KGrid(128), center=3, sigma=2.0, spin="plus"
+        )
+        h = HamiltonianSpec(1.0, Potential.linear(1.0), spin_coupled=spin_coupled)
+        times = list(np.linspace(0.0, 2.0 * math.pi, 9))
+        res = von_neumann_exact(rho0, h, times[-1], snapshot_times=times)
+        for t, snap in zip(times, res.snapshots):
+            closed = propagate(w0, 1.0, 1.0, t)
+            oracle = wigner_of_density(snap, grid)
+            assert np.max(np.abs(closed.values - oracle.values)) <= 1e-12
 
 
 class TestLinearPropagator:
