@@ -59,7 +59,6 @@ from .analytic import (
     DoubleDeltaSpec,
     TwoGaussianSpec,
     WernerSpec,
-    build_state,
     cat_state,
     double_delta_state,
     double_delta_wigner_closed,
@@ -104,4 +103,4 @@ from .negativity import (
     negativity_timeseries,
     scalar_negativity,
 )
-from .scenario import ScenarioConfig, parse_config, run, validate_config
+from .scenario import ScenarioConfig, build_state, parse_config, run, validate_config

@@ -387,68 +387,3 @@ def cat_state(spec: CatSpec, window: LatticeWindow) -> PureState:
     amps[window.index(spec.a_site)] += norm * s1
     amps[window.index(spec.b_site)] += norm * beta * s2
     return PureState(window, amps)
-
-
-# ---------------------------------------------------------------------------
-# Named-state registry (CLI surface)
-# ---------------------------------------------------------------------------
-
-def _as_complex(value) -> complex:
-    if isinstance(value, (list, tuple)):
-        if len(value) != 2:
-            raise DomainError(f"complex parameter must be [re, im], got {value!r}")
-        return complex(float(value[0]), float(value[1]))
-    return complex(value)
-
-
-def _build_double_delta(params: dict, window: LatticeWindow):
-    spec = DoubleDeltaSpec(int(params["n1"]), int(params["n2"]), _as_complex(params.get("alpha", 1.0)))
-    return double_delta_state(spec, window)
-
-
-def _build_two_gaussian(params: dict, window: LatticeWindow):
-    spec = TwoGaussianSpec(int(params["a_center"]), int(params["b_center"]), float(params["sigma"]))
-    return two_gaussian_state(spec, window)
-
-
-def _build_product_gaussian(params: dict, window: LatticeWindow):
-    return gaussian_product_state(
-        int(params["center"]), float(params["sigma"]), params.get("spin", "up"), window
-    )
-
-
-def _build_werner(params: dict, window: LatticeWindow):
-    spec = WernerSpec(int(params["a_site"]), int(params["b_site"]), float(params["z"]))
-    return werner_density(spec, window)
-
-
-def _build_cat(params: dict, window: LatticeWindow):
-    spin1 = tuple(_as_complex(c) for c in params.get("spin1", (1.0, 0.0)))
-    spin2 = tuple(_as_complex(c) for c in params.get("spin2", (0.0, 1.0)))
-    spec = CatSpec(
-        int(params["a_site"]),
-        int(params["b_site"]),
-        _as_complex(params.get("beta", 1.0)),
-        spin1,
-        spin2,
-    )
-    return cat_state(spec, window)
-
-
-STATE_BUILDERS = {
-    "double_delta": _build_double_delta,
-    "two_gaussian": _build_two_gaussian,
-    "product_gaussian": _build_product_gaussian,
-    "werner": _build_werner,
-    "cat": _build_cat,
-}
-
-
-def build_state(name: str, params: dict, window: LatticeWindow):
-    """Build a named state; returns a PureState or a DensityOperator."""
-    try:
-        builder = STATE_BUILDERS[name]
-    except KeyError:
-        known = ", ".join(sorted(STATE_BUILDERS))
-        raise DomainError(f"unknown state {name!r}; known states: {known}") from None
-    return builder(params, window)

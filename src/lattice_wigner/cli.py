@@ -6,7 +6,7 @@ Subcommands:
               operator: exact eigh when closed, RK4 with Lindblad noise), or both
   walk        discrete-time quantum walk, optionally with projective noise
   negativity  trace-norm negativity (JSON; timeseries CSV under dynamics)
-  validate    static config checks only, no execution
+  validate    the checks a run makes before its first step, nothing evolved
 
 Exit codes: 0 success, 2 config error, 3 numerical-invariant violation.
 """
@@ -28,8 +28,6 @@ from .scenario import ScenarioConfig, parse_config, run, validate_config
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
-
-_RUN_COMMANDS = ("state", "evolve", "walk", "negativity")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -63,15 +61,6 @@ def _load_config(path: str) -> ScenarioConfig:
     return parse_config(doc)
 
 
-def _check_command_fits(command: str, cfg: ScenarioConfig) -> None:
-    from .scenario import ContinuousDynamics, WalkDynamics
-
-    if command == "evolve" and not isinstance(cfg.dynamics, ContinuousDynamics):
-        raise ConfigError("evolve requires dynamics.kind == 'continuous'")
-    if command == "walk" and not isinstance(cfg.dynamics, WalkDynamics):
-        raise ConfigError("walk requires dynamics.kind == 'walk'")
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -91,7 +80,6 @@ def main(argv=None) -> int:
         return EXIT_OK
 
     try:
-        _check_command_fits(args.command, cfg)
         out_dir = args.out or cfg.out_dir
         if out_dir is None:
             raise ConfigError("no output directory: set outputs.directory or pass --out")

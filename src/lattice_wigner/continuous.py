@@ -50,6 +50,10 @@ _STABILITY_CAP = 0.5
 #: Default dt satisfies dt * (spectral norm estimate) <= this.
 _DEFAULT_STEP_FRACTION = 0.05
 
+#: Longest step grid (t_final / dt) a density route accepts.  Configured runs
+#: take a few thousand steps; a dt that asks for more would practically never end.
+_MAX_STEPS = 10**6
+
 #: Magnitude below which a Wigner m-row counts as unoccupied.
 _SUPPORT_TOL = 1e-13
 
@@ -241,22 +245,22 @@ def _make_rhs(h: HamiltonianSpec, noise: Optional[NoiseSpec], window: LatticeWin
     return rhs
 
 
-def _step_plan(
-    rho0: DensityOperator,
-    norm_est: float,
+def step_size(
+    h: HamiltonianSpec,
+    noise: Optional[NoiseSpec],
+    window: LatticeWindow,
     t_final: float,
-    dt: Optional[float],
-    snapshot_times: Optional[Sequence[float]],
-    eps_boundary: float,
-):
-    """Front end shared by both density routes.
+    dt: Optional[float] = None,
+) -> float:
+    """The fixed step both density routes take up to t_final.
 
-    Applies the default-dt rule and the StepSizeError checks, resolves the
-    snapshot times, and refuses an initial state already past eps_boundary.
-    Returns (times, steps, leak): steps[i] = (n_steps, hstep) is the fixed
-    step grid of the interval ending at times[i], and leak is the initial
-    boundary population.
+    dt=None picks the default rule.  Raises StepSizeError when dt times the
+    spectral norm estimate (plus 2 gamma_total with noise) exceeds the
+    stability cap, or when t_final / dt exceeds _MAX_STEPS.
     """
+    norm_est = h.norm_estimate(window)
+    if noise is not None:
+        norm_est += 2.0 * noise.gamma_total
     if dt is None:
         dt = _DEFAULT_STEP_FRACTION / norm_est if norm_est > 0.0 else float(t_final) or 1.0
     if dt <= 0.0:
@@ -266,6 +270,30 @@ def _step_plan(
             f"dt={dt} times norm estimate {norm_est:.3g} exceeds "
             f"stability cap {_STABILITY_CAP}"
         )
+    if t_final / dt > _MAX_STEPS:
+        raise StepSizeError(
+            f"dt={dt} makes {t_final / dt:.3g} steps up to t={t_final}, more than {_MAX_STEPS}"
+        )
+    return dt
+
+
+def _step_plan(
+    rho0: DensityOperator,
+    h: HamiltonianSpec,
+    noise: Optional[NoiseSpec],
+    t_final: float,
+    dt: Optional[float],
+    snapshot_times: Optional[Sequence[float]],
+    eps_boundary: float,
+):
+    """Front end shared by both density routes.
+
+    Resolves the step (:func:`step_size`) and the snapshot times, and refuses
+    an initial state already past eps_boundary.  Returns (times, steps, leak):
+    steps[i] = (n_steps, hstep) is the fixed step grid of the interval ending
+    at times[i], and leak is the initial boundary population.
+    """
+    dt = step_size(h, noise, rho0.window, t_final, dt)
     if snapshot_times is None:
         times = [float(t_final)]
     else:
@@ -314,10 +342,7 @@ def lindblad_rk4(
     instead of letting the hard wall reflect.
     """
     window = rho0.window
-    norm_est = h.norm_estimate(window)
-    if noise is not None:
-        norm_est += 2.0 * noise.gamma_total
-    times, steps, leak = _step_plan(rho0, norm_est, t_final, dt, snapshot_times, eps_boundary)
+    times, steps, leak = _step_plan(rho0, h, noise, t_final, dt, snapshot_times, eps_boundary)
 
     rhs = _make_rhs(h, noise, window)
     mat = rho0.matrix.astype(complex).copy()
@@ -375,9 +400,7 @@ def von_neumann_exact(
     sum_ij a_i rho~_ij a_j^* over the edge rows a = V_edge e^{-iEt}.
     """
     window = rho0.window
-    times, steps, leak = _step_plan(
-        rho0, h.norm_estimate(window), t_final, dt, snapshot_times, eps_boundary
-    )
+    times, steps, leak = _step_plan(rho0, h, None, t_final, dt, snapshot_times, eps_boundary)
     # Real hopping and potential make H real symmetric: the real solver is exact
     # here, faster, and maps less LAPACK code than the complex one.
     energies, vecs = np.linalg.eigh(h.dense_matrix(window).real)
@@ -509,7 +532,7 @@ def bessel_band_reach(j_hop: float, lambda_a: float, t: float) -> int:
     return bessel_tail_order(z_max, 1e-15)
 
 
-def _check_slack(values: np.ndarray, needed: int, what: str) -> None:
+def check_slack(values: np.ndarray, needed: int, what: str) -> None:
     support = occupied_rows(values)
     if support is None:
         return
@@ -552,7 +575,7 @@ def _bessel_band_propagate(
     if lambda_a == 0.0:
         raise DomainError("linear propagator requires lambda_a != 0")
     reach = bessel_band_reach(j_hop, lambda_a, t)
-    _check_slack(w0.values, reach, what)
+    check_slack(w0.values, reach, what)
     shifts, entry = np.unique(np.broadcast_to(shift, (2, 2)), return_inverse=True)
     entry = entry.reshape(2, 2)
     # One transform per statement: each frees the grid-sized array it replaces.

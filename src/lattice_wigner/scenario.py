@@ -19,25 +19,44 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .analytic import build_state
+from .analytic import (
+    CatSpec,
+    DoubleDeltaSpec,
+    TwoGaussianSpec,
+    WernerSpec,
+    cat_state,
+    double_delta_state,
+    gaussian_product_state,
+    two_gaussian_state,
+    werner_density,
+)
 from .continuous import (
     DEFAULT_EPS_BOUNDARY,
     HamiltonianSpec,
     NoiseSpec,
     Potential,
     bessel_band_reach,
+    check_slack,
     lindblad_rk4,
     lindblad_wigner_closed,
     linear_potential_propagate,
     occupied_rows,
     spin_linear_propagate,
+    step_size,
     von_neumann_exact,
 )
-from .errors import ConfigError, InvariantViolation, LatticeWignerError
+from .errors import ConfigError, DomainError, InvariantViolation, LatticeWignerError, WindowError
 from .grids import KGrid
 from .negativity import matrix_negativity, negativity_timeseries
 from .output import SPIN_HEADER, spin_columns, write_csv, write_json
-from .states import SPIN_MATRICES, DensityOperator, LatticeWindow, PureState, density_from_pure
+from .states import (
+    SPIN_MATRICES,
+    SPIN_VECTORS,
+    DensityOperator,
+    LatticeWindow,
+    PureState,
+    density_from_pure,
+)
 from .walk import CoinSpec, ProjectiveNoiseSpec, walk_trajectory
 from .wigner import (
     WignerMatrix,
@@ -154,6 +173,23 @@ def _as_number(value, where: str, nonnegative: bool = False) -> float:
     return number
 
 
+def _as_complex(value, where: str) -> complex:
+    """A finite number, or an [re, im] pair of them."""
+    if isinstance(value, list) and len(value) == 2:
+        return complex(_as_number(value[0], where), _as_number(value[1], where))
+    return complex(_as_number(value, where))
+
+
+def _as_spin(value, where: str) -> tuple:
+    """A spin vector: a name from SPIN_VECTORS or two complex components."""
+    if isinstance(value, str) and value in SPIN_VECTORS:
+        return tuple(SPIN_VECTORS[value])
+    if not isinstance(value, list) or len(value) != 2:
+        names = ", ".join(SPIN_VECTORS)
+        raise ConfigError(f"{where} must be a spin name ({names}) or two components, got {value!r}")
+    return tuple(_as_complex(c, where) for c in value)
+
+
 def _parse_potential(doc, where: str) -> Optional[Potential]:
     if doc is None:
         return None
@@ -168,26 +204,18 @@ def _parse_potential(doc, where: str) -> Optional[Potential]:
             if not isinstance(coeffs, list) or not coeffs:
                 raise ConfigError(f"{where}.coeffs must be a non-empty list")
             return Potential.polynomial([_as_number(c, f"{where}.coeffs") for c in coeffs])
-    except LatticeWignerError as exc:
-        if isinstance(exc, ConfigError):
-            raise
+    except DomainError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
     raise ConfigError(f"{where}.kind must be one of none/linear/polynomial, got {kind!r}")
 
 
 def _parse_op_matrix(op, where: str) -> np.ndarray:
-    """A custom spin operator: two rows of two [re, im] pairs of finite numbers."""
+    """A custom spin operator: two rows of two complex entries (see _as_complex)."""
     if not isinstance(op, list) or len(op) != 2 or any(
         not isinstance(row, list) or len(row) != 2 for row in op
     ):
         raise ConfigError(f"{where} must be a name or 2x2 [re,im] rows, got {op!r}")
-    mat = np.empty((2, 2), dtype=complex)
-    for i, row in enumerate(op):
-        for j, pair in enumerate(row):
-            if not isinstance(pair, list) or len(pair) != 2:
-                raise ConfigError(f"{where} entries must be [re, im] pairs, got {pair!r}")
-            mat[i, j] = complex(*(_as_number(x, where) for x in pair))
-    return mat
+    return np.array([[_as_complex(x, where) for x in row] for row in op])
 
 
 def _parse_noise_terms(doc, where: str) -> tuple:
@@ -236,8 +264,6 @@ def _parse_continuous(doc: dict, where: str) -> ContinuousDynamics:
     dt = doc.get("dt")
     if dt is not None:
         dt = _as_number(dt, f"{where}.dt")
-        if dt <= 0:
-            raise ConfigError(f"{where}.dt must be positive")
     noise_terms = _parse_noise_terms(doc.get("noise"), f"{where}.noise")
     return ContinuousDynamics(
         HamiltonianSpec(j_hop, potential, spin_coupled), noise_terms, method, times, dt
@@ -266,6 +292,8 @@ def _parse_walk(doc: dict, where: str) -> WalkDynamics:
     snaps = doc.get("snapshot_steps")
     if snaps is None:
         snapshot_steps = tuple(range(steps + 1))
+    elif not isinstance(snaps, list):
+        raise ConfigError(f"{where}.snapshot_steps must be a list, got {snaps!r}")
     else:
         snapshot_steps = tuple(_as_int(s, f"{where}.snapshot_steps") for s in snaps)
         if any(s < 0 or s > steps for s in snapshot_steps):
@@ -284,23 +312,18 @@ def parse_config(doc: dict) -> ScenarioConfig:
         raise ConfigError("config root must be a JSON object")
     _check_blocks(doc)
     wdoc = _need(doc, "window", "config")
+    n_min = _as_int(_need(wdoc, "n_min", "window"), "window.n_min")
+    n_max = _as_int(_need(wdoc, "n_max", "window"), "window.n_max")
+    spacing = _as_number(wdoc.get("a", 1.0), "window.a")
     try:
-        window = LatticeWindow(
-            _as_int(_need(wdoc, "n_min", "window"), "window.n_min"),
-            _as_int(_need(wdoc, "n_max", "window"), "window.n_max"),
-            _as_number(wdoc.get("a", 1.0), "window.a"),
-        )
-    except LatticeWignerError as exc:
-        if isinstance(exc, ConfigError):
-            raise
+        window = LatticeWindow(n_min, n_max, spacing)
+    except WindowError as exc:
         raise ConfigError(f"window: {exc}") from exc
-    gdoc = _need(doc, "kgrid", "config")
+    n_k = _as_int(_need(_need(doc, "kgrid", "config"), "n_k", "kgrid"), "kgrid.n_k")
     try:
-        kgrid = KGrid(_as_int(_need(gdoc, "n_k", "kgrid"), "kgrid.n_k"))
-    except LatticeWignerError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"kgrid: {exc}") from exc
+        kgrid = KGrid(n_k)
+    except ValueError as exc:  # GridError, or numpy refusing an n_k past its array size limit
+        raise ConfigError(f"kgrid.n_k: {exc}") from exc
     sdoc = _need(doc, "state", "config")
     name = _need(sdoc, "name", "state")
     params = sdoc.get("params", {})
@@ -319,6 +342,8 @@ def parse_config(doc: dict) -> ScenarioConfig:
             raise ConfigError(f"dynamics.kind must be none/continuous/walk, got {kind!r}")
 
     out_dir = (doc.get("outputs") or {}).get("directory")
+    if out_dir is not None and not isinstance(out_dir, str):
+        raise ConfigError(f"outputs.directory must be a string, got {out_dir!r}")
     tdoc = doc.get("tolerances", {})
     tolerances = Tolerances(
         eps_boundary=_as_number(
@@ -330,87 +355,115 @@ def parse_config(doc: dict) -> ScenarioConfig:
 
 
 # ---------------------------------------------------------------------------
-# Static validation
+# Named states
 # ---------------------------------------------------------------------------
 
-def validate_config(cfg: ScenarioConfig) -> list:
-    """Static checks only; the state is built but no dynamics are executed."""
-    diags = []
-    width = cfg.window.width
-    need = 2 * width + 1
-    if cfg.kgrid.n_k < need:
-        diags.append(
-            Diagnostic(
-                "error",
-                f"kgrid.n_k={cfg.kgrid.n_k} violates the quadrature exactness bound "
-                f"n_k >= 2W+1 = {need} for window width W={width}",
-            )
-        )
+# Each named state: its builder, called with the window and the converted
+# params by key, and per param its converter and JSON default (None: required).
+_STATES = {
+    "double_delta": (
+        lambda window, **p: double_delta_state(DoubleDeltaSpec(**p), window),
+        {"n1": (_as_int, None), "n2": (_as_int, None), "alpha": (_as_complex, 1.0)},
+    ),
+    "two_gaussian": (
+        lambda window, **p: two_gaussian_state(TwoGaussianSpec(**p), window),
+        {"a_center": (_as_int, None), "b_center": (_as_int, None), "sigma": (_as_number, None)},
+    ),
+    "product_gaussian": (
+        gaussian_product_state,
+        {"center": (_as_int, None), "sigma": (_as_number, None), "spin": (_as_spin, "up")},
+    ),
+    "werner": (
+        lambda window, **p: werner_density(WernerSpec(**p), window),
+        {"a_site": (_as_int, None), "b_site": (_as_int, None), "z": (_as_number, None)},
+    ),
+    "cat": (
+        lambda window, **p: cat_state(CatSpec(**p), window),
+        {
+            "a_site": (_as_int, None),
+            "b_site": (_as_int, None),
+            "beta": (_as_complex, 1.0),
+            "spin1": (_as_spin, [1.0, 0.0]),
+            "spin2": (_as_spin, [0.0, 1.0]),
+        },
+    ),
+}
 
-    occupied = None  # (first, last) occupied window index of the built state
+
+def build_state(name: str, params: dict, window: LatticeWindow):
+    """Build a named state from its JSON params; returns a PureState or a DensityOperator.
+
+    Raises ConfigError naming the state.params key that is missing, unknown
+    or of the wrong type, DomainError for an unknown name, and the builder's
+    own errors when the state does not fit the window.
+    """
+    if not isinstance(name, str) or name not in _STATES:
+        known = ", ".join(sorted(_STATES))
+        raise DomainError(f"unknown state {name!r}; known states: {known}")
+    builder, schema = _STATES[name]
+    unknown = sorted(params.keys() - schema.keys())
+    if unknown:
+        raise ConfigError(f"state.params.{unknown[0]} is not a parameter of {name}: {', '.join(schema)}")
+    values = {}
+    for key, (convert, default) in schema.items():
+        if key not in params and default is None:
+            raise ConfigError(f"state.params for {name} is missing {key!r}")
+        values[key] = convert(params.get(key, default), f"state.params.{key}")
+    return builder(window=window, **values)
+
+
+# ---------------------------------------------------------------------------
+# Pre-run checks
+# ---------------------------------------------------------------------------
+
+def _attempt(diags: list, where: str, fn, *args):
+    """fn(*args), or None after recording its failure as an error diagnostic."""
     try:
-        state = build_state(cfg.state_name, cfg.state_params, cfg.window)
-    except KeyError as exc:
-        diags.append(Diagnostic("error", f"state.params for {cfg.state_name} is missing {exc}"))
-    except (LatticeWignerError, TypeError, ValueError, OverflowError) as exc:
-        diags.append(Diagnostic("error", f"state: {exc}"))
-    else:
-        occupied = occupied_rows(state.site_populations())
+        return fn(*args)
+    except ConfigError as exc:  # names its field already
+        diags.append(Diagnostic("error", str(exc)))
+    except (LatticeWignerError, ValueError, OverflowError) as exc:
+        diags.append(Diagnostic("error", f"{where}: {exc}"))
+
+
+def _preflight(cfg: ScenarioConfig) -> tuple:
+    """Every check a run makes before its first step, with the run's own functions.
+
+    Returns (rho0, w0, diagnostics); rho0 and w0 are None when the state or
+    its transform cannot be built.
+    """
+    diags = []
+    rho0 = w0 = None
+    state = _attempt(diags, "state", build_state, cfg.state_name, cfg.state_params, cfg.window)
+    if state is not None:
+        rho0 = density_from_pure(state) if isinstance(state, PureState) else state
+        w0 = _attempt(diags, "kgrid.n_k", wigner_of_density, rho0, cfg.kgrid)
 
     dyn = cfg.dynamics
     if isinstance(dyn, ContinuousDynamics):
         h = dyn.hamiltonian
         if dyn.method in ("closed_form", "both"):
-            if h.potential is None or h.potential.kind != "linear":
-                diags.append(
-                    Diagnostic("error", "closed-form evolution requires a linear potential")
-                )
-            unnamed = [1 for nm, _, g in dyn.noise_terms if g > 0 and nm not in _CLOSED_FORM_CHANNELS]
-            active = [1 for _, _, g in dyn.noise_terms if g > 0]
-            if unnamed:
-                diags.append(
-                    Diagnostic(
-                        "error",
-                        "closed-form decoherence supports only sigma_z or sigma_x channels",
-                    )
-                )
-            if len(active) > 1:
-                diags.append(
-                    Diagnostic("error", "closed-form decoherence supports a single channel")
-                )
-            if h.potential is not None and h.potential.kind == "linear" and occupied is not None:
-                lam_a = h.lambda_a(cfg.window)
+            active = [nm for nm, _, g in dyn.noise_terms if g > 0]
+            if len(active) > 1 or any(nm not in _CLOSED_FORM_CHANNELS for nm in active):
+                message = "closed-form decoherence supports one sigma_z or sigma_x channel"
+                diags.append(Diagnostic("error", f"dynamics.noise: {message}"))
+            lam_a = _attempt(diags, "dynamics.hamiltonian.potential", h.lambda_a, cfg.window)
+            if lam_a is not None and w0 is not None:
                 reach = max(bessel_band_reach(h.j_hop, lam_a, t) for t in dyn.times)
-                lo, hi = occupied
-                slack = 2 * min(lo, width - 1 - hi)
-                if slack < reach:
-                    diags.append(
-                        Diagnostic(
-                            "warning",
-                            f"propagator kernel needs {reach} empty m-rows on each side, "
-                            f"the state leaves {slack}",
-                        )
-                    )
-        if dyn.dt is not None:
-            norm_est = h.norm_estimate(cfg.window) + 2.0 * sum(g for _, _, g in dyn.noise_terms)
-            if norm_est > 0 and dyn.dt * norm_est > 0.5:
-                diags.append(
-                    Diagnostic(
-                        "error",
-                        f"dt={dyn.dt} exceeds the stability heuristic "
-                        f"0.5/norm_estimate = {0.5 / norm_est:.3e}",
-                    )
-                )
-    elif isinstance(dyn, WalkDynamics) and dyn.mode == "walk" and occupied is not None:
-        lo, hi = occupied
-        if lo - dyn.steps <= 0 or hi + dyn.steps >= width - 1:
-            diags.append(
-                Diagnostic(
-                    "warning",
-                    f"{dyn.steps} walk steps may reach the window boundary",
-                )
-            )
-    return diags
+                _attempt(diags, "window", check_slack, w0.values, reach, "closed-form propagator")
+        if dyn.dt is not None or dyn.method != "closed_form":
+            args = h, dyn.noise_spec(), cfg.window, dyn.times[-1], dyn.dt
+            _attempt(diags, "dynamics.dt", step_size, *args)
+    elif isinstance(dyn, WalkDynamics) and dyn.mode == "walk" and rho0 is not None:
+        lo, hi = occupied_rows(rho0.site_populations())
+        if lo - dyn.steps <= 0 or hi + dyn.steps >= cfg.window.width - 1:
+            diags.append(Diagnostic("warning", f"{dyn.steps} walk steps may reach the window boundary"))
+    return rho0, w0, diags
+
+
+def validate_config(cfg: ScenarioConfig) -> list:
+    """The diagnostics of every check a run makes before its first step; nothing is evolved."""
+    return _preflight(cfg)[2]
 
 
 # ---------------------------------------------------------------------------
@@ -493,16 +546,18 @@ def run(cfg: ScenarioConfig, command: str, out_dir, quiet: bool = False) -> dict
     deviation is inspectable.
     """
     t_start = time.perf_counter()
-    errors = [d for d in validate_config(cfg) if d.severity == "error"]
+    dyn = cfg.dynamics
+    if command == "evolve" and not isinstance(dyn, ContinuousDynamics):
+        raise ConfigError("evolve requires dynamics.kind == 'continuous'")
+    if command == "walk" and not isinstance(dyn, WalkDynamics):
+        raise ConfigError("walk requires dynamics.kind == 'walk'")
+    rho0, w0, diags = _preflight(cfg)
+    errors = [d.message for d in diags if d.severity == "error"]
     if errors:
-        raise ConfigError("; ".join(d.message for d in errors))
+        raise ConfigError("; ".join(errors))
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-
-    state = build_state(cfg.state_name, cfg.state_params, cfg.window)
-    rho0 = density_from_pure(state) if isinstance(state, PureState) else state
-    w0 = wigner_of_density(rho0, cfg.kgrid)
 
     files = []
     diagnostics = {
@@ -514,7 +569,6 @@ def run(cfg: ScenarioConfig, command: str, out_dir, quiet: bool = False) -> dict
         writer(out / name, *args)
         files.append(name)
 
-    dyn = cfg.dynamics
     two_path_dev = None
     boundary = rho0.boundary_population()
 
@@ -553,7 +607,7 @@ def run(cfg: ScenarioConfig, command: str, out_dir, quiet: bool = False) -> dict
             boundary = max(boundary, oracle_result.boundary_leak)
         if closed is not None:
             diagnostics["wigner_boundary_weight"] = max(_wm_boundary_weight(s) for s in closed)
-    elif isinstance(dyn, WalkDynamics):
+    else:
         steps_list, densities = walk_trajectory(
             rho0,
             dyn.coin,
@@ -578,8 +632,6 @@ def run(cfg: ScenarioConfig, command: str, out_dir, quiet: bool = False) -> dict
             write_csv,
             *_timeseries_table(wms, [float(s) for s in steps_list]),
         )
-    else:
-        raise ConfigError(f"command {command!r} incompatible with the dynamics block")
 
     if command == "negativity":
         report = matrix_negativity(w0)

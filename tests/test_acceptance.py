@@ -90,13 +90,13 @@ def test_criterion_03_bloch_oscillations():
 
     times = [1.6, 3.1, 4.7, period]
     h = lw.HamiltonianSpec(1.0, lw.Potential.linear(1.0))
-    res = lw.von_neumann_rk4(rho0, h, period, dt=5e-4, snapshot_times=times)
+    res = lw.von_neumann_exact(rho0, h, period, snapshot_times=times)
     dev = 0.0
     for t, snap in zip(res.times, res.snapshots):
         closed = lw.linear_potential_propagate(w0, 1.0, 1.0, t)
         oracle = lw.wigner_of_density(snap, grid)
         dev = max(dev, float(np.max(np.abs(closed.values - oracle.values))))
-    report("criterion 3b propagator vs RK4 oracle over [0, 2pi]", dev, 1e-6)
+    report("criterion 3b propagator vs exact oracle over [0, 2pi]", dev, 1e-12)
 
 
 def test_criterion_04_spin_dependent_splitting():
@@ -117,10 +117,10 @@ def test_criterion_04_spin_dependent_splitting():
     report("criterion 4b ridge separation at t=1 exceeds 0.5", d1, 0.5, invert=True)
 
     h = lw.HamiltonianSpec(1.0, lw.Potential.linear(1.0), spin_coupled=True)
-    res = lw.von_neumann_rk4(rho0, h, 1.0, dt=5e-4)
+    res = lw.von_neumann_exact(rho0, h, 1.0)
     oracle = lw.wigner_of_density(res.snapshots[-1], grid)
     dev = float(np.max(np.abs(w1.values - oracle.values)))
-    report("criterion 4c all four entries vs RK4 oracle", dev, 1e-6)
+    report("criterion 4c all four entries vs exact oracle", dev, 1e-12)
 
 
 def test_criterion_05_lindblad_closed_forms():

@@ -263,10 +263,27 @@ class TestNonFiniteConfig:
                 _set(("dynamics", "noise", "lindblad"), [{"op": "sigma_z", "gamma": math.nan}]),
                 "dynamics.noise.lindblad[0].gamma",
             ),
+            (_set(("kgrid", "n_k"), 10**400), "kgrid.n_k"),
+            (lambda doc: doc["dynamics"].update(method="rk4", dt=1e-300), "dynamics.dt"),
+            (
+                _set(("dynamics",), {"kind": "walk", "theta": 0.0, "steps": 4, "snapshot_steps": 5}),
+                "dynamics.snapshot_steps",
+            ),
+            (_set(("outputs",), {"directory": 5}), "outputs.directory"),
+            (_set(("state", "params", "center"), 6.7), "state.params.center"),
+            (_set(("state", "params", "center"), "6"), "state.params.center"),
+            (_set(("state", "params", "center"), True), "state.params.center"),
+            (_set(("state", "params", "bogus"), 1), "state.params.bogus"),
+            (
+                _set(("state",), {"name": "werner", "params": {"a_site": 0, "b_site": 1, "z": "0.5"}}),
+                "state.params.z",
+            ),
         ],
         ids=[
             "times_inf", "j_hop_nan", "j_hop_overflow", "slope_inf", "dt_minus_inf",
             "two_path_nan", "two_path_negative", "eps_boundary_negative", "gamma_nan",
+            "n_k_overflow", "dt_tiny", "snapshot_steps_int", "directory_int", "center_float",
+            "center_string", "center_bool", "unknown_param", "werner_z_string",
         ],
     )
     def test_rejected_with_field_name(self, tmp_path, capsys, edit, field):
@@ -275,6 +292,8 @@ class TestNonFiniteConfig:
         cfg = write_config(tmp_path, doc)
         assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert field in capsys.readouterr().err
+        assert main(["validate", "--config", cfg]) == 2
+        assert field in "".join(capsys.readouterr())  # parse errors on stderr, diagnostics on stdout
         assert not (tmp_path / "o").exists()
 
 
@@ -342,15 +361,36 @@ class TestConfigBlocks:
         assert not (tmp_path / "o").exists()
 
 
+def fig2_config(center, times):
+    doc = json.loads((SCENARIOS / "fig2_bloch.json").read_text())
+    doc["state"]["params"]["center"] = center
+    doc["dynamics"]["times"] = times
+    return doc
+
+
 class TestBesselSlack:
-    def test_validate_warns_where_evolve_refuses(self, tmp_path, capsys):
-        # Near half a Bloch period the band reaches 31 rows; the state leaves fewer.
-        doc = continuous_config(method="closed_form", times=[0.0, 3.1], noise=None)
+    @pytest.mark.parametrize(
+        "doc, rows",
+        [
+            # Near half a Bloch period the band reaches 31 rows; the state leaves fewer.
+            (continuous_config(method="closed_form", times=[0.0, 3.1], noise=None), 31),
+            # The interstitial rows (cross terms psi_n psi_{n+1}) leave one row less
+            # than the site populations suggest.
+            (fig2_config(20, [0.0, 0.7]), 20),
+        ],
+        ids=["half_period", "fig2_center_20"],
+    )
+    def test_validate_refuses_where_evolve_refuses(self, tmp_path, capsys, doc, rows):
+        text = f"kernel needs {rows} empty m-rows"
         cfg = write_config(tmp_path, doc)
         assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-        assert "kernel needs 31 empty m-rows" in capsys.readouterr().err
-        assert main(["validate", "--config", cfg]) == 0
-        assert "warning: propagator kernel needs 31 empty m-rows" in capsys.readouterr().out
+        err = capsys.readouterr().err
+        assert text in err
+        assert main(["validate", "--config", cfg]) == 2
+        out = capsys.readouterr().out
+        assert text in out
+        assert out.removeprefix("error: ") == err.removeprefix("config error: ")
+        assert not (tmp_path / "o").exists()
 
     def test_build_failure_is_a_diagnostic(self, tmp_path, capsys):
         doc = continuous_config()
