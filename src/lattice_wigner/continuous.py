@@ -14,6 +14,15 @@ Two independent routes run through this module and are required to agree:
   Jacobi-Anger identity the band is a pointwise phase in the Fourier
   variable conjugate to m, so it is applied with one FFT pair along m.
 
+Spin enters only through HamiltonianSpec.spin_signs: spin a feels s_a V,
+with s = (1, 1) for a spin-scalar potential and (1, -1) for sigma_z coupling.
+Entry W_ab sees s_a V(n a) - s_b V(n' a), whose Taylor series about the
+midpoint x = m a / 2 is the potential's part of dW_ab/dt,
+
+    sum_p -i^{p+1} (a/2)^p / p! (s_a - (-1)^p s_b) V^(p)(x) d_k^p W_ab;
+
+the Bessel propagators solve its linear case exactly.
+
 The density route is the oracle: it knows nothing about phase space.  The
 phase-space route is where the structure lives.  Their agreement at stated
 tolerances is the module's master property.
@@ -119,17 +128,17 @@ class Potential:
 
 @dataclass(frozen=True)
 class HamiltonianSpec:
-    """Nearest-neighbor hopping J plus an optional site potential.
-
-    With spin_coupled=False the potential multiplies the identity in spin
-    space; with spin_coupled=True it enters with opposite signs on the two
-    spin components (sigma_z coupling), which is what splits the Wigner
-    matrix entries into distinct evolution laws.
-    """
+    """Nearest-neighbor hopping J plus an optional site potential, coupled to
+    spin as the identity or, with spin_coupled=True, as sigma_z."""
 
     j_hop: float
     potential: Optional[Potential] = None
     spin_coupled: bool = False
+
+    @property
+    def spin_signs(self) -> tuple:
+        """(s_0, s_1): spin a feels s_a V, so the potential is V (x) diag(s)."""
+        return (1.0, -1.0) if self.spin_coupled else (1.0, 1.0)
 
     def site_potential(self, window: LatticeWindow) -> np.ndarray:
         if self.potential is None:
@@ -155,9 +164,8 @@ class HamiltonianSpec:
         idx = np.arange(w - 1)
         lat[idx + 1, idx] = self.j_hop
         lat[idx, idx + 1] = self.j_hop
-        spin = np.diag([1.0, -1.0]) if self.spin_coupled else np.eye(2)
-        h = np.kron(lat, np.eye(2)) + np.kron(np.diag(self.site_potential(window)), spin)
-        return h.astype(complex)
+        pot = np.kron(np.diag(self.site_potential(window)), np.diag(self.spin_signs))
+        return np.kron(lat, np.eye(2)) + pot
 
 
 @dataclass(frozen=True)
@@ -212,12 +220,7 @@ def _make_rhs(h: HamiltonianSpec, noise: Optional[NoiseSpec], window: LatticeWin
     """
     w = window.width
     j = h.j_hop
-    v = h.site_potential(window)
-    if h.spin_coupled:
-        vdiag = np.stack([v, -v], axis=1).reshape(-1)
-    else:
-        vdiag = np.repeat(v, 2)
-    vcol = vdiag[:, None]
+    vcol = np.outer(h.site_potential(window), h.spin_signs).reshape(-1, 1)
 
     dissipator = None
     if noise is not None:
@@ -438,13 +441,12 @@ def wigner_evolution_rhs(w: WignerMatrix, h: HamiltonianSpec, a: float = 1.0) ->
     """Time derivative of the Wigner field under the tight-binding generator.
 
     The hopping contributes 2 J sin k [W(m+1,k) - W(m-1,k)].  A polynomial
-    potential contributes a *finite* derivative series in k, with the
-    potential's derivatives evaluated at the midpoint x = m a / 2:
+    potential contributes the *finite* series, over its derivative orders p,
 
-    * scalar potential: odd k-derivatives only, same for all spin entries;
-    * sigma_z-coupled potential: the diagonal entries keep the odd series
-      with a sign (-1)^alpha, while the off-diagonal entries pick up the even
-      series (including a purely multiplicative s=0 term) times -2i(-1)^alpha.
+        sum_p -i^{p+1} (a/2)^p / p! (s_a - (-1)^p s_b) V^(p)(m a / 2) d_k^p W_ab
+
+    with s = h.spin_signs: the Taylor series of s_a V(n a) - s_b V(n' a)
+    about the midpoint, the site difference n - n' acting as i d_k.
 
     k-derivatives are spectral and exact on the band-limited grid.  Returns a
     plain array shaped like w.values.
@@ -465,48 +467,16 @@ def wigner_evolution_rhs(w: WignerMatrix, h: HamiltonianSpec, a: float = 1.0) ->
         return out
 
     x_mid = 0.5 * w.m_values * a
-
-    if not h.spin_coupled:
-        for s in range(0, (pot.degree + 1) // 2 + 1):
-            p = 2 * s + 1
-            if p > pot.degree:
-                break
-            coef = ((-1.0) ** s) * a**p / (2.0 ** (2 * s) * math.factorial(p))
-            vp = pot.derivative_values(p, x_mid)
-            if not np.any(vp):
-                continue
-            dw = k_derivative(vals, grid, order=p, axis=1)
-            out += coef * vp[:, None, None, None] * dw
-        return out
-
-    # Diagonal entries: odd series with alternating sign.
-    for s in range(0, pot.degree // 2 + 1):
-        p = 2 * s + 1
-        if p > pot.degree:
-            break
-        coef = ((-1.0) ** s) * a**p / (2.0 ** (2 * s) * math.factorial(p))
+    signs = np.asarray(h.spin_signs)
+    for p in range(pot.degree + 1):
+        weight = np.subtract.outer(signs, (-1.0) ** p * signs)  # s_a - (-1)^p s_b
+        live = weight != 0.0  # only these spin entries get order p
         vp = pot.derivative_values(p, x_mid)
-        if not np.any(vp):
+        if not (live.any() and np.any(vp)):
             continue
-        for alpha in (0, 1):
-            sign = 1.0 if alpha == 0 else -1.0
-            dw = k_derivative(vals[:, :, alpha, alpha], grid, order=p, axis=1)
-            out[:, :, alpha, alpha] += sign * coef * vp[:, None] * dw
-
-    # Off-diagonal entries: even series, multiplicative at s=0.
-    for s in range(0, pot.degree // 2 + 1):
-        p = 2 * s
-        if p > pot.degree:
-            break
-        coef = ((-1.0) ** s) * a**p / (2.0 ** (2 * s) * math.factorial(p))
-        vp = pot.derivative_values(p, x_mid)
-        if not np.any(vp):
-            continue
-        for alpha, beta in ((0, 1), (1, 0)):
-            sign = 1.0 if alpha == 0 else -1.0
-            dw = k_derivative(vals[:, :, alpha, beta], grid, order=p, axis=1)
-            out[:, :, alpha, beta] += -2j * sign * coef * vp[:, None] * dw
-
+        coef = -(1j ** (p + 1)) * (0.5 * a) ** p / math.factorial(p)
+        dw = k_derivative(vals[:, :, live], grid, order=p, axis=1)
+        out[:, :, live] += coef * weight[live] * vp[:, None, None] * dw
     return out
 
 
@@ -558,13 +528,14 @@ def _smooth_length(n: int) -> int:
 
 
 def _bessel_band_propagate(
-    w0: WignerMatrix, j_hop: float, lambda_a: float, t: float, shift, what: str, dress=1.0
+    w0: WignerMatrix, j_hop: float, lambda_a: float, t: float, spin_signs, what: str
 ) -> WignerMatrix:
-    """out[m, k, a, b] = dress_ab(m) sum_d J_d(z_ab(k)) (dress W0)(m - d, k + shift_ab, a, b).
+    """Exact evolution under hopping plus the linear potential s_a lambda x on spin a.
 
-    z_ab(k) = -8 (J / lambda_a) sin(k + shift_ab / 2) sin(lambda_a t / 2), with
-    shift one value for every spin entry or a (2, 2) array of them.  The
-    k-shift is exact trigonometric interpolation.  By the Jacobi-Anger
+    out[m, k, a, b] = dress_ab(m) sum_d J_d(z_ab(k)) (dress W0)(m - d, k + shift_ab, a, b)
+    with shift_ab = lambda_a t (s_a + s_b) / 2, dress_ab(m) = e^{-i lambda_a t m (s_a - s_b) / 4}
+    and z_ab(k) = -8 (J / lambda_a) sin(k + shift_ab / 2) sin(lambda_a t / 2).
+    The k-shift is exact trigonometric interpolation.  By the Jacobi-Anger
     identity sum_d J_d(z) e^{-i d q} = e^{-i z sin q}, the band in m is the
     phase e^{-i z(k) sin q} in the Fourier variable q conjugate to m.  The m
     axis is zero-padded by at least the band reach, past which every J_d is
@@ -576,10 +547,17 @@ def _bessel_band_propagate(
         raise DomainError("linear propagator requires lambda_a != 0")
     reach = bessel_band_reach(j_hop, lambda_a, t)
     check_slack(w0.values, reach, what)
-    shifts, entry = np.unique(np.broadcast_to(shift, (2, 2)), return_inverse=True)
+    delta = lambda_a * float(t)
+    signs = np.asarray(spin_signs, dtype=float)
+    shifts, entry = np.unique(0.5 * delta * np.add.outer(signs, signs), return_inverse=True)
     entry = entry.reshape(2, 2)
+    dress = None
+    if signs[0] != signs[1]:  # equal signs make the dress all ones
+        dress = np.ones((w0.n_m, 1, 2, 2), dtype=complex)
+        dress[:, 0, 0, 1] = np.exp(-0.25j * delta * (signs[0] - signs[1]) * w0.m_values)
+        dress[:, 0, 1, 0] = dress[:, 0, 0, 1].conj()
     # One transform per statement: each frees the grid-sized array it replaces.
-    spec = np.fft.fft(dress * w0.values, axis=1)
+    spec = np.fft.fft(w0.values if dress is None else dress * w0.values, axis=1)
     spec *= np.exp(1j * np.multiply.outer(w0.kgrid.modes(), shifts))[:, entry]
     spec = np.fft.ifft(spec, axis=1)
     n_pad = _smooth_length(w0.n_m + reach)
@@ -589,7 +567,8 @@ def _bessel_band_propagate(
     sin_q = np.sin(TWO_PI * np.arange(n_pad) / n_pad)
     spec *= np.exp(-1j * np.multiply.outer(sin_q, z))[:, :, entry]
     spec = np.fft.ifft(spec, axis=0)[: w0.n_m]
-    return w0.with_values(dress * spec)
+    # A new array either way: the bare slice would keep the padded grid alive.
+    return w0.with_values(spec.copy() if dress is None else dress * spec)
 
 
 def linear_potential_propagate(
@@ -602,11 +581,10 @@ def linear_potential_propagate(
     quasi-momentum shift is periodic, which makes the motion recur with the
     Bloch period 2 pi / |lambda_a|.  The k-shift is exact trigonometric
     interpolation; the l-sum is applied as the Jacobi-Anger phase between one
-    FFT pair along m (see _bessel_band_propagate).  Raises WindowError when
-    the band would push support off the m-grid.
+    FFT pair along m (see _bessel_band_propagate, spin signs (1, 1)).  Raises
+    WindowError when the band would push support off the m-grid.
     """
-    delta = lambda_a * float(t)
-    return _bessel_band_propagate(w0, j_hop, lambda_a, t, delta, "linear propagator")
+    return _bessel_band_propagate(w0, j_hop, lambda_a, t, (1.0, 1.0), "linear propagator")
 
 
 def spin_linear_propagate(
@@ -614,25 +592,12 @@ def spin_linear_propagate(
 ) -> WignerMatrix:
     """Exact evolution under hopping plus a sigma_z-coupled linear potential.
 
-    Each diagonal spin entry evolves like the scalar case with the potential
-    sign flipped for spin 1 (lambda -> (-1)^alpha lambda), so the two ridges
-    drift apart.  The off-diagonal entries see the mean potential only as a
-    phase: a Bessel band with an unshifted-k argument, dressed by phases
-    e^{(-1)^alpha i (m + l) lambda_a t / 2} on the in- and outgoing m indices.
-    All four entries go through one batched k-shift and one FFT pair along m,
-    each with its own shift and Bessel argument.
+    _bessel_band_propagate with spin signs (1, -1): the diagonal ridges drift
+    apart in k, and the off-diagonal entries keep k and are dressed by
+    e^{-+i m lambda_a t / 2}, the sign pinned by the J=0 limit, where
+    <n,0|rho_t|m-n,1> = e^{-i lambda_a m t} times the initial element.
     """
-    delta = lambda_a * float(t)
-    # Off-diagonal phases are e^{-i(-1)^alpha (m+l) lambda_a t/2}: the sign is
-    # pinned by the J=0 limit, where <n,0|rho_t|m-n,1> = e^{-i lambda_a m t}
-    # times the initial element, and by the RK4 oracle.
-    dress = np.ones((w0.n_m, 1, 2, 2), dtype=complex)
-    dress[:, 0, 0, 1] = np.exp(-0.5j * delta * w0.m_values)
-    dress[:, 0, 1, 0] = dress[:, 0, 0, 1].conj()
-    shift = np.array([[delta, 0.0], [0.0, -delta]])
-    return _bessel_band_propagate(
-        w0, j_hop, lambda_a, t, shift, "spin-coupled linear propagator", dress
-    )
+    return _bessel_band_propagate(w0, j_hop, lambda_a, t, (1.0, -1.0), "spin-coupled linear propagator")
 
 
 def lindblad_wigner_closed(
@@ -647,26 +612,23 @@ def lindblad_wigner_closed(
     * sigma_x: 00/11 (and 01/10) pairs mix with weights (1 +- e^{-2 g t})/2.
 
     The factorization is exact whenever the Hamiltonian acts identically on
-    the entries the channel mixes (always for sigma_z; for sigma_x only with
-    a spin-scalar Hamiltonian).  w_h must be the Hamiltonian-only field at
-    the same time t.
+    the entries the channel mixes: always for sigma_z, and for sigma_x only
+    when both spin signs are equal (a spin-scalar Hamiltonian).  Nothing here
+    checks that; scenario runs refuse the sigma_x case in their preflight.
+    w_h must be the Hamiltonian-only field at the same time t.
     """
     if gamma < 0.0:
         raise DomainError(f"gamma must be >= 0, got {gamma}")
     f = math.exp(-2.0 * gamma * float(t))
     v = w_h.values
-    out = np.empty_like(v)
     if channel == "sigma_z":
-        out[:, :, 0, 0] = v[:, :, 0, 0]
-        out[:, :, 1, 1] = v[:, :, 1, 1]
-        out[:, :, 0, 1] = f * v[:, :, 0, 1]
-        out[:, :, 1, 0] = f * v[:, :, 1, 0]
-    elif channel == "sigma_x":
-        up, dn = 0.5 * (1.0 + f), 0.5 * (1.0 - f)
-        out[:, :, 0, 0] = up * v[:, :, 0, 0] + dn * v[:, :, 1, 1]
-        out[:, :, 1, 1] = dn * v[:, :, 0, 0] + up * v[:, :, 1, 1]
-        out[:, :, 0, 1] = up * v[:, :, 0, 1] + dn * v[:, :, 1, 0]
-        out[:, :, 1, 0] = dn * v[:, :, 0, 1] + up * v[:, :, 1, 0]
+        out = v.copy()
+        out[:, :, 0, 1] *= f
+        out[:, :, 1, 0] *= f
+    elif channel == "sigma_x":  # W_ab mixes with W_{1-a,1-b}
+        out = 0.5 * (1.0 + f) * v
+        for a, b in ((0, 0), (0, 1), (1, 0), (1, 1)):
+            out[:, :, a, b] += 0.5 * (1.0 - f) * v[:, :, 1 - a, 1 - b]
     else:
         raise DomainError(f"unsupported closed-form channel {channel!r}")
     return w_h.with_values(out)

@@ -60,6 +60,7 @@ from .states import (
 from .walk import CoinSpec, ProjectiveNoiseSpec, walk_trajectory
 from .wigner import (
     WignerMatrix,
+    edge_weight,
     hermiticity_defect,
     marginal_momentum,
     marginal_position,
@@ -447,6 +448,10 @@ def _preflight(cfg: ScenarioConfig) -> tuple:
             if len(active) > 1 or any(nm not in _CLOSED_FORM_CHANNELS for nm in active):
                 message = "closed-form decoherence supports one sigma_z or sigma_x channel"
                 diags.append(Diagnostic("error", f"dynamics.noise: {message}"))
+            elif "sigma_x" in active and h.spin_signs[0] != h.spin_signs[1]:
+                # sigma_x mixes spin entries that a spin-coupled potential moves apart.
+                message = "closed-form sigma_x channel needs hamiltonian.spin_coupled false"
+                diags.append(Diagnostic("error", f"dynamics.noise: {message}"))
             lam_a = _attempt(diags, "dynamics.hamiltonian.potential", h.lambda_a, cfg.window)
             if lam_a is not None and w0 is not None:
                 reach = max(bessel_band_reach(h.j_hop, lam_a, t) for t in dyn.times)
@@ -470,21 +475,14 @@ def validate_config(cfg: ScenarioConfig) -> list:
 # Run pipeline
 # ---------------------------------------------------------------------------
 
-def _wm_boundary_weight(w: WignerMatrix) -> float:
-    vals = w.values
-    return float(np.max(np.abs(np.concatenate([vals[:2].reshape(-1), vals[-2:].reshape(-1)]))))
-
-
 def _closed_form_snapshots(cfg: ScenarioConfig, dyn: ContinuousDynamics, w0: WignerMatrix):
     h = dyn.hamiltonian
     lam_a = h.lambda_a(cfg.window)
     active = [(nm, g) for nm, _, g in dyn.noise_terms if g > 0]
+    propagate = spin_linear_propagate if h.spin_coupled else linear_potential_propagate
     snapshots = []
     for t in dyn.times:
-        if h.spin_coupled:
-            wt = spin_linear_propagate(w0, h.j_hop, lam_a, t)
-        else:
-            wt = linear_potential_propagate(w0, h.j_hop, lam_a, t)
+        wt = propagate(w0, h.j_hop, lam_a, t)
         for name, gamma in active:
             wt = lindblad_wigner_closed(wt, name, gamma, t)
         snapshots.append(wt)
@@ -606,7 +604,7 @@ def run(cfg: ScenarioConfig, command: str, out_dir, quiet: bool = False) -> dict
         if oracle_result is not None:
             boundary = max(boundary, oracle_result.boundary_leak)
         if closed is not None:
-            diagnostics["wigner_boundary_weight"] = max(_wm_boundary_weight(s) for s in closed)
+            diagnostics["wigner_boundary_weight"] = max(edge_weight(s) for s in closed)
     else:
         steps_list, densities = walk_trajectory(
             rho0,

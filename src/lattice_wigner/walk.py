@@ -8,7 +8,9 @@ The same step can be taken directly in phase space: conjugating the Wigner
 blocks with M_L = |L><L| C and M_R = |R><R| C and shifting m by two units,
 
     W(m,k,t+1) = M_R W(m-2,k,t) M_R+ + e^{-2ik} M_R W(m,k,t) M_L+
-               + e^{+2ik} M_L W(m,k,t) M_R+ + M_L W(m+2,k,t) M_L+.
+               + e^{+2ik} M_L W(m,k,t) M_R+ + M_L W(m+2,k,t) M_L+,
+
+where each sandwich M_a X M_b+ = Y_ab |a><b| is one entry of Y = C X C+.
 
 State-space step plus transform and the phase-space recursion agree exactly;
 the test suite enforces this per step.
@@ -25,7 +27,7 @@ import numpy as np
 from .errors import BoundaryLeakError, DomainError, WindowError
 from .grids import TWO_PI, KGrid
 from .states import DensityOperator, LatticeWindow
-from .wigner import WignerMatrix
+from .wigner import WignerMatrix, edge_weight
 
 #: Default tolerance for "the boundary sites must be empty" checks.  One walk
 #: step moves population one site, so anything parked on the outermost sites
@@ -64,18 +66,8 @@ def coin_operator(theta: float) -> np.ndarray:
     return np.array([[c, -s], [-s, -c]], dtype=complex)
 
 
-def step_operators(theta: float):
-    """Left/right conditional coin pieces M_L = |L><L| C, M_R = |R><R| C."""
-    c = coin_operator(theta)
-    m_l = np.zeros((2, 2), dtype=complex)
-    m_r = np.zeros((2, 2), dtype=complex)
-    m_l[0] = c[0]
-    m_r[1] = c[1]
-    return m_l, m_r
-
-
 def walk_unitary(theta: float, window: LatticeWindow) -> np.ndarray:
-    """Dense one-step operator on the composite space (hard-wall truncated)."""
+    """Dense one-step operator on the composite space (hard-wall truncated); a test oracle."""
     w = window.width
     coin_full = np.kron(np.eye(w), coin_operator(theta))
     shift = np.zeros((2 * w, 2 * w), dtype=complex)
@@ -88,8 +80,7 @@ def walk_unitary(theta: float, window: LatticeWindow) -> np.ndarray:
 
 
 def _check_state_slack(rho: DensityOperator, tol: float) -> None:
-    pops = rho.site_populations()
-    edge = float(pops[0] + pops[-1])
+    edge = rho.boundary_population()
     if edge > tol:
         raise BoundaryLeakError(
             f"boundary sites hold population {edge:.3e} > {tol}; "
@@ -100,45 +91,49 @@ def _check_state_slack(rho: DensityOperator, tol: float) -> None:
 def qw_step_state(
     rho: DensityOperator, coin: CoinSpec, boundary_tol: float = DEFAULT_BOUNDARY_TOL
 ) -> DensityOperator:
-    """One walk step rho -> U rho U+ in state space."""
+    """One walk step rho -> U rho U+ in state space, O(W^2).
+
+    U is applied to rho, then to the adjoint of the product, which applies
+    U+ from the right: (U (U rho)+)+ = (U rho) U+.
+    """
     if rho.window.width < 3:
         raise WindowError("walk needs a window of at least three sites")
     _check_state_slack(rho, boundary_tol)
-    u = walk_unitary(coin.theta, rho.window)
-    return DensityOperator(rho.window, u @ rho.matrix @ u.conj().T)
+    c = coin_operator(coin.theta)
+    return DensityOperator(rho.window, _walk_rows(_walk_rows(rho.matrix, c).conj().T, c).conj().T)
+
+
+def _walk_rows(mat: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """U @ mat: coin each site's spin pair, then move the L rows to n-1 and the
+    R rows to n+1; what would cross a wall is dropped."""
+    y = np.matmul(c, mat.reshape(-1, 2, mat.shape[1]))
+    out = np.zeros_like(y)
+    out[:-1, 0] = y[1:, 0]
+    out[1:, 1] = y[:-1, 1]
+    return out.reshape(mat.shape)
 
 
 def qw_step_wigner(
     w: WignerMatrix, coin: CoinSpec, boundary_tol: float = DEFAULT_BOUNDARY_TOL
 ) -> WignerMatrix:
-    """One walk step taken directly on the Wigner field."""
+    """One walk step on the Wigner field: one coin conjugation per cell, O(n_m n_k)."""
     vals = w.values
-    n_m = vals.shape[0]
-    if n_m < 5:
+    if vals.shape[0] < 5:
         raise WindowError("walk recursion needs at least five m-rows")
-    edges = np.concatenate([vals[:2].reshape(-1), vals[-2:].reshape(-1)])
-    edge_mag = float(np.max(np.abs(edges)))
-    if edge_mag > boundary_tol:
+    edge = edge_weight(w)
+    if edge > boundary_tol:
         raise BoundaryLeakError(
-            f"outer m-rows hold weight {edge_mag:.3e} > {boundary_tol}; "
+            f"outer m-rows hold weight {edge:.3e} > {boundary_tol}; "
             "the recursion shifts m by two units"
         )
-    m_l, m_r = step_operators(coin.theta)
-
-    def sandwich(left, block, right):
-        return np.einsum("ab,mkbc,dc->mkad", left, block, right.conj())
-
-    up = np.zeros_like(vals)
-    up[2:] = vals[:-2]  # W(m-2, k)
-    down = np.zeros_like(vals)
-    down[:-2] = vals[2:]  # W(m+2, k)
-    phase = np.exp(-2j * w.kgrid.points)[None, :, None, None]
-    out = (
-        sandwich(m_r, up, m_r)
-        + phase * sandwich(m_r, vals, m_l)
-        + np.conj(phase) * sandwich(m_l, vals, m_r)
-        + sandwich(m_l, down, m_l)
-    )
+    c = coin_operator(coin.theta)
+    y = (vals.reshape(-1, 4) @ np.kron(c, c.conj()).T).reshape(vals.shape)
+    phase = np.exp(-2j * w.kgrid.points)
+    out = np.zeros_like(vals)
+    out[:-2, :, 0, 0] = y[2:, :, 0, 0]  # M_L W(m+2, k) M_L+
+    out[2:, :, 1, 1] = y[:-2, :, 1, 1]  # M_R W(m-2, k) M_R+
+    out[:, :, 0, 1] = phase.conj() * y[:, :, 0, 1]  # e^{+2ik} M_L W M_R+
+    out[:, :, 1, 0] = phase * y[:, :, 1, 0]  # e^{-2ik} M_R W M_L+
     return w.with_values(out)
 
 

@@ -280,6 +280,11 @@ def normalization_total(w: WignerMatrix) -> complex:
     return complex(w.kgrid.weight * np.einsum("mkaa->", w.values))
 
 
+def edge_weight(w: WignerMatrix) -> float:
+    """max |W| on the two outermost m-rows at each end of the grid."""
+    return float(max(np.max(np.abs(w.values[:2])), np.max(np.abs(w.values[-2:]))))
+
+
 def diagonal_imag_max(w: WignerMatrix) -> float:
     return float(np.max(np.abs(np.einsum("mkaa->mka", w.values).imag)))
 

@@ -217,8 +217,8 @@ class TestExitCodes:
 
 def continuous_config(**dynamics):
     doc = {
-        "window": {"n_min": -12, "n_max": 12, "a": 1.0},
-        "kgrid": {"n_k": 52},
+        "window": {"n_min": -20, "n_max": 20, "a": 1.0},
+        "kgrid": {"n_k": 96},
         "state": {"name": "product_gaussian", "params": {"center": 0, "sigma": 1.5, "spin": "up"}},
         "dynamics": {
             "kind": "continuous",
@@ -293,8 +293,19 @@ class TestNonFiniteConfig:
         assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert field in capsys.readouterr().err
         assert main(["validate", "--config", cfg]) == 2
-        assert field in "".join(capsys.readouterr())  # parse errors on stderr, diagnostics on stdout
+        # Parse errors on stderr, diagnostics on stdout: one line, naming the edited field.
+        (line,) = "".join(capsys.readouterr()).splitlines()
+        assert field in line
         assert not (tmp_path / "o").exists()
+
+    def test_unedited_fixture_runs(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, continuous_config())
+        assert main(["validate", "--config", cfg]) == 0
+        assert "no diagnostics" in capsys.readouterr().out
+        out = tmp_path / "o"
+        assert main(["evolve", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["diagnostics"]["two_path_max_deviation"] < 1e-10
 
 
 class TestConfigTypes:
@@ -361,6 +372,12 @@ class TestConfigBlocks:
         assert not (tmp_path / "o").exists()
 
 
+def narrow_window(doc):
+    """The config on a 25-site window (n_k 52)."""
+    doc.update(window={"n_min": -12, "n_max": 12, "a": 1.0}, kgrid={"n_k": 52})
+    return doc
+
+
 def fig2_config(center, times):
     doc = json.loads((SCENARIOS / "fig2_bloch.json").read_text())
     doc["state"]["params"]["center"] = center
@@ -373,7 +390,7 @@ class TestBesselSlack:
         "doc, rows",
         [
             # Near half a Bloch period the band reaches 31 rows; the state leaves fewer.
-            (continuous_config(method="closed_form", times=[0.0, 3.1], noise=None), 31),
+            (narrow_window(continuous_config(method="closed_form", times=[0.0, 3.1], noise=None)), 31),
             # The interstitial rows (cross terms psi_n psi_{n+1}) leave one row less
             # than the site populations suggest.
             (fig2_config(20, [0.0, 0.7]), 20),
@@ -399,6 +416,33 @@ class TestBesselSlack:
         assert main(["validate", "--config", cfg]) == 2
         assert "error: state.params for cat is missing 'b_site'" in capsys.readouterr().out
         assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+
+
+def sigma_x_config(method, spin_coupled):
+    doc = fig2_config(0, [0.0, 0.5])
+    doc.update(window={"n_min": -24, "n_max": 24, "a": 1.0}, kgrid={"n_k": 128})
+    doc["dynamics"]["hamiltonian"]["spin_coupled"] = spin_coupled
+    doc["dynamics"].update(method=method, noise={"lindblad": [{"op": "sigma_x", "gamma": 0.3}]})
+    return doc
+
+
+class TestClosedFormChannel:
+    # sigma_x mixes W_00 with W_11, which a sigma_z-coupled potential drives apart:
+    # the closed form would be off by about 1e-2 here.
+    @pytest.mark.parametrize("method", ["closed_form", "both"])
+    def test_sigma_x_refused_with_spin_coupling(self, tmp_path, capsys, method):
+        cfg = write_config(tmp_path, sigma_x_config(method, spin_coupled=True))
+        assert main(["validate", "--config", cfg]) == 2
+        assert "error: dynamics.noise: " in capsys.readouterr().out
+        assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "dynamics.noise" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("method, spin_coupled", [("rk4", True), ("both", False)])
+    def test_sigma_x_runs_where_exact(self, tmp_path, method, spin_coupled):
+        cfg = write_config(tmp_path, sigma_x_config(method, spin_coupled))
+        assert main(["validate", "--config", cfg]) == 0
+        assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 0
 
 
 class TestEvolveCommand:

@@ -380,6 +380,16 @@ class TestWignerEvolutionRHS:
             HamiltonianSpec(
                 0.5, Potential.polynomial([0.1, 0.2, 0.0, 0.004]), spin_coupled=True
             ),
+            # Degrees 4 to 6: every order p of the series, odd and even, on both spin rules.
+            HamiltonianSpec(0.5, Potential.polynomial([0.1, 0.2, 0.03, 0.004, 5e-4])),
+            HamiltonianSpec(
+                0.5, Potential.polynomial([0.1, 0.2, 0.03, 0.004, 5e-4, 2e-5]), spin_coupled=True
+            ),
+            HamiltonianSpec(
+                0.5,
+                Potential.polynomial([0.0, 0.1, 0.02, 0.003, 4e-4, 3e-5, 2e-6]),
+                spin_coupled=True,
+            ),
         ],
     )
     def test_matches_finite_difference_oracle(self, h):

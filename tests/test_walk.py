@@ -6,6 +6,7 @@ import pytest
 from lattice_wigner import (
     BoundaryLeakError,
     CoinSpec,
+    DensityOperator,
     DomainError,
     DoubleDeltaSpec,
     KGrid,
@@ -103,6 +104,23 @@ class TestStateStep:
             10,
         )
         assert np.max(np.abs(rho.site_populations() - oracle)) < 1e-12
+
+    @pytest.mark.parametrize("theta", np.linspace(0.0, math.pi / 2, 7))
+    def test_matches_dense_unitary(self, theta, rng):
+        # The structured step against the dense oracle U rho U+, from a mixed
+        # state with coherences between every occupied pair (walls kept empty).
+        window = LatticeWindow(-9, 9)
+        vecs = rng.normal(size=(3, window.width, 2)) + 1j * rng.normal(size=(3, window.width, 2))
+        vecs[:, :4] = vecs[:, -4:] = 0.0
+        mat = sum(p * np.outer(v.ravel(), v.ravel().conj()) / np.vdot(v, v).real
+                  for p, v in zip((0.5, 0.3, 0.2), vecs))
+        rho = DensityOperator(window, mat)
+        coin = CoinSpec(float(theta))
+        u = walk_unitary(coin.theta, window)
+        for _ in range(3):
+            stepped = qw_step_state(rho, coin)
+            assert np.max(np.abs(stepped.matrix - u @ rho.matrix @ u.conj().T)) <= 1e-15
+            rho = stepped
 
     def test_boundary_hit_raises(self):
         window = LatticeWindow(-2, 2)
