@@ -30,11 +30,7 @@ from .states import (
     PureState,
     apply_spin_rotation,
     density_from_pure,
-    density_from_json,
-    density_to_json,
     lattice_density_from_amplitudes,
-    pure_state_from_json,
-    pure_state_to_json,
     spin_trace,
 )
 from .wigner import (
@@ -78,6 +74,7 @@ from .continuous import (
     HamiltonianSpec,
     NoiseSpec,
     Potential,
+    decohere_wigner,
     lindblad_rk4,
     lindblad_wigner_closed,
     linear_potential_propagate,

@@ -5,14 +5,15 @@ Two independent routes run through this module and are required to agree:
 
 * the density-operator route over the truncated window, followed by the
   Wigner transform: exact propagation U(t) = V e^{-iEt} V^+ from one dense
-  eigendecomposition for a closed system, fixed-step RK4 on the Lindblad
-  equation when a decoherence channel is active;
+  eigendecomposition, then the spin channel e^{tD} (NoiseSpec) when it
+  commutes with H; fixed-step RK4 on the Lindblad equation otherwise;
 * the phase-space route: the evolution equation for the Wigner field
   (hopping term plus a finite derivative series in k for polynomial
   potentials) and, for a linear potential, its exact solution as a band
   of Bessel functions acting in m with a rigid shift in k.  By the
   Jacobi-Anger identity the band is a pointwise phase in the Fourier
   variable conjugate to m, so it is applied with one FFT pair along m.
+  The same e^{tD} then acts on every (m, k) cell's spin block.
 
 Spin enters only through HamiltonianSpec.spin_signs: spin a feels s_a V,
 with s = (1, 1) for a spin-scalar potential and (1, -1) for sigma_z coupling.
@@ -44,7 +45,7 @@ from .errors import (
 )
 from .grids import TWO_PI, KGrid, k_derivative
 from .special import bessel_tail_order
-from .states import DensityOperator, LatticeWindow
+from .states import SPIN_MATRICES, DensityOperator, LatticeWindow
 from .wigner import WignerMatrix
 
 #: Highest supported polynomial potential degree.
@@ -170,7 +171,9 @@ class HamiltonianSpec:
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """Spin-space Lindblad content: pairs (A_k, gamma_k) with gamma_k >= 0."""
+    """Spin-space Lindblad content: pairs (A_k, gamma_k) with gamma_k >= 0, one
+    4x4 map D on the spin pair 2 a + b of every site-pair block of rho and so
+    of every (m, k) cell of the Wigner matrix."""
 
     lindblad_ops: tuple
 
@@ -193,6 +196,50 @@ class NoiseSpec:
     def gamma_total(self) -> float:
         return sum(g for _, g in self.lindblad_ops)
 
+    def dissipator(self) -> np.ndarray:
+        """D = sum_k gamma_k (A (x) A* - G (x) 1 / 2 - 1 (x) G^T / 2), G = A^+ A."""
+        eye = np.eye(2)
+        out = np.zeros((4, 4), dtype=complex)
+        for op, gamma in self.lindblad_ops:
+            gram = op.conj().T @ op
+            out += gamma * (np.kron(op, op.conj()) - 0.5 * np.kron(gram, eye) - 0.5 * np.kron(eye, gram.T))
+        return out
+
+    def channel(self, t: float) -> np.ndarray:
+        """e^{tD} by scaling and squaring a Taylor series, carrying X = e^A - 1
+        through X <- X^2 + 2X (squaring 1 + X loses 2e-10 at gamma t = 1e6).
+        The scale comes from exponents, so gamma t past the float range works."""
+        d = self.dissipator()
+        norm = float(np.max(np.abs(d).sum(axis=1)))
+        squarings = max(0, math.frexp(norm)[1] + math.frexp(float(t))[1] + 1)  # ||A|| < 1/2
+        a = d * math.ldexp(float(t), -squarings)
+        x = np.zeros_like(a)
+        for p in range(16, 0, -1):  # Horner, x = (a / p)(1 + x); remainder < 1e-19
+            x = (a + a @ x) / p
+        for _ in range(squarings):
+            x = x @ x + 2.0 * x
+        return np.eye(4) + x
+
+    def commutes_with(self, h: HamiltonianSpec) -> bool:
+        """e^{t(L_H + D)} = e^{t L_H} e^{tD}: L_H acts on the pair (a, b) through
+        h.spin_signs (s_a, s_b) alone, so D may mix only pairs with equal signs:
+        any channel for a spin-scalar H, only a diagonal D for sigma_z coupling."""
+        signs = np.asarray(h.spin_signs)
+        key = np.add.outer(2.0 * signs, signs).reshape(4)  # distinct per (s_a, s_b)
+        mixes = self.dissipator() != 0.0
+        return bool(np.all(np.equal.outer(key, key) | ~mixes))
+
+
+def _spin_pair_map(m4: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The 4x4 map m4 applied to the spin pair 2 a + b of every block values[..., a, b]."""
+    return (values.reshape(-1, 4) @ m4.T).reshape(values.shape)
+
+
+def _site_pair_map(m4: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """_spin_pair_map on every site-pair block of a composite-space matrix."""
+    blocks = rho.reshape(rho.shape[0] // 2, 2, -1, 2).swapaxes(1, 2)
+    return _spin_pair_map(m4, blocks).swapaxes(1, 2).reshape(rho.shape)
+
 
 @dataclass(frozen=True)
 class EvolutionResult:
@@ -213,25 +260,12 @@ def _make_rhs(h: HamiltonianSpec, noise: Optional[NoiseSpec], window: LatticeWin
 
     H @ rho is a two-row block shift (hopping) plus a diagonal scale
     (potential), O(W^2) instead of a dense matmul; rho @ H follows from
-    Hermiticity of the stage matrices.  The channels act on the (row spin,
-    column spin) index pair only, so they sum to one 4x4 superoperator
-    sum_k gamma_k (A (x) A* - G (x) 1 / 2 - 1 (x) G^T / 2), G = A^+ A,
-    applied to every site pair with one matmul.
+    Hermiticity of the stage matrices.  The channels act through the 4x4
+    dissipator on every site pair (NoiseSpec.dissipator).
     """
-    w = window.width
     j = h.j_hop
     vcol = np.outer(h.site_potential(window), h.spin_signs).reshape(-1, 1)
-
-    dissipator = None
-    if noise is not None:
-        eye = np.eye(2)
-        for op, gamma in noise.lindblad_ops:
-            if gamma > 0.0:
-                gram = op.conj().T @ op
-                term = gamma * (
-                    np.kron(op, op.conj()) - 0.5 * np.kron(gram, eye) - 0.5 * np.kron(eye, gram.T)
-                )
-                dissipator = term if dissipator is None else dissipator + term
+    dissipator = None if noise is None else noise.dissipator()
 
     def rhs(rho: np.ndarray) -> np.ndarray:
         m = vcol * rho
@@ -240,9 +274,7 @@ def _make_rhs(h: HamiltonianSpec, noise: Optional[NoiseSpec], window: LatticeWin
             m[:-2, :] += j * rho[2:, :]
         out = -1j * (m - m.conj().T)
         if dissipator is not None:
-            pairs = rho.reshape(w, 2, w, 2).transpose(1, 3, 0, 2).reshape(4, w * w)
-            blocks = out.reshape(w, 2, w, 2)
-            blocks += (dissipator @ pairs).reshape(2, 2, w, w).transpose(2, 0, 3, 1)
+            out += _site_pair_map(dissipator, rho)
         return out
 
     return rhs
@@ -391,19 +423,23 @@ def von_neumann_exact(
     dt: Optional[float] = None,
     snapshot_times: Optional[Sequence[float]] = None,
     eps_boundary: float = DEFAULT_EPS_BOUNDARY,
+    noise: Optional[NoiseSpec] = None,
 ) -> EvolutionResult:
-    """Closed-system evolution rho(t) = U(t) rho0 U(t)^+ with U(t) = V e^{-iEt} V^+.
+    """Exact evolution rho(t) = e^{tD}[U(t) rho0 U(t)^+] with U(t) = V e^{-iEt} V^+.
 
     One eigendecomposition H = V E V^+ of the dense window Hamiltonian makes
-    every snapshot exact up to rounding, with no step-size error.  The
-    truncation monitor stays as loud as in :func:`von_neumann_rk4`: the
-    population of the outermost window sites is checked on the same step grid
-    (same dt rule and StepSizeError checks) and raises the same
-    BoundaryLeakError.  With rho~ = V^+ rho0 V, an edge population at time t is
-    sum_ij a_i rho~_ij a_j^* over the edge rows a = V_edge e^{-iEt}.
+    every snapshot exact up to rounding, with no step-size error; the channels
+    must commute with H (DomainError otherwise).  The truncation monitor is
+    as loud as :func:`lindblad_rk4`'s: the population of the outermost window
+    sites is checked on the same step grid (same dt rule and StepSizeError
+    checks) and raises the same BoundaryLeakError.  A spin channel leaves every
+    site's population alone, so with rho~ = V^+ rho0 V an edge population at
+    time t is sum_ij a_i rho~_ij a_j^* over the edge rows a = V_edge e^{-iEt}.
     """
+    if noise is not None and not noise.commutes_with(h):
+        raise DomainError("the spin channels do not commute with the Hamiltonian; use lindblad_rk4")
     window = rho0.window
-    times, steps, leak = _step_plan(rho0, h, None, t_final, dt, snapshot_times, eps_boundary)
+    times, steps, leak = _step_plan(rho0, h, noise, t_final, dt, snapshot_times, eps_boundary)
     # Real hopping and potential make H real symmetric: the real solver is exact
     # here, faster, and maps less LAPACK code than the complex one.
     energies, vecs = np.linalg.eigh(h.dense_matrix(window).real)
@@ -427,6 +463,8 @@ def von_neumann_exact(
         if n_steps:
             vt = vecs * np.exp(-1j * energies * t)
             mat = vt @ rho_eig @ vt.conj().T
+            if noise is not None:
+                mat = _site_pair_map(noise.channel(t), mat)
             mat = 0.5 * (mat + mat.conj().T)
         snapshots.append(DensityOperator(window, mat.copy()))
         t_prev = t
@@ -496,9 +534,13 @@ def bessel_band_reach(j_hop: float, lambda_a: float, t: float) -> int:
     """Empty m-rows the Bessel band needs on each side of the support at time t.
 
     Beyond the tail order of the largest argument |8J/(lambda a) sin(lambda a
-    t / 2)| every band entry J_d is below 1e-15.
+    t / 2)| every band entry J_d is below 1e-15.  Raises DomainError when
+    lambda a t is not finite.
     """
-    z_max = abs(8.0 * j_hop / lambda_a * math.sin(0.5 * (lambda_a * float(t))))
+    delta = lambda_a * float(t)
+    if not math.isfinite(delta):
+        raise DomainError(f"lambda_a * t = {delta} is not finite")
+    z_max = abs(8.0 * j_hop / lambda_a * math.sin(0.5 * delta))
     return bessel_tail_order(z_max, 1e-15)
 
 
@@ -600,35 +642,22 @@ def spin_linear_propagate(
     return _bessel_band_propagate(w0, j_hop, lambda_a, t, (1.0, -1.0), "spin-coupled linear propagator")
 
 
+def decohere_wigner(w: WignerMatrix, noise: NoiseSpec, t: float) -> WignerMatrix:
+    """e^{tD} on every (m, k) cell's spin block.  Given the Hamiltonian-only field
+    at time t, this is the open evolution exactly when noise.commutes_with(h);
+    nothing here checks that (scenario runs refuse the rest in their preflight)."""
+    return w.with_values(_spin_pair_map(noise.channel(t), w.values))
+
+
 def lindblad_wigner_closed(
     w_h: WignerMatrix, channel: str, gamma: float, t: float
 ) -> WignerMatrix:
-    """Dress a Hamiltonian-only Wigner snapshot with spin decoherence.
+    """:func:`decohere_wigner` for one named channel, sigma_z or sigma_x.
 
-    For a spin-space channel the noise generator acts entrywise on the spin
-    indices and factors out of the Hamiltonian flow:
-
-    * sigma_z: diagonal entries untouched, off-diagonal damped by e^{-2 g t};
-    * sigma_x: 00/11 (and 01/10) pairs mix with weights (1 +- e^{-2 g t})/2.
-
-    The factorization is exact whenever the Hamiltonian acts identically on
-    the entries the channel mixes: always for sigma_z, and for sigma_x only
-    when both spin signs are equal (a spin-scalar Hamiltonian).  Nothing here
-    checks that; scenario runs refuse the sigma_x case in their preflight.
-    w_h must be the Hamiltonian-only field at the same time t.
+    sigma_z damps the off-diagonal entries by e^{-2 g t}; sigma_x mixes W_ab
+    with W_{1-a,1-b} with weights (1 +- e^{-2 g t}) / 2.  w_h must be the
+    Hamiltonian-only field at the same time t.
     """
-    if gamma < 0.0:
-        raise DomainError(f"gamma must be >= 0, got {gamma}")
-    f = math.exp(-2.0 * gamma * float(t))
-    v = w_h.values
-    if channel == "sigma_z":
-        out = v.copy()
-        out[:, :, 0, 1] *= f
-        out[:, :, 1, 0] *= f
-    elif channel == "sigma_x":  # W_ab mixes with W_{1-a,1-b}
-        out = 0.5 * (1.0 + f) * v
-        for a, b in ((0, 0), (0, 1), (1, 0), (1, 1)):
-            out[:, :, a, b] += 0.5 * (1.0 - f) * v[:, :, 1 - a, 1 - b]
-    else:
+    if channel not in ("sigma_z", "sigma_x"):
         raise DomainError(f"unsupported closed-form channel {channel!r}")
-    return w_h.with_values(out)
+    return decohere_wigner(w_h, NoiseSpec(((SPIN_MATRICES[channel], gamma),)), t)

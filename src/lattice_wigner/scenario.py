@@ -37,8 +37,8 @@ from .continuous import (
     Potential,
     bessel_band_reach,
     check_slack,
+    decohere_wigner,
     lindblad_rk4,
-    lindblad_wigner_closed,
     linear_potential_propagate,
     occupied_rows,
     spin_linear_propagate,
@@ -68,9 +68,6 @@ from .wigner import (
     wigner_of_density,
 )
 
-_CLOSED_FORM_CHANNELS = ("sigma_z", "sigma_x")
-
-
 @dataclass(frozen=True)
 class Diagnostic:
     severity: str  # "error" | "warning"
@@ -89,15 +86,10 @@ class Tolerances:
 @dataclass(frozen=True)
 class ContinuousDynamics:
     hamiltonian: HamiltonianSpec
-    noise_terms: tuple  # (name or None, 2x2 matrix, gamma)
+    noise: Optional[NoiseSpec]
     method: str  # "closed_form" | "rk4" | "both"
     times: tuple
     dt: Optional[float] = None
-
-    def noise_spec(self) -> Optional[NoiseSpec]:
-        if not self.noise_terms:
-            return None
-        return NoiseSpec(tuple((m, g) for _, m, g in self.noise_terms))
 
 
 @dataclass(frozen=True)
@@ -219,9 +211,9 @@ def _parse_op_matrix(op, where: str) -> np.ndarray:
     return np.array([[_as_complex(x, where) for x in row] for row in op])
 
 
-def _parse_noise_terms(doc, where: str) -> tuple:
+def _parse_noise(doc, where: str) -> Optional[NoiseSpec]:
     if doc is None:
-        return ()
+        return None
     entries = doc.get("lindblad")
     if not isinstance(entries, list):
         raise ConfigError(f"{where}.lindblad must be a list")
@@ -238,10 +230,10 @@ def _parse_noise_terms(doc, where: str) -> tuple:
                     f"{here}.op unknown: {op!r}; named operators: "
                     + ", ".join(sorted(SPIN_MATRICES))
                 )
-            terms.append((op, SPIN_MATRICES[op], gamma))
+            terms.append((SPIN_MATRICES[op], gamma))
         else:
-            terms.append((None, _parse_op_matrix(op, f"{here}.op"), gamma))
-    return tuple(terms)
+            terms.append((_parse_op_matrix(op, f"{here}.op"), gamma))
+    return NoiseSpec(tuple(terms)) if terms else None
 
 
 def _parse_continuous(doc: dict, where: str) -> ContinuousDynamics:
@@ -265,10 +257,8 @@ def _parse_continuous(doc: dict, where: str) -> ContinuousDynamics:
     dt = doc.get("dt")
     if dt is not None:
         dt = _as_number(dt, f"{where}.dt")
-    noise_terms = _parse_noise_terms(doc.get("noise"), f"{where}.noise")
-    return ContinuousDynamics(
-        HamiltonianSpec(j_hop, potential, spin_coupled), noise_terms, method, times, dt
-    )
+    noise = _parse_noise(doc.get("noise"), f"{where}.noise")
+    return ContinuousDynamics(HamiltonianSpec(j_hop, potential, spin_coupled), noise, method, times, dt)
 
 
 def _parse_walk(doc: dict, where: str) -> WalkDynamics:
@@ -444,21 +434,18 @@ def _preflight(cfg: ScenarioConfig) -> tuple:
     if isinstance(dyn, ContinuousDynamics):
         h = dyn.hamiltonian
         if dyn.method in ("closed_form", "both"):
-            active = [nm for nm, _, g in dyn.noise_terms if g > 0]
-            if len(active) > 1 or any(nm not in _CLOSED_FORM_CHANNELS for nm in active):
-                message = "closed-form decoherence supports one sigma_z or sigma_x channel"
-                diags.append(Diagnostic("error", f"dynamics.noise: {message}"))
-            elif "sigma_x" in active and h.spin_signs[0] != h.spin_signs[1]:
-                # sigma_x mixes spin entries that a spin-coupled potential moves apart.
-                message = "closed-form sigma_x channel needs hamiltonian.spin_coupled false"
-                diags.append(Diagnostic("error", f"dynamics.noise: {message}"))
+            if dyn.noise is not None and not dyn.noise.commutes_with(h):
+                message = "closed-form decoherence needs channels that commute with the hamiltonian"
+                diags.append(Diagnostic("error", f"dynamics.noise: {message} (use method rk4)"))
             lam_a = _attempt(diags, "dynamics.hamiltonian.potential", h.lambda_a, cfg.window)
             if lam_a is not None and w0 is not None:
-                reach = max(bessel_band_reach(h.j_hop, lam_a, t) for t in dyn.times)
-                _attempt(diags, "window", check_slack, w0.values, reach, "closed-form propagator")
+                reach = _attempt(  # the generator runs, and may raise, inside max
+                    diags, "dynamics.times", max, (bessel_band_reach(h.j_hop, lam_a, t) for t in dyn.times)
+                )
+                if reach is not None:
+                    _attempt(diags, "window", check_slack, w0.values, reach, "closed-form propagator")
         if dyn.dt is not None or dyn.method != "closed_form":
-            args = h, dyn.noise_spec(), cfg.window, dyn.times[-1], dyn.dt
-            _attempt(diags, "dynamics.dt", step_size, *args)
+            _attempt(diags, "dynamics.dt", step_size, h, dyn.noise, cfg.window, dyn.times[-1], dyn.dt)
     elif isinstance(dyn, WalkDynamics) and dyn.mode == "walk" and rho0 is not None:
         lo, hi = occupied_rows(rho0.site_populations())
         if lo - dyn.steps <= 0 or hi + dyn.steps >= cfg.window.width - 1:
@@ -478,29 +465,26 @@ def validate_config(cfg: ScenarioConfig) -> list:
 def _closed_form_snapshots(cfg: ScenarioConfig, dyn: ContinuousDynamics, w0: WignerMatrix):
     h = dyn.hamiltonian
     lam_a = h.lambda_a(cfg.window)
-    active = [(nm, g) for nm, _, g in dyn.noise_terms if g > 0]
     propagate = spin_linear_propagate if h.spin_coupled else linear_potential_propagate
     snapshots = []
     for t in dyn.times:
         wt = propagate(w0, h.j_hop, lam_a, t)
-        for name, gamma in active:
-            wt = lindblad_wigner_closed(wt, name, gamma, t)
-        snapshots.append(wt)
+        snapshots.append(wt if dyn.noise is None else decohere_wigner(wt, dyn.noise, t))
     return snapshots
 
 
 def _oracle_snapshots(cfg: ScenarioConfig, dyn: ContinuousDynamics, rho0: DensityOperator):
-    """Density route: exact eigh propagation for a closed system, RK4 once a channel is active."""
+    """Density route: exact eigh propagation and channel flow, RK4 for channels that do not commute with H."""
     schedule = dict(
         t_final=dyn.times[-1],
         dt=dyn.dt,
         snapshot_times=dyn.times,
         eps_boundary=cfg.tolerances.eps_boundary,
     )
-    if any(g > 0 for _, _, g in dyn.noise_terms):
-        result = lindblad_rk4(rho0, dyn.hamiltonian, dyn.noise_spec(), **schedule)
+    if dyn.noise is None or dyn.noise.commutes_with(dyn.hamiltonian):
+        result = von_neumann_exact(rho0, dyn.hamiltonian, noise=dyn.noise, **schedule)
     else:
-        result = von_neumann_exact(rho0, dyn.hamiltonian, **schedule)
+        result = lindblad_rk4(rho0, dyn.hamiltonian, dyn.noise, **schedule)
     return [wigner_of_density(s, cfg.kgrid) for s in result.snapshots], result
 
 

@@ -227,51 +227,3 @@ def apply_spin_rotation(rho: DensityOperator, u) -> DensityOperator:
         raise DomainError(f"matrix deviates from unitarity by {defect:.3e}")
     rotated = np.einsum("ac,icjd,bd->iajb", u, rho.blocks(), u.conj())
     return DensityOperator(rho.window, rotated.reshape(rho.window.dim, rho.window.dim))
-
-
-# ---------------------------------------------------------------------------
-# JSON serialization (golden-file format: flat [re, im] pair lists)
-# ---------------------------------------------------------------------------
-
-def _window_doc(window: LatticeWindow) -> dict:
-    return {"n_min": window.n_min, "n_max": window.n_max, "a": window.a}
-
-
-def _window_from_doc(doc: dict) -> LatticeWindow:
-    return LatticeWindow(int(doc["n_min"]), int(doc["n_max"]), float(doc.get("a", 1.0)))
-
-
-def _pairs(flat: np.ndarray) -> list:
-    return [[float(z.real), float(z.imag)] for z in flat]
-
-
-def _from_pairs(pairs) -> np.ndarray:
-    return np.array([complex(p[0], p[1]) for p in pairs], dtype=complex)
-
-
-def pure_state_to_json(psi: PureState) -> dict:
-    return {
-        "type": "pure_state",
-        "window": _window_doc(psi.window),
-        "amplitudes": _pairs(psi.amplitudes.reshape(-1)),
-    }
-
-
-def pure_state_from_json(doc: dict) -> PureState:
-    window = _window_from_doc(doc["window"])
-    amps = _from_pairs(doc["amplitudes"]).reshape(window.width, 2)
-    return PureState(window, amps)
-
-
-def density_to_json(rho: DensityOperator) -> dict:
-    return {
-        "type": "density_operator",
-        "window": _window_doc(rho.window),
-        "matrix": _pairs(rho.matrix.reshape(-1)),
-    }
-
-
-def density_from_json(doc: dict) -> DensityOperator:
-    window = _window_from_doc(doc["window"])
-    mat = _from_pairs(doc["matrix"]).reshape(window.dim, window.dim)
-    return DensityOperator(window, mat)

@@ -409,6 +409,23 @@ class TestBesselSlack:
         assert out.removeprefix("error: ") == err.removeprefix("config error: ")
         assert not (tmp_path / "o").exists()
 
+    # The band reach itself fails: its argument needs more than the order cap,
+    # or lambda a t overflows.
+    @pytest.mark.parametrize(
+        "j_hop, slope, times",
+        [(100.0, 0.01, [0.0, 100.0]), (1.0, 1e300, [0.0, 1e10])],
+        ids=["reach_past_order_cap", "lambda_t_overflow"],
+    )
+    def test_reach_failure_names_the_times(self, tmp_path, capsys, j_hop, slope, times):
+        doc = fig2_config(3, times)
+        doc["dynamics"]["hamiltonian"].update(j_hop=j_hop, potential={"kind": "linear", "slope": slope})
+        cfg = write_config(tmp_path, doc)
+        assert main(["validate", "--config", cfg]) == 2
+        assert capsys.readouterr().out.startswith("error: dynamics.times: ")
+        assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "dynamics.times: " in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_build_failure_is_a_diagnostic(self, tmp_path, capsys):
         doc = continuous_config()
         doc["state"] = {"name": "cat", "params": {"a_site": -2}}
@@ -418,12 +435,28 @@ class TestBesselSlack:
         assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
 
-def sigma_x_config(method, spin_coupled):
+def channel_config(method, spin_coupled, lindblad):
     doc = fig2_config(0, [0.0, 0.5])
     doc.update(window={"n_min": -24, "n_max": 24, "a": 1.0}, kgrid={"n_k": 128})
     doc["dynamics"]["hamiltonian"]["spin_coupled"] = spin_coupled
-    doc["dynamics"].update(method=method, noise={"lindblad": [{"op": "sigma_x", "gamma": 0.3}]})
+    doc["dynamics"].update(method=method, noise={"lindblad": lindblad})
     return doc
+
+
+def sigma_x_config(method, spin_coupled):
+    return channel_config(method, spin_coupled, [{"op": "sigma_x", "gamma": 0.3}])
+
+
+SIGMA_MINUS = {"op": [[0, 0], [1, 0]], "gamma": 0.3}
+
+
+def assert_noise_refused(tmp_path, capsys, doc):
+    cfg = write_config(tmp_path, doc)
+    assert main(["validate", "--config", cfg]) == 2
+    assert "error: dynamics.noise: " in capsys.readouterr().out
+    assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "dynamics.noise" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 class TestClosedFormChannel:
@@ -431,18 +464,47 @@ class TestClosedFormChannel:
     # the closed form would be off by about 1e-2 here.
     @pytest.mark.parametrize("method", ["closed_form", "both"])
     def test_sigma_x_refused_with_spin_coupling(self, tmp_path, capsys, method):
-        cfg = write_config(tmp_path, sigma_x_config(method, spin_coupled=True))
-        assert main(["validate", "--config", cfg]) == 2
-        assert "error: dynamics.noise: " in capsys.readouterr().out
-        assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-        assert "dynamics.noise" in capsys.readouterr().err
-        assert not (tmp_path / "o").exists()
+        assert_noise_refused(tmp_path, capsys, sigma_x_config(method, spin_coupled=True))
 
     @pytest.mark.parametrize("method, spin_coupled", [("rk4", True), ("both", False)])
     def test_sigma_x_runs_where_exact(self, tmp_path, method, spin_coupled):
         cfg = write_config(tmp_path, sigma_x_config(method, spin_coupled))
         assert main(["validate", "--config", cfg]) == 0
         assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 0
+
+    # Amplitude damping moves weight from W_00 to W_11 as well.
+    @pytest.mark.parametrize("method", ["closed_form", "both"])
+    def test_sigma_minus_refused_with_spin_coupling(self, tmp_path, capsys, method):
+        assert_noise_refused(tmp_path, capsys, channel_config(method, True, [SIGMA_MINUS]))
+
+    def test_sigma_minus_runs_with_rk4(self, tmp_path):
+        cfg = write_config(tmp_path, channel_config("rk4", True, [SIGMA_MINUS]))
+        assert main(["validate", "--config", cfg]) == 0
+        assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 0
+
+    # Every channel set that commutes with the Hamiltonian flow has a closed form.
+    @pytest.mark.parametrize(
+        "spin_coupled, lindblad",
+        [
+            (
+                False,
+                [
+                    {"op": "sigma_x", "gamma": 0.15},
+                    {"op": [[[0.3, 0.1], [0.5, -0.2]], [[-0.4, 0.3], [0.2, 0.6]]], "gamma": 0.2},
+                    {"op": "sigma_y", "gamma": 0.1},
+                ],
+            ),
+            (True, [{"op": "sigma_z", "gamma": 0.3}, {"op": [[[0.7, 0.2], 0], [0, -0.3]], "gamma": 0.25}]),
+        ],
+        ids=["scalar_any_channels", "spin_coupled_diagonal_channels"],
+    )
+    def test_commuting_channels_run_both(self, tmp_path, spin_coupled, lindblad):
+        cfg = write_config(tmp_path, channel_config("both", spin_coupled, lindblad))
+        assert main(["validate", "--config", cfg]) == 0
+        out = tmp_path / "o"
+        assert main(["evolve", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["diagnostics"]["two_path_max_deviation"] < 1e-12
 
 
 class TestEvolveCommand:

@@ -29,7 +29,7 @@ from lattice_wigner import (
     wigner_of_density,
 )
 from lattice_wigner.grids import k_derivative, k_shift
-from lattice_wigner.states import PAULI_X, PAULI_Z
+from lattice_wigner.states import PAULI_X, PAULI_Y, PAULI_Z
 
 from conftest import random_density
 
@@ -492,3 +492,84 @@ class TestLindblad:
     def test_negative_gamma_rejected(self):
         with pytest.raises(DomainError):
             NoiseSpec(((PAULI_Z, -0.1),))
+
+
+SIGMA_MINUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
+DIAGONAL_OP = np.array([[0.7 + 0.2j, 0.0], [0.0, -0.3]])
+RANDOM_OP = np.array([[0.3 + 0.1j, 0.5 - 0.2j], [-0.4 + 0.3j, 0.2 + 0.6j]])
+
+# The two classes of channel sets that commute with the Hamiltonian flow.
+COMMUTING_CASES = [
+    (False, ((PAULI_X, 0.15), (RANDOM_OP, 0.2), (PAULI_Y, 0.1))),
+    (True, ((PAULI_Z, 0.3), (DIAGONAL_OP, 0.25))),
+]
+
+
+class TestSpinChannel:
+    def test_semigroup(self):
+        noise = NoiseSpec(((RANDOM_OP, 0.7), (PAULI_Y, 0.2)))
+        product = noise.channel(0.3) @ noise.channel(1.1)
+        assert np.max(np.abs(product - noise.channel(1.4))) <= 1e-15
+
+    @pytest.mark.parametrize("gamma_t", [0.5, 3.3, 1e2, 1e6])
+    def test_sigma_z_and_sigma_x_formulas(self, gamma_t):
+        f = math.exp(-2.0 * gamma_t)
+        want_z = np.diag([1.0, f, f, 1.0])
+        want_x = 0.5 * (1.0 + f) * np.eye(4) + 0.5 * (1.0 - f) * np.kron(PAULI_X, PAULI_X)
+        for op, want in ((PAULI_Z, want_z), (PAULI_X, want_x)):
+            got = NoiseSpec(((op, 1.0),)).channel(gamma_t)
+            assert np.max(np.abs(got - want)) <= 2.5e-16  # about one ulp of 1
+
+    def test_gamma_t_past_the_float_range(self):
+        got = NoiseSpec(((PAULI_Z, 1e300),)).channel(1e10)
+        assert np.array_equal(got, np.diag([1.0, 0.0, 0.0, 1.0]))
+
+    def test_amplitude_damping(self):
+        gamma, t = 0.4, 2.0
+        rho = np.array([[0.6, 0.3 - 0.1j], [0.3 + 0.1j, 0.4]])
+        out = (NoiseSpec(((SIGMA_MINUS, gamma),)).channel(t) @ rho.reshape(4)).reshape(2, 2)
+        decay = math.exp(-gamma * t)
+        assert abs(out[0, 0] - 0.6 * decay) <= 1e-15
+        assert abs(out[1, 1] - (0.4 + 0.6 * (1.0 - decay))) <= 1e-15
+        assert abs(out[0, 1] - rho[0, 1] * math.sqrt(decay)) <= 1e-15
+
+    @pytest.mark.parametrize(
+        "spin_coupled, op, commutes",
+        [
+            (False, PAULI_X, True),
+            (False, PAULI_Y, True),
+            (False, PAULI_Z, True),
+            (False, SIGMA_MINUS, True),
+            (False, RANDOM_OP, True),
+            (True, PAULI_Z, True),
+            (True, DIAGONAL_OP, True),
+            (True, PAULI_X, False),
+            (True, PAULI_Y, False),
+            (True, SIGMA_MINUS, False),
+        ],
+        ids=[
+            "scalar-x", "scalar-y", "scalar-z", "scalar-minus", "scalar-random",
+            "coupled-z", "coupled-diagonal", "coupled-x", "coupled-y", "coupled-minus",
+        ],
+    )
+    def test_commutes_with(self, spin_coupled, op, commutes):
+        h = HamiltonianSpec(1.0, Potential.linear(0.5), spin_coupled=spin_coupled)
+        assert NoiseSpec(((op, 0.3),)).commutes_with(h) is commutes
+
+    @pytest.mark.parametrize("spin_coupled, channels", COMMUTING_CASES, ids=["scalar", "spin_coupled"])
+    def test_exact_route_matches_rk4(self, spin_coupled, channels):
+        window, grid, rho0, _ = gaussian_setup(LatticeWindow(-12, 12), KGrid(52), spin="plus")
+        h = HamiltonianSpec(1.0, Potential.linear(0.5), spin_coupled=spin_coupled)
+        noise = NoiseSpec(channels)
+        times = [0.0, 0.5, 1.0]
+        exact = von_neumann_exact(rho0, h, 1.0, dt=1e-3, snapshot_times=times, noise=noise)
+        rk4 = lindblad_rk4(rho0, h, noise, 1.0, dt=1e-3, snapshot_times=times)
+        for a, b in zip(exact.snapshots, rk4.snapshots):
+            assert np.max(np.abs(a.matrix - b.matrix)) <= 1e-11
+        assert exact.boundary_leak == pytest.approx(rk4.boundary_leak, rel=1e-3, abs=0.0)
+
+    def test_exact_route_refuses_non_commuting_channels(self):
+        _, _, rho0, _ = gaussian_setup(LatticeWindow(-12, 12), KGrid(52))
+        h = HamiltonianSpec(1.0, Potential.linear(0.5), spin_coupled=True)
+        with pytest.raises(DomainError, match="do not commute"):
+            von_neumann_exact(rho0, h, 1.0, noise=NoiseSpec(((PAULI_X, 0.2),)))

@@ -12,19 +12,15 @@ from lattice_wigner import (
     TwoGaussianSpec,
     WindowError,
     apply_spin_rotation,
-    density_from_json,
     density_from_pure,
-    density_to_json,
     gaussian_lattice_state,
     product_density,
-    pure_state_from_json,
-    pure_state_to_json,
     spin_trace,
     two_gaussian_state,
 )
 from lattice_wigner.states import PAULI_X, SPIN_VECTORS, lattice_density_from_amplitudes
 
-from conftest import random_density, random_pure, random_su2
+from conftest import random_density, random_su2
 
 
 def delta_state(window, site, spin=0):
@@ -169,27 +165,6 @@ class TestSpinRotation:
         rho = random_density(small_window, rng)
         with pytest.raises(DomainError):
             apply_spin_rotation(rho, np.array([[1.0, 0.1], [0.0, 1.0]]))
-
-
-class TestSerialization:
-    def test_pure_round_trip(self, small_window, rng):
-        psi = random_pure(small_window, rng)
-        doc = pure_state_to_json(psi)
-        back = pure_state_from_json(doc)
-        assert back.window == psi.window
-        assert np.max(np.abs(back.amplitudes - psi.amplitudes)) == 0.0
-
-    def test_density_round_trip(self, small_window, rng):
-        rho = random_density(small_window, rng)
-        back = density_from_json(density_to_json(rho))
-        assert back.window == rho.window
-        assert np.max(np.abs(back.matrix - rho.matrix)) == 0.0
-
-    def test_json_is_plain_data(self, small_window, rng):
-        import json
-
-        doc = density_to_json(random_density(small_window, rng))
-        json.dumps(doc)  # must not raise
 
 
 def test_lattice_density_normalizes():
