@@ -135,19 +135,15 @@ def double_delta_wigner_closed(
     (spin-11 weight), and n1+n2, where the spin off-diagonal carries the
     interference phase e^{+-i k (n1 - n2)}.
     """
-    for site in (spec.n1, spec.n2):
-        if not window.contains(site):
-            raise WindowError(f"site {site} outside window")
+    i1, i2 = window.index(spec.n1), window.index(spec.n2)
     vals = _empty_wm(window, kgrid)
     k = kgrid.points
     norm = 1.0 / (TWO_PI * (1.0 + abs(spec.alpha) ** 2))
-    m_min = 2 * window.n_min
-    vals[2 * spec.n1 - m_min, :, 0, 0] = norm
-    vals[2 * spec.n2 - m_min, :, 1, 1] = norm * abs(spec.alpha) ** 2
-    cross = spec.n1 + spec.n2 - m_min
-    vals[cross, :, 0, 1] = norm * np.conj(spec.alpha) * np.exp(-1j * k * (spec.n1 - spec.n2))
-    vals[cross, :, 1, 0] = norm * spec.alpha * np.exp(1j * k * (spec.n1 - spec.n2))
-    return WignerMatrix(m_min, 2 * window.n_max, kgrid, vals)
+    vals[2 * i1, :, 0, 0] = norm
+    vals[2 * i2, :, 1, 1] = norm * abs(spec.alpha) ** 2
+    vals[i1 + i2, :, 0, 1] = norm * np.conj(spec.alpha) * np.exp(-1j * k * (spec.n1 - spec.n2))
+    vals[i1 + i2, :, 1, 0] = norm * spec.alpha * np.exp(1j * k * (spec.n1 - spec.n2))
+    return WignerMatrix(2 * window.n_min, 2 * window.n_max, kgrid, vals)
 
 
 def spinless_double_delta_wigner(
@@ -162,20 +158,16 @@ def spinless_double_delta_wigner(
     """
     if n1 == n2:
         raise DomainError("double delta requires two distinct sites")
-    for site in (n1, n2):
-        if not window.contains(site):
-            raise WindowError(f"site {site} outside window")
+    i1, i2 = window.index(n1), window.index(n2)
     alpha = complex(alpha)
     vals = np.zeros((2 * window.width - 1, kgrid.n_k), dtype=complex)
     k = kgrid.points
     norm = 1.0 / (TWO_PI * (1.0 + abs(alpha) ** 2))
-    m_min = 2 * window.n_min
-    vals[2 * n1 - m_min, :] = norm
-    vals[2 * n2 - m_min, :] += norm * abs(alpha) ** 2
-    dn = n2 - n1
+    vals[2 * i1, :] = norm
+    vals[2 * i2, :] += norm * abs(alpha) ** 2
     phi = math.atan2(alpha.imag, alpha.real)
-    vals[n1 + n2 - m_min, :] += norm * 2.0 * abs(alpha) * np.cos(dn * k - phi)
-    return ScalarWigner(m_min, 2 * window.n_max, kgrid, vals)
+    vals[i1 + i2, :] += norm * 2.0 * abs(alpha) * np.cos((n2 - n1) * k - phi)
+    return ScalarWigner(2 * window.n_min, 2 * window.n_max, kgrid, vals)
 
 
 # ---------------------------------------------------------------------------
@@ -333,9 +325,6 @@ def werner_density(spec: WernerSpec, window: LatticeWindow) -> DensityOperator:
     spin, not on the whole window; only with this reading does the closed-form
     Wigner matrix (support at m in {2a, a+b, 2b} only) hold.
     """
-    for site in (spec.a_site, spec.b_site):
-        if not window.contains(site):
-            raise WindowError(f"site {site} outside window")
     d = window.dim
     mat = np.zeros((d, d), dtype=complex)
     ia = 2 * window.index(spec.a_site)
@@ -357,29 +346,22 @@ def werner_wigner(spec: WernerSpec, window: LatticeWindow, kgrid: KGrid) -> Wign
     (1 +- z)/4, the off-diagonal carries (z/2) W_ab and its conjugate partner
     (z/2) W_ba, which keeps the field Hermitian.
     """
-    for site in (spec.a_site, spec.b_site):
-        if not window.contains(site):
-            raise WindowError(f"site {site} outside window")
     a, b, z = spec.a_site, spec.b_site, spec.z
+    ia, ib = window.index(a), window.index(b)
     vals = _empty_wm(window, kgrid)
     k = kgrid.points
-    m_min = 2 * window.n_min
     inv2pi = 1.0 / TWO_PI
-    vals[2 * a - m_min, :, 0, 0] += (1.0 + z) / 4.0 * inv2pi
-    vals[2 * b - m_min, :, 0, 0] += (1.0 - z) / 4.0 * inv2pi
-    vals[2 * a - m_min, :, 1, 1] += (1.0 - z) / 4.0 * inv2pi
-    vals[2 * b - m_min, :, 1, 1] += (1.0 + z) / 4.0 * inv2pi
-    cross = a + b - m_min
-    vals[cross, :, 0, 1] = 0.5 * z * inv2pi * np.exp(-1j * k * (a - b))
-    vals[cross, :, 1, 0] = 0.5 * z * inv2pi * np.exp(-1j * k * (b - a))
-    return WignerMatrix(m_min, 2 * window.n_max, kgrid, vals)
+    vals[2 * ia, :, 0, 0] += (1.0 + z) / 4.0 * inv2pi
+    vals[2 * ib, :, 0, 0] += (1.0 - z) / 4.0 * inv2pi
+    vals[2 * ia, :, 1, 1] += (1.0 - z) / 4.0 * inv2pi
+    vals[2 * ib, :, 1, 1] += (1.0 + z) / 4.0 * inv2pi
+    vals[ia + ib, :, 0, 1] = 0.5 * z * inv2pi * np.exp(-1j * k * (a - b))
+    vals[ia + ib, :, 1, 0] = 0.5 * z * inv2pi * np.exp(-1j * k * (b - a))
+    return WignerMatrix(2 * window.n_min, 2 * window.n_max, kgrid, vals)
 
 
 def cat_state(spec: CatSpec, window: LatticeWindow) -> PureState:
     """(|a>|spin1> + beta |b>|spin2>) / sqrt(1 + |beta|^2)."""
-    for site in (spec.a_site, spec.b_site):
-        if not window.contains(site):
-            raise WindowError(f"site {site} outside window")
     s1, s2 = spec.spin_vectors()
     beta = complex(spec.beta)
     amps = np.zeros((window.width, 2), dtype=complex)

@@ -45,7 +45,14 @@ from .errors import (
 )
 from .grids import TWO_PI, KGrid, k_derivative
 from .special import bessel_tail_order
-from .states import SPIN_MATRICES, DensityOperator, LatticeWindow
+from .states import (
+    SPIN_MATRICES,
+    DensityOperator,
+    LatticeWindow,
+    _edge_population,
+    _site_pair_map,
+    _spin_pair_map,
+)
 from .wigner import WignerMatrix
 
 #: Highest supported polynomial potential degree.
@@ -70,14 +77,15 @@ _SUPPORT_TOL = 1e-13
 
 @dataclass(frozen=True)
 class Potential:
-    """Site potential V(x) = sum_p coeffs[p] x^p evaluated at x = n*a.
+    """Site potential V(x) = sum_p coeffs[p] x^p evaluated at x = n*a, up to
+    degree MAX_POTENTIAL_DEGREE.
 
-    kind is "linear" for V = slope*x (the case with a closed-form propagator)
-    or "polynomial" for anything else up to degree MAX_POTENTIAL_DEGREE.
+    It is linear, the case with a closed-form propagator, exactly when coeffs
+    is (0, slope) with a nonzero slope.  A constant c != 0 keeps (c, slope)
+    out of that case: with sigma_z coupling, c sigma_z is a Zeeman term.
     """
 
     coeffs: tuple
-    kind: str = "polynomial"
 
     def __post_init__(self):
         coeffs = tuple(float(c) for c in self.coeffs)
@@ -87,24 +95,25 @@ class Potential:
             raise DomainError(
                 f"potential degree {len(coeffs) - 1} exceeds {MAX_POTENTIAL_DEGREE}"
             )
-        if self.kind not in ("linear", "polynomial"):
-            raise DomainError(f"unknown potential kind {self.kind!r}")
-        if self.kind == "linear":
-            if len(coeffs) != 2 or coeffs[1] == 0.0:
-                raise DomainError("linear potential requires a nonzero slope")
         object.__setattr__(self, "coeffs", coeffs)
 
     @classmethod
     def linear(cls, slope: float) -> "Potential":
-        return cls((0.0, float(slope)), kind="linear")
+        if slope == 0.0:
+            raise DomainError("linear potential requires a nonzero slope")
+        return cls((0.0, float(slope)))
 
     @classmethod
     def polynomial(cls, coeffs) -> "Potential":
-        return cls(tuple(coeffs), kind="polynomial")
+        return cls(tuple(coeffs))
+
+    @property
+    def is_linear(self) -> bool:
+        return len(self.coeffs) == 2 and self.coeffs[0] == 0.0 and self.coeffs[1] != 0.0
 
     @property
     def slope(self) -> float:
-        if self.kind != "linear":
+        if not self.is_linear:
             raise DomainError("slope is only defined for linear potentials")
         return self.coeffs[1]
 
@@ -148,7 +157,7 @@ class HamiltonianSpec:
 
     def lambda_a(self, window: LatticeWindow) -> float:
         """Coupling lambda*a of a linear potential (slope times spacing)."""
-        if self.potential is None or self.potential.kind != "linear":
+        if self.potential is None or not self.potential.is_linear:
             raise DomainError("lambda_a is only defined for linear potentials")
         return self.potential.slope * window.a
 
@@ -228,17 +237,6 @@ class NoiseSpec:
         key = np.add.outer(2.0 * signs, signs).reshape(4)  # distinct per (s_a, s_b)
         mixes = self.dissipator() != 0.0
         return bool(np.all(np.equal.outer(key, key) | ~mixes))
-
-
-def _spin_pair_map(m4: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """The 4x4 map m4 applied to the spin pair 2 a + b of every block values[..., a, b]."""
-    return (values.reshape(-1, 4) @ m4.T).reshape(values.shape)
-
-
-def _site_pair_map(m4: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """_spin_pair_map on every site-pair block of a composite-space matrix."""
-    blocks = rho.reshape(rho.shape[0] // 2, 2, -1, 2).swapaxes(1, 2)
-    return _spin_pair_map(m4, blocks).swapaxes(1, 2).reshape(rho.shape)
 
 
 @dataclass(frozen=True)
@@ -390,8 +388,7 @@ def lindblad_rk4(
             k4 = rhs(mat + hstep * k3)
             mat = mat + (hstep / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             mat = 0.5 * (mat + mat.conj().T)
-            pops = np.real(np.diagonal(mat)).reshape(window.width, 2).sum(axis=1)
-            edge = float(pops[0] + pops[-1])
+            edge = _edge_population(np.real(np.diagonal(mat)).reshape(window.width, 2).sum(axis=1))
             if edge > eps_boundary:
                 raise _leak_error(edge, eps_boundary, t)
             leak = max(leak, edge)
@@ -541,7 +538,7 @@ def bessel_band_reach(j_hop: float, lambda_a: float, t: float) -> int:
     if not math.isfinite(delta):
         raise DomainError(f"lambda_a * t = {delta} is not finite")
     z_max = abs(8.0 * j_hop / lambda_a * math.sin(0.5 * delta))
-    return bessel_tail_order(z_max, 1e-15)
+    return bessel_tail_order(z_max)
 
 
 def check_slack(values: np.ndarray, needed: int, what: str) -> None:

@@ -10,13 +10,13 @@ the trace norm is unitarily invariant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import DomainError
-from .wigner import ScalarWigner, WignerMatrix
+from .wigner import ScalarWigner, WignerMatrix, hermiticity_defect
 
 HERMITICITY_TOL = 1e-10
 
@@ -25,36 +25,34 @@ HERMITICITY_TOL = 1e-10
 class NegativityReport:
     eta: float
     per_m_contributions: tuple
-    metadata: dict = field(default_factory=dict)
 
 
-def block_trace_norms(w: WignerMatrix, herm_tol: float = HERMITICITY_TOL) -> np.ndarray:
+def block_trace_norms(w: WignerMatrix) -> np.ndarray:
     """Trace norm of every 2x2 block, shaped (n_m, n_k)."""
+    herm = hermiticity_defect(w)
+    if herm > HERMITICITY_TOL:
+        raise DomainError(f"blocks deviate from Hermiticity by {herm:.3e} > {HERMITICITY_TOL}")
     v = w.values
-    herm = np.max(np.abs(v - v.conj().transpose(0, 1, 3, 2)))
-    if herm > herm_tol:
-        raise DomainError(f"blocks deviate from Hermiticity by {herm:.3e} > {herm_tol}")
     h = 0.5 * (v[:, :, 0, 0] + v[:, :, 1, 1]).real
     half_diff = 0.5 * (v[:, :, 0, 0] - v[:, :, 1, 1]).real
     r = np.sqrt(half_diff**2 + np.abs(v[:, :, 0, 1]) ** 2)
     return np.abs(h + r) + np.abs(h - r)
 
 
-def matrix_negativity(w: WignerMatrix, herm_tol: float = HERMITICITY_TOL) -> NegativityReport:
+def matrix_negativity(w: WignerMatrix) -> NegativityReport:
     """eta = sum_m int dk ||W(m,k)||_1 - 1 for a state-derived Wigner matrix."""
-    norms = block_trace_norms(w, herm_tol)
+    norms = block_trace_norms(w)
     per_m = w.kgrid.weight * norms.sum(axis=1)
     eta = float(per_m.sum() - 1.0)
     contributions = tuple((int(m), float(c)) for m, c in zip(w.m_values, per_m))
-    meta = {"m_min": w.m_min, "m_max": w.m_max, "n_k": w.kgrid.n_k}
-    return NegativityReport(eta, contributions, meta)
+    return NegativityReport(eta, contributions)
 
 
-def scalar_negativity(w: ScalarWigner, imag_tol: float = HERMITICITY_TOL) -> float:
+def scalar_negativity(w: ScalarWigner) -> float:
     """sum_m int dk (|W| - W) for a real scalar Wigner function."""
     imag = float(np.max(np.abs(w.values.imag)))
-    if imag > imag_tol:
-        raise DomainError(f"scalar Wigner function has |Im| = {imag:.3e} > {imag_tol}")
+    if imag > HERMITICITY_TOL:
+        raise DomainError(f"scalar Wigner function has |Im| = {imag:.3e} > {HERMITICITY_TOL}")
     real = w.values.real
     return float(w.kgrid.weight * np.sum(np.abs(real) - real))
 

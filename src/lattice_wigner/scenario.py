@@ -139,6 +139,15 @@ def _check_blocks(doc: dict, blocks: dict = _BLOCKS, where: str = "") -> None:
         _check_blocks(doc[key], inner, f"{where}{key}.")
 
 
+def _known(doc: dict, where: str, keys: str) -> dict:
+    """doc, once each of its keys is one of the space-separated keys: a misspelt
+    key would fall back to its default unseen, and could switch off a gate."""
+    unknown = sorted(doc.keys() - set(keys.split()))
+    if unknown:
+        raise ConfigError(f"{where}.{unknown[0]} is not a key of {where}: {', '.join(keys.split())}")
+    return doc
+
+
 def _need(doc: dict, key: str, where: str):
     if key not in doc:
         raise ConfigError(f"missing required field {where}.{key}")
@@ -183,13 +192,17 @@ def _as_spin(value, where: str) -> tuple:
     return tuple(_as_complex(c, where) for c in value)
 
 
+_POTENTIAL_KEYS = {"none": "kind", "linear": "kind slope", "polynomial": "kind coeffs"}
+
+
 def _parse_potential(doc, where: str) -> Optional[Potential]:
     if doc is None:
         return None
     kind = _need(doc, "kind", where)
+    if not isinstance(kind, str) or kind not in _POTENTIAL_KEYS:
+        raise ConfigError(f"{where}.kind must be one of none/linear/polynomial, got {kind!r}")
+    _known(doc, where, _POTENTIAL_KEYS[kind])
     try:
-        if kind == "none":
-            return None
         if kind == "linear":
             return Potential.linear(_as_number(_need(doc, "slope", where), f"{where}.slope"))
         if kind == "polynomial":
@@ -199,7 +212,7 @@ def _parse_potential(doc, where: str) -> Optional[Potential]:
             return Potential.polynomial([_as_number(c, f"{where}.coeffs") for c in coeffs])
     except DomainError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
-    raise ConfigError(f"{where}.kind must be one of none/linear/polynomial, got {kind!r}")
+    return None
 
 
 def _parse_op_matrix(op, where: str) -> np.ndarray:
@@ -214,7 +227,7 @@ def _parse_op_matrix(op, where: str) -> np.ndarray:
 def _parse_noise(doc, where: str) -> Optional[NoiseSpec]:
     if doc is None:
         return None
-    entries = doc.get("lindblad")
+    entries = _known(doc, where, "lindblad").get("lindblad")
     if not isinstance(entries, list):
         raise ConfigError(f"{where}.lindblad must be a list")
     terms = []
@@ -222,6 +235,7 @@ def _parse_noise(doc, where: str) -> Optional[NoiseSpec]:
         here = f"{where}.lindblad[{i}]"
         if not isinstance(entry, dict):
             raise ConfigError(f"{here} must be an object")
+        _known(entry, here, "op gamma")
         gamma = _as_number(_need(entry, "gamma", here), f"{here}.gamma", nonnegative=True)
         op = _need(entry, "op", here)
         if isinstance(op, str):
@@ -237,7 +251,8 @@ def _parse_noise(doc, where: str) -> Optional[NoiseSpec]:
 
 
 def _parse_continuous(doc: dict, where: str) -> ContinuousDynamics:
-    hdoc = _need(doc, "hamiltonian", where)
+    _known(doc, where, "kind hamiltonian noise method times dt")
+    hdoc = _known(_need(doc, "hamiltonian", where), f"{where}.hamiltonian", "j_hop potential spin_coupled")
     j_hop = _as_number(_need(hdoc, "j_hop", f"{where}.hamiltonian"), f"{where}.hamiltonian.j_hop")
     potential = _parse_potential(hdoc.get("potential"), f"{where}.hamiltonian.potential")
     spin_coupled = hdoc.get("spin_coupled", False)
@@ -262,6 +277,7 @@ def _parse_continuous(doc: dict, where: str) -> ContinuousDynamics:
 
 
 def _parse_walk(doc: dict, where: str) -> WalkDynamics:
+    _known(doc, where, "kind theta steps mode noise snapshot_steps")
     theta = _as_number(_need(doc, "theta", where), f"{where}.theta")
     steps = _as_int(_need(doc, "steps", where), f"{where}.steps")
     if steps < 0:
@@ -272,6 +288,7 @@ def _parse_walk(doc: dict, where: str) -> WalkDynamics:
     noise = None
     ndoc = doc.get("noise")
     if ndoc is not None:
+        _known(ndoc, f"{where}.noise", "p basis")
         p = _as_number(_need(ndoc, "p", f"{where}.noise"), f"{where}.noise.p")
         basis = ndoc.get("basis", "spin")
         try:
@@ -302,7 +319,8 @@ def parse_config(doc: dict) -> ScenarioConfig:
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a JSON object")
     _check_blocks(doc)
-    wdoc = _need(doc, "window", "config")
+    _known(doc, "config", "window kgrid state dynamics outputs tolerances")
+    wdoc = _known(_need(doc, "window", "config"), "window", "n_min n_max a")
     n_min = _as_int(_need(wdoc, "n_min", "window"), "window.n_min")
     n_max = _as_int(_need(wdoc, "n_max", "window"), "window.n_max")
     spacing = _as_number(wdoc.get("a", 1.0), "window.a")
@@ -310,12 +328,13 @@ def parse_config(doc: dict) -> ScenarioConfig:
         window = LatticeWindow(n_min, n_max, spacing)
     except WindowError as exc:
         raise ConfigError(f"window: {exc}") from exc
-    n_k = _as_int(_need(_need(doc, "kgrid", "config"), "n_k", "kgrid"), "kgrid.n_k")
+    kdoc = _known(_need(doc, "kgrid", "config"), "kgrid", "n_k")
+    n_k = _as_int(_need(kdoc, "n_k", "kgrid"), "kgrid.n_k")
     try:
         kgrid = KGrid(n_k)
     except ValueError as exc:  # GridError, or numpy refusing an n_k past its array size limit
         raise ConfigError(f"kgrid.n_k: {exc}") from exc
-    sdoc = _need(doc, "state", "config")
+    sdoc = _known(_need(doc, "state", "config"), "state", "name params")
     name = _need(sdoc, "name", "state")
     params = sdoc.get("params", {})
 
@@ -324,7 +343,7 @@ def parse_config(doc: dict) -> ScenarioConfig:
     if dyn_doc is not None:
         kind = _need(dyn_doc, "kind", "dynamics")
         if kind == "none":
-            dynamics = None
+            _known(dyn_doc, "dynamics", "kind")
         elif kind == "continuous":
             dynamics = _parse_continuous(dyn_doc, "dynamics")
         elif kind == "walk":
@@ -332,10 +351,10 @@ def parse_config(doc: dict) -> ScenarioConfig:
         else:
             raise ConfigError(f"dynamics.kind must be none/continuous/walk, got {kind!r}")
 
-    out_dir = (doc.get("outputs") or {}).get("directory")
+    out_dir = _known(doc.get("outputs") or {}, "outputs", "directory").get("directory")
     if out_dir is not None and not isinstance(out_dir, str):
         raise ConfigError(f"outputs.directory must be a string, got {out_dir!r}")
-    tdoc = doc.get("tolerances", {})
+    tdoc = _known(doc.get("tolerances", {}), "tolerances", "eps_boundary two_path")
     tolerances = Tolerances(
         eps_boundary=_as_number(
             tdoc.get("eps_boundary", DEFAULT_EPS_BOUNDARY), "tolerances.eps_boundary", nonnegative=True

@@ -14,19 +14,25 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError
 
-#: Largest Bessel order accepted by :func:`bessel_jn`.
-DEFAULT_MAX_ORDER = 400
+#: Largest Bessel order accepted by :func:`bessel_jn` and searched by :func:`bessel_tail_order`.
+MAX_ORDER = 400
+
+#: Bound below which :func:`bessel_tail_order` counts a Bessel term as negligible.
+TAIL_TOL = 1e-15
 
 _THETA_MAX_TERMS = 100_000
 
+#: theta3 stops once the next pair is below this fraction of the partial sum.
+_THETA_TOL = 1e-15
 
-def theta3(z, q: float, tol: float = 1e-15) -> complex:
+
+def theta3(z, q: float) -> complex:
     """Jacobi theta function theta_3(z, q) = sum_n q^{n^2} e^{2 i z n}.
 
     The sum runs over all integers n and is evaluated symmetrically, pairing
     +n with -n, so the result is exactly even in z.  Truncation happens once
     the magnitude bound q^{n^2} e^{2|Im z| n} of the next pair drops below
-    tol times the magnitude of the partial sum.  Terms are formed as
+    _THETA_TOL times the magnitude of the partial sum.  Terms are formed as
     exp(n^2 ln q +- 2 i n z), which keeps intermediates finite whenever the
     terms themselves are representable.
 
@@ -45,7 +51,7 @@ def theta3(z, q: float, tol: float = 1e-15) -> complex:
         total += cmath.exp(log_mag + 2j * n * z) + cmath.exp(log_mag - 2j * n * z)
         nxt = n + 1
         next_log_bound = nxt * nxt * ln_q + 2.0 * abs_im * nxt
-        threshold = math.log(max(tol * abs(total), 1e-300))
+        threshold = math.log(max(_THETA_TOL * abs(total), 1e-300))
         if next_log_bound < threshold:
             return total
     raise ConvergenceError(
@@ -105,14 +111,14 @@ def bessel_jn_sequence(n_max: int, x: float) -> np.ndarray:
     return _jn_backward(n_max, x)
 
 
-def bessel_jn(n: int, z: float, max_order: int = DEFAULT_MAX_ORDER) -> float:
+def bessel_jn(n: int, z: float) -> float:
     """Bessel function of the first kind J_n(z) for integer n and real z.
 
     Negative orders and arguments are folded with J_{-n}(z) = (-1)^n J_n(z)
     and J_n(-z) = (-1)^n J_n(z).
     """
-    if abs(n) > max_order:
-        raise DomainError(f"|n|={abs(n)} exceeds max_order={max_order}")
+    if abs(n) > MAX_ORDER:
+        raise DomainError(f"|n|={abs(n)} exceeds max_order={MAX_ORDER}")
     if not math.isfinite(z):
         raise DomainError(f"bessel_jn requires finite z, got {z!r}")
     val = bessel_jn_sequence(abs(n), abs(z))[abs(n)]
@@ -143,17 +149,17 @@ def bessel_jn_band(d_max: int, z: float) -> np.ndarray:
     return out
 
 
-def bessel_tail_order(z: float, tol: float = 1e-15, max_order: int = DEFAULT_MAX_ORDER) -> int:
-    """Smallest order L >= |z| with |J_L(z)| bounded below tol.
+def bessel_tail_order(z: float) -> int:
+    """Smallest order L >= |z| with |J_L(z)| bounded below TAIL_TOL.
 
     Uses the envelope |J_L(z)| <= (|z|/2)^L / L!, valid for all real z; the
     bound decays super-exponentially once L > |z|.
     """
     x = abs(z)
     L = max(1, int(math.ceil(x)))
-    while L <= max_order:
+    while L <= MAX_ORDER:
         log_bound = L * math.log(max(x, 1e-300) / 2.0) - math.lgamma(L + 1.0)
-        if log_bound < math.log(tol):
+        if log_bound < math.log(TAIL_TOL):
             return L
         L += 1
-    raise ConvergenceError(f"no order below {max_order} reaches tail bound {tol} for z={z}")
+    raise ConvergenceError(f"no order below {MAX_ORDER} reaches tail bound {TAIL_TOL} for z={z}")

@@ -11,7 +11,7 @@ flat index 2*(n - n_min) + alpha, which keeps the 2x2 spin blocks contiguous.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,6 +21,7 @@ HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
 NORM_TOL = 1e-12
 UNITARITY_TOL = 1e-12
+POSITIVITY_TOL = 1e-10
 
 ID2 = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -45,6 +46,27 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     out = np.array(arr, dtype=complex, order="C")
     out.setflags(write=False)
     return out
+
+
+def _checked_operator(matrix, dim: int) -> np.ndarray:
+    """A frozen copy of a state operator's matrix: shape (dim, dim), finite, Hermitian, unit trace."""
+    mat = _frozen(matrix)
+    if mat.shape != (dim, dim):
+        raise StateError(f"matrix must have shape ({dim}, {dim}), got {mat.shape}")
+    if not np.all(np.isfinite(mat.view(float))):
+        raise StateError("matrix contains non-finite entries")
+    herm = np.max(np.abs(mat - mat.conj().T))
+    if herm > HERMITICITY_TOL:
+        raise StateError(f"matrix deviates from Hermiticity by {herm:.3e}")
+    tr = complex(np.trace(mat))
+    if abs(tr - 1.0) > TRACE_TOL:
+        raise StateError(f"trace {tr!r} deviates from 1 beyond {TRACE_TOL}")
+    return mat
+
+
+def _edge_population(pops: np.ndarray) -> float:
+    """Population of the two outermost sites (or the one site of a width-1 window)."""
+    return float(pops[0] + pops[-1]) if len(pops) > 1 else float(pops[0])
 
 
 @dataclass(frozen=True)
@@ -110,16 +132,11 @@ class PureState:
             raise StateError(f"state norm^2 = {norm2!r} deviates from 1 beyond {NORM_TOL}")
         object.__setattr__(self, "amplitudes", amps)
 
-    def to_vector(self) -> np.ndarray:
-        """Flat composite vector, site-major spin-minor."""
-        return self.amplitudes.reshape(-1).copy()
-
     def site_populations(self) -> np.ndarray:
         return np.sum(np.abs(self.amplitudes) ** 2, axis=1)
 
     def boundary_population(self) -> float:
-        pops = self.site_populations()
-        return float(pops[0] + pops[-1]) if self.window.width > 1 else float(pops[0])
+        return _edge_population(self.site_populations())
 
 
 @dataclass(frozen=True)
@@ -135,19 +152,7 @@ class DensityOperator:
     matrix: np.ndarray
 
     def __post_init__(self):
-        mat = _frozen(self.matrix)
-        d = self.window.dim
-        if mat.shape != (d, d):
-            raise StateError(f"matrix must have shape ({d}, {d}), got {mat.shape}")
-        if not np.all(np.isfinite(mat.view(float))):
-            raise StateError("matrix contains non-finite entries")
-        herm = np.max(np.abs(mat - mat.conj().T))
-        if herm > HERMITICITY_TOL:
-            raise StateError(f"matrix deviates from Hermiticity by {herm:.3e}")
-        tr = complex(np.trace(mat))
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise StateError(f"trace {tr!r} deviates from 1 beyond {TRACE_TOL}")
-        object.__setattr__(self, "matrix", mat)
+        object.__setattr__(self, "matrix", _checked_operator(self.matrix, self.window.dim))
 
     def blocks(self) -> np.ndarray:
         """View of the matrix as [site, spin, site', spin']."""
@@ -159,8 +164,7 @@ class DensityOperator:
         return diag.reshape(self.window.width, 2).sum(axis=1)
 
     def boundary_population(self) -> float:
-        pops = self.site_populations()
-        return float(pops[0] + pops[-1]) if self.window.width > 1 else float(pops[0])
+        return _edge_population(self.site_populations())
 
     def purity(self) -> float:
         return float(np.real(np.vdot(self.matrix, self.matrix)))
@@ -168,10 +172,10 @@ class DensityOperator:
     def min_eigenvalue(self) -> float:
         return float(np.linalg.eigvalsh(self.matrix)[0])
 
-    def assert_positive(self, tol: float = 1e-10) -> None:
+    def assert_positive(self) -> None:
         lo = self.min_eigenvalue()
-        if lo < -tol:
-            raise StateError(f"density operator has eigenvalue {lo:.3e} below -{tol}")
+        if lo < -POSITIVITY_TOL:
+            raise StateError(f"density operator has eigenvalue {lo:.3e} below -{POSITIVITY_TOL}")
 
 
 @dataclass(frozen=True)
@@ -182,17 +186,7 @@ class LatticeDensity:
     matrix: np.ndarray
 
     def __post_init__(self):
-        mat = _frozen(self.matrix)
-        w = self.window.width
-        if mat.shape != (w, w):
-            raise StateError(f"matrix must have shape ({w}, {w}), got {mat.shape}")
-        herm = np.max(np.abs(mat - mat.conj().T))
-        if herm > HERMITICITY_TOL:
-            raise StateError(f"matrix deviates from Hermiticity by {herm:.3e}")
-        tr = complex(np.trace(mat))
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise StateError(f"trace {tr!r} deviates from 1 beyond {TRACE_TOL}")
-        object.__setattr__(self, "matrix", mat)
+        object.__setattr__(self, "matrix", _checked_operator(self.matrix, self.window.width))
 
 
 def density_from_pure(psi: PureState) -> DensityOperator:
@@ -217,13 +211,33 @@ def spin_trace(rho: DensityOperator) -> LatticeDensity:
     return LatticeDensity(rho.window, np.einsum("iaja->ij", rho.blocks()))
 
 
-def apply_spin_rotation(rho: DensityOperator, u) -> DensityOperator:
-    """Conjugate by I (x) u for a 2x2 unitary u acting on the spin factor."""
+# ---------------------------------------------------------------------------
+# Spin maps: a 4x4 map on the spin pair 2 a + b acts alike on every site-pair
+# block of a density operator and on every (m, k) cell of its Wigner matrix.
+# ---------------------------------------------------------------------------
+
+def _spin_pair_map(m4: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The 4x4 map m4 applied to the spin pair 2 a + b of every block values[..., a, b]."""
+    return (values.reshape(-1, 4) @ m4.T).reshape(values.shape)
+
+
+def _site_pair_map(m4: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """_spin_pair_map on every site-pair block of a composite-space matrix."""
+    blocks = rho.reshape(rho.shape[0] // 2, 2, -1, 2).swapaxes(1, 2)
+    return _spin_pair_map(m4, blocks).swapaxes(1, 2).reshape(rho.shape)
+
+
+def _rotation_map(u) -> np.ndarray:
+    """u (x) u*, the pair map of X -> u X u^+, for a 2x2 unitary u (DomainError otherwise)."""
     u = np.asarray(u, dtype=complex)
     if u.shape != (2, 2):
         raise DomainError(f"spin rotation must be 2x2, got shape {u.shape}")
     defect = np.max(np.abs(u @ u.conj().T - ID2))
-    if defect > UNITARITY_TOL:
+    if not defect <= UNITARITY_TOL:  # a NaN defect is refused too
         raise DomainError(f"matrix deviates from unitarity by {defect:.3e}")
-    rotated = np.einsum("ac,icjd,bd->iajb", u, rho.blocks(), u.conj())
-    return DensityOperator(rho.window, rotated.reshape(rho.window.dim, rho.window.dim))
+    return np.kron(u, u.conj())
+
+
+def apply_spin_rotation(rho: DensityOperator, u) -> DensityOperator:
+    """Conjugate by I (x) u for a 2x2 unitary u acting on the spin factor."""
+    return DensityOperator(rho.window, _site_pair_map(_rotation_map(u), rho.matrix))

@@ -26,13 +26,13 @@ import numpy as np
 
 from .errors import BoundaryLeakError, DomainError, WindowError
 from .grids import TWO_PI, KGrid
-from .states import DensityOperator, LatticeWindow
+from .states import DensityOperator, LatticeWindow, _rotation_map, _spin_pair_map
 from .wigner import WignerMatrix, edge_weight
 
-#: Default tolerance for "the boundary sites must be empty" checks.  One walk
-#: step moves population one site, so anything parked on the outermost sites
-#: would be lost through the hard wall.
-DEFAULT_BOUNDARY_TOL = 1e-12
+#: Tolerance of the "the boundary sites must be empty" checks.  One walk step
+#: moves population one site, so anything parked on the outermost sites would
+#: be lost through the hard wall.
+BOUNDARY_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -79,18 +79,7 @@ def walk_unitary(theta: float, window: LatticeWindow) -> np.ndarray:
     return shift @ coin_full
 
 
-def _check_state_slack(rho: DensityOperator, tol: float) -> None:
-    edge = rho.boundary_population()
-    if edge > tol:
-        raise BoundaryLeakError(
-            f"boundary sites hold population {edge:.3e} > {tol}; "
-            "a walk step needs one empty site at each wall"
-        )
-
-
-def qw_step_state(
-    rho: DensityOperator, coin: CoinSpec, boundary_tol: float = DEFAULT_BOUNDARY_TOL
-) -> DensityOperator:
+def qw_step_state(rho: DensityOperator, coin: CoinSpec) -> DensityOperator:
     """One walk step rho -> U rho U+ in state space, O(W^2).
 
     U is applied to rho, then to the adjoint of the product, which applies
@@ -98,7 +87,12 @@ def qw_step_state(
     """
     if rho.window.width < 3:
         raise WindowError("walk needs a window of at least three sites")
-    _check_state_slack(rho, boundary_tol)
+    edge = rho.boundary_population()
+    if edge > BOUNDARY_TOL:
+        raise BoundaryLeakError(
+            f"boundary sites hold population {edge:.3e} > {BOUNDARY_TOL}; "
+            "a walk step needs one empty site at each wall"
+        )
     c = coin_operator(coin.theta)
     return DensityOperator(rho.window, _walk_rows(_walk_rows(rho.matrix, c).conj().T, c).conj().T)
 
@@ -113,21 +107,18 @@ def _walk_rows(mat: np.ndarray, c: np.ndarray) -> np.ndarray:
     return out.reshape(mat.shape)
 
 
-def qw_step_wigner(
-    w: WignerMatrix, coin: CoinSpec, boundary_tol: float = DEFAULT_BOUNDARY_TOL
-) -> WignerMatrix:
+def qw_step_wigner(w: WignerMatrix, coin: CoinSpec) -> WignerMatrix:
     """One walk step on the Wigner field: one coin conjugation per cell, O(n_m n_k)."""
     vals = w.values
     if vals.shape[0] < 5:
         raise WindowError("walk recursion needs at least five m-rows")
     edge = edge_weight(w)
-    if edge > boundary_tol:
+    if edge > BOUNDARY_TOL:
         raise BoundaryLeakError(
-            f"outer m-rows hold weight {edge:.3e} > {boundary_tol}; "
+            f"outer m-rows hold weight {edge:.3e} > {BOUNDARY_TOL}; "
             "the recursion shifts m by two units"
         )
-    c = coin_operator(coin.theta)
-    y = (vals.reshape(-1, 4) @ np.kron(c, c.conj()).T).reshape(vals.shape)
+    y = _spin_pair_map(_rotation_map(coin_operator(coin.theta)), vals)
     phase = np.exp(-2j * w.kgrid.points)
     out = np.zeros_like(vals)
     out[:-2, :, 0, 0] = y[2:, :, 0, 0]  # M_L W(m+2, k) M_L+
@@ -174,20 +165,17 @@ def iterated_cat_wigner(
         raise DomainError(f"p must lie in [0, 1], got {p!r}")
     if t < 0 or int(t) != t:
         raise DomainError(f"t must be a non-negative integer, got {t!r}")
-    for site in (n1, n2):
-        if not window.contains(site):
-            raise WindowError(f"site {site} outside window")
+    i1, i2 = window.index(n1), window.index(n2)
     k = kgrid.points
     vals = np.zeros((2 * window.width - 1, kgrid.n_k, 2, 2), dtype=complex)
-    m_min = 2 * window.n_min
     pref = 1.0 / (2.0 * TWO_PI)
     damp = (1.0 - p) ** int(t)
-    vals[2 * n1 - m_min, :, 0, 0] = pref
-    vals[2 * n2 - m_min, :, 1, 1] = pref
-    cross = n1 + n2 - m_min
+    vals[2 * i1, :, 0, 0] = pref
+    vals[2 * i2, :, 1, 1] = pref
+    cross = i1 + i2
     vals[cross, :, 0, 1] = pref * damp * np.exp(-1j * k * (n1 - n2))
     vals[cross, :, 1, 0] = pref * damp * np.exp(1j * k * (n1 - n2))
-    return WignerMatrix(m_min, 2 * window.n_max, kgrid, vals)
+    return WignerMatrix(2 * window.n_min, 2 * window.n_max, kgrid, vals)
 
 
 def walk_trajectory(
@@ -197,7 +185,6 @@ def walk_trajectory(
     noise: Optional[ProjectiveNoiseSpec] = None,
     include_walk: bool = True,
     snapshot_steps: Optional[Sequence[int]] = None,
-    boundary_tol: float = DEFAULT_BOUNDARY_TOL,
 ):
     """Iterate walk and/or noise steps, collecting snapshots.
 
@@ -220,7 +207,7 @@ def walk_trajectory(
         wanted = wanted[1:]
     for step in range(1, steps + 1):
         if include_walk:
-            rho = qw_step_state(rho, coin, boundary_tol)
+            rho = qw_step_state(rho, coin)
         if noise is not None:
             rho = projective_map(rho, noise)
         if wanted and wanted[0] == step:

@@ -18,7 +18,7 @@ points, whose k-integral vanishes for any state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,11 +29,14 @@ from .states import (
     LatticeDensity,
     LatticeWindow,
     PureState,
-    UNITARITY_TOL,
-    ID2,
+    _rotation_map,
+    _spin_pair_map,
 )
 
 INV_TWO_PI = 1.0 / TWO_PI
+
+#: Largest |k-integral| an odd m-row of a state-derived field may carry.
+ODD_ROW_TOL = 1e-10
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -43,22 +46,22 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class WignerMatrix:
-    """2x2-Hermitian-matrix-valued field on the (m, k) grid.
-
-    values[i, j] is the 2x2 spin block at m = m_min + i and k = kgrid.points[j].
-    """
+class _Field:
+    """Finite field on the (m, k) grid: values[i, j] sits at m = m_min + i and
+    k = kgrid.points[j], with trailing axes of the class's spin_shape."""
 
     m_min: int
     m_max: int
     kgrid: KGrid
     values: np.ndarray
 
+    spin_shape = ()
+
     def __post_init__(self):
         vals = _frozen(self.values)
         if self.m_min > self.m_max:
             raise GridError(f"m_min={self.m_min} > m_max={self.m_max}")
-        expected = (self.m_max - self.m_min + 1, self.kgrid.n_k, 2, 2)
+        expected = (self.m_max - self.m_min + 1, self.kgrid.n_k) + self.spin_shape
         if vals.shape != expected:
             raise GridError(f"values must have shape {expected}, got {vals.shape}")
         if not np.all(np.isfinite(vals.view(float))):
@@ -72,6 +75,16 @@ class WignerMatrix:
     @property
     def m_values(self) -> np.ndarray:
         return np.arange(self.m_min, self.m_max + 1)
+
+
+@dataclass(frozen=True)
+class WignerMatrix(_Field):
+    """2x2-Hermitian-matrix-valued field on the (m, k) grid.
+
+    values[i, j] is the 2x2 spin block at m = m_min + i and k = kgrid.points[j].
+    """
+
+    spin_shape = (2, 2)
 
     def m_index(self, m: int) -> int:
         if not self.m_min <= m <= self.m_max:
@@ -90,28 +103,8 @@ class WignerMatrix:
 
 
 @dataclass(frozen=True)
-class ScalarWigner:
+class ScalarWigner(_Field):
     """Spinless (or spin-traced) Wigner function on the same grid layout."""
-
-    m_min: int
-    m_max: int
-    kgrid: KGrid
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = _frozen(self.values)
-        expected = (self.m_max - self.m_min + 1, self.kgrid.n_k)
-        if vals.shape != expected:
-            raise GridError(f"values must have shape {expected}, got {vals.shape}")
-        object.__setattr__(self, "values", vals)
-
-    @property
-    def n_m(self) -> int:
-        return self.m_max - self.m_min + 1
-
-    @property
-    def m_values(self) -> np.ndarray:
-        return np.arange(self.m_min, self.m_max + 1)
 
 
 def _require_grid(window: LatticeWindow, kgrid: KGrid) -> None:
@@ -196,7 +189,7 @@ def scalar_wigner_of_lattice(rho_l: LatticeDensity, kgrid: KGrid) -> ScalarWigne
 # Marginals, pairing, reconstruction
 # ---------------------------------------------------------------------------
 
-def marginal_position(w: WignerMatrix, odd_tol: float = 1e-10):
+def marginal_position(w: WignerMatrix):
     """k-integral of W: spin-resolved site blocks.
 
     Returns (sites, blocks) where blocks[i] is the 2x2 spin matrix
@@ -208,7 +201,7 @@ def marginal_position(w: WignerMatrix, odd_tol: float = 1e-10):
         raise GridError("position marginal expects an even m_min")
     integrals = w.kgrid.weight * w.values.sum(axis=1)
     odd = np.max(np.abs(integrals[1::2])) if w.n_m > 1 else 0.0
-    if odd > odd_tol:
+    if odd > ODD_ROW_TOL:
         raise DomainError(f"odd-m k-integrals reach {odd:.3e}; input is not state-like")
     sites = w.m_values[::2] // 2
     return sites, integrals[::2]
@@ -257,13 +250,7 @@ def spin_trace_wigner(w: WignerMatrix) -> ScalarWigner:
 
 def apply_spin_rotation_wigner(w: WignerMatrix, u) -> WignerMatrix:
     """Rotate every 2x2 block as u W u+ (image of a spin-space rotation)."""
-    u = np.asarray(u, dtype=complex)
-    if u.shape != (2, 2):
-        raise DomainError(f"spin rotation must be 2x2, got shape {u.shape}")
-    defect = np.max(np.abs(u @ u.conj().T - ID2))
-    if defect > UNITARITY_TOL:
-        raise DomainError(f"matrix deviates from unitarity by {defect:.3e}")
-    return w.with_values(np.einsum("ac,mkcd,bd->mkab", u, w.values, u.conj()))
+    return w.with_values(_spin_pair_map(_rotation_map(u), w.values))
 
 
 # ---------------------------------------------------------------------------

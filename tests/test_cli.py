@@ -372,6 +372,48 @@ class TestConfigBlocks:
         assert not (tmp_path / "o").exists()
 
 
+UNKNOWN_KEYS = [
+    (_set(("outptus",), {"directory": "out"}), "config.outptus"),
+    (_set(("window", "n_mx"), 10), "window.n_mx"),
+    (_set(("dynamics", "methd"), "rk4"), "dynamics.methd"),
+    (_set(("dynamics",), {"kind": "walk", "theta": 0.0, "steps": 2, "snapshot_step": [0, 2]}), "dynamics.snapshot_step"),
+    (_set(("dynamics", "hamiltonian", "spin_couple"), True), "dynamics.hamiltonian.spin_couple"),
+    (_set(("dynamics", "hamiltonian", "potential", "coeffs"), [0, 1]), "dynamics.hamiltonian.potential.coeffs"),
+    (_set(("dynamics", "noise", "lindblad", 0, "gama"), 0.1), "dynamics.noise.lindblad[0].gama"),
+    (_set(("tolerances", "two_paht"), 1e-12), "tolerances.two_paht"),
+]
+
+
+class TestUnknownKeys:
+    @pytest.mark.parametrize("edit, field", UNKNOWN_KEYS, ids=[f for _, f in UNKNOWN_KEYS])
+    def test_refused_with_its_path(self, tmp_path, capsys, edit, field):
+        doc = continuous_config()
+        edit(doc)
+        cfg = write_config(tmp_path, doc)
+        command = "walk" if doc["dynamics"]["kind"] == "walk" else "evolve"
+        for argv in (["validate", "--config", cfg], [command, "--config", cfg, "--out", str(tmp_path / "o")]):
+            assert main(argv) == 2
+            (line,) = "".join(capsys.readouterr()).splitlines()
+            assert f"{field} is not a key of " in line
+        assert not (tmp_path / "o").exists()
+
+
+def test_polynomial_with_zero_constant_is_linear(tmp_path):
+    runs = []
+    for name, potential in (
+        ("linear", {"kind": "linear", "slope": 1}),
+        ("polynomial", {"kind": "polynomial", "coeffs": [0, 1]}),
+    ):
+        doc = continuous_config(method="closed_form")
+        doc["dynamics"]["hamiltonian"]["potential"] = potential
+        out = tmp_path / name
+        assert main(["evolve", "--config", write_config(tmp_path, doc), "--out", str(out), "--quiet"]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        files = {f: (out / f).read_bytes() for f in manifest["files"]}
+        runs.append((files, manifest["diagnostics"]))
+    assert runs[0] == runs[1]
+
+
 def narrow_window(doc):
     """The config on a 25-site window (n_k 52)."""
     doc.update(window={"n_min": -12, "n_max": 12, "a": 1.0}, kgrid={"n_k": 52})

@@ -58,8 +58,6 @@ def einsum_dissipator(rho, channels, width):
 def negate_potential(pot):
     if pot is None:
         return None
-    if pot.kind == "linear":
-        return Potential.linear(-pot.slope)
     return Potential.polynomial(tuple(-c for c in pot.coeffs))
 
 
@@ -120,6 +118,14 @@ class TestHamiltonianSpec:
     def test_linear_needs_nonzero_slope(self):
         with pytest.raises(DomainError):
             Potential.linear(0.0)
+
+    def test_linear_exactly_for_zero_constant_and_nonzero_slope(self):
+        assert Potential.polynomial([0, 1.5]) == Potential.linear(1.5)
+        assert Potential.polynomial([0, 1.5]).is_linear
+        for coeffs in ([0.2, 1.5], [0.0, 0.0], [0.0, 1.5, 0.0], [1.5]):
+            assert not Potential.polynomial(coeffs).is_linear
+            with pytest.raises(DomainError):
+                HamiltonianSpec(1.0, Potential.polynomial(coeffs)).lambda_a(LatticeWindow(-2, 2))
 
 
 class TestVonNeumannRK4:

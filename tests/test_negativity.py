@@ -9,6 +9,7 @@ from lattice_wigner import (
     DoubleDeltaSpec,
     KGrid,
     LatticeWindow,
+    StateError,
     WernerSpec,
     apply_spin_rotation_wigner,
     cat_state,
@@ -132,6 +133,13 @@ class TestScalarNegativity:
         vals = np.full((2 * WINDOW.width - 1, GRID.n_k), 1j, dtype=complex)
         with pytest.raises(DomainError):
             scalar_negativity(ScalarWigner(2 * WINDOW.n_min, 2 * WINDOW.n_max, GRID, vals))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_field_rejected(self, value):
+        vals = spinless_double_delta_wigner(-2, 3, 1.0, WINDOW, GRID).values.copy()
+        vals[5, 7] = value
+        with pytest.raises(StateError):
+            ScalarWigner(2 * WINDOW.n_min, 2 * WINDOW.n_max, GRID, vals)
 
 
 class TestTimeseries:

@@ -6,17 +6,21 @@ import pytest
 from lattice_wigner import (
     DensityOperator,
     DomainError,
+    KGrid,
+    LatticeDensity,
     LatticeWindow,
     PureState,
     StateError,
     TwoGaussianSpec,
     WindowError,
     apply_spin_rotation,
+    apply_spin_rotation_wigner,
     density_from_pure,
     gaussian_lattice_state,
     product_density,
     spin_trace,
     two_gaussian_state,
+    wigner_of_density,
 )
 from lattice_wigner.states import PAULI_X, SPIN_VECTORS, lattice_density_from_amplitudes
 
@@ -110,6 +114,13 @@ class TestDensityValidation:
         with pytest.raises(StateError):
             rho.assert_positive()
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_lattice_density_non_finite_rejected(self, small_window, value):
+        mat = np.eye(small_window.width, dtype=complex) / small_window.width
+        mat[0, 1] = mat[1, 0] = value
+        with pytest.raises(StateError):
+            LatticeDensity(small_window, mat)
+
     def test_random_density_is_valid(self, small_window, rng):
         rho = random_density(small_window, rng)
         rho.assert_positive()
@@ -165,6 +176,20 @@ class TestSpinRotation:
         rho = random_density(small_window, rng)
         with pytest.raises(DomainError):
             apply_spin_rotation(rho, np.array([[1.0, 0.1], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize("u", [[[1.0, 0.1], [0.0, 1.0]], [[math.nan, 0.0], [0.0, 1.0]]])
+    def test_non_unitary_rejected_by_wigner_rotation(self, small_window, rng, u):
+        w = wigner_of_density(random_density(small_window, rng), KGrid(2 * small_window.width + 1))
+        with pytest.raises(DomainError):
+            apply_spin_rotation_wigner(w, np.array(u))
+
+    def test_wigner_rotation_is_the_state_rotation(self, small_window, rng):
+        grid = KGrid(2 * small_window.width + 2)
+        for _ in range(5):
+            rho, u = random_density(small_window, rng), random_su2(rng)
+            got = apply_spin_rotation_wigner(wigner_of_density(rho, grid), u)
+            want = wigner_of_density(apply_spin_rotation(rho, u), grid)
+            assert np.max(np.abs(got.values - want.values)) <= 1e-14
 
 
 def test_lattice_density_normalizes():
