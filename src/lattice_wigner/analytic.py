@@ -4,6 +4,9 @@ Every closed form here doubles as a golden reference for the numerical
 transform: the test suite checks each one against the transform of the
 explicitly constructed state.
 
+The other closed forms are short sums of one site-pair kernel: the Wigner
+matrix of |n,a><n',b| is (1/2pi) delta_{m,n+n'} e^{-ik(n-n')} in entry ab.
+
 The Gaussian closed forms are theta-function series.  Writing them as
 W_l(m, k) ~ exp(-(l - m/2)^2 / sigma^2) * theta_3(k + i m / (2 sigma^2), q)
 is numerically treacherous: the theta factor grows like exp(m^2/(4 sigma^2))
@@ -12,7 +15,7 @@ prefactor into the theta summand, giving the equivalent, overflow-free series
 
     sum_n exp(-(n - c)^2 / sigma^2) * e^{-i (2n - m) k}
 
-with a shifted center c, whose terms are all bounded by one.
+with a shifted center c, whose terms are all bounded by one (see _gauss_ridge).
 """
 
 from __future__ import annotations
@@ -26,6 +29,9 @@ from .errors import DomainError, WindowError
 from .grids import TWO_PI, KGrid
 from .special import theta3
 from .states import (
+    HERMITICITY_TOL,
+    NORM_TOL,
+    TRACE_TOL,
     DensityOperator,
     LatticeDensity,
     LatticeWindow,
@@ -93,21 +99,56 @@ class CatSpec:
     def __post_init__(self):
         if self.a_site == self.b_site:
             raise DomainError("cat state requires two distinct sites")
-        s1 = np.asarray(self.spin1, dtype=complex)
-        s2 = np.asarray(self.spin2, dtype=complex)
-        if s1.shape != (2,) or s2.shape != (2,):
-            raise DomainError("spin vectors must have two components")
-        for v in (s1, s2):
-            if abs(np.vdot(v, v) - 1.0) > 1e-12:
-                raise DomainError("spin vectors must be normalized")
-        if abs(np.vdot(s1, s2)) > 1e-12:
+        s1, s2 = self.spin_vectors()
+        if abs(np.vdot(s1, s2)) > NORM_TOL:
             raise DomainError("spin vectors must be orthogonal")
 
     def spin_vectors(self):
-        return (
-            np.asarray(self.spin1, dtype=complex),
-            np.asarray(self.spin2, dtype=complex),
-        )
+        return _spin_vector(self.spin1), _spin_vector(self.spin2)
+
+
+def _spin_vector(spin) -> np.ndarray:
+    """A pure spin state: a SPIN_VECTORS name, or two complex components of unit norm."""
+    if isinstance(spin, str):
+        if spin not in SPIN_VECTORS:
+            raise DomainError(f"unknown spin vector name {spin!r}")
+        return SPIN_VECTORS[spin]
+    vec = np.asarray(spin, dtype=complex)
+    if vec.shape != (2,):
+        raise DomainError("spin vector must have two components")
+    if abs(np.vdot(vec, vec) - 1.0) > NORM_TOL:
+        raise DomainError("spin vector must be normalized")
+    return vec
+
+
+# ---------------------------------------------------------------------------
+# Site-pair kernel
+# ---------------------------------------------------------------------------
+
+def site_pair_kernel(terms, window: LatticeWindow, kgrid: KGrid) -> np.ndarray:
+    """Wigner values[m, k, a, b] of sum c |n,a><n',b| over terms (n, a, n', b, c).
+
+    Each term is the one-term kernel (c/2pi) delta_{m,n+n'} e^{-ik(n-n')} in
+    entry ab.  Written out here, not taken from the transform, so that the
+    closed forms built on it stay an independent check of the transform.
+    """
+    vals = np.zeros((2 * window.width - 1, kgrid.n_k, 2, 2), dtype=complex)
+    for n, a, n2, b, c in terms:
+        row = window.index(n) + window.index(n2)
+        vals[row, :, a, b] += c / TWO_PI * np.exp(-1j * kgrid.points * (n - n2))
+    return vals
+
+
+def _two_site_terms(n1: int, a: int, n2: int, b: int, alpha: complex, cross: float = 1.0):
+    """Terms of |psi><psi| for psi = (|n1,a> + alpha |n2,b>)/sqrt(1+|alpha|^2),
+    with the two interference terms scaled by cross."""
+    norm = 1.0 / (1.0 + abs(alpha) ** 2)
+    return [
+        (n1, a, n1, a, norm),
+        (n2, b, n2, b, norm * abs(alpha) ** 2),
+        (n1, a, n2, b, cross * norm * np.conj(alpha)),
+        (n2, b, n1, a, cross * norm * alpha),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -115,15 +156,8 @@ class CatSpec:
 # ---------------------------------------------------------------------------
 
 def double_delta_state(spec: DoubleDeltaSpec, window: LatticeWindow) -> PureState:
-    amps = np.zeros((window.width, 2), dtype=complex)
-    norm = 1.0 / math.sqrt(1.0 + abs(spec.alpha) ** 2)
-    amps[window.index(spec.n1), 0] = norm
-    amps[window.index(spec.n2), 1] = norm * spec.alpha
-    return PureState(window, amps)
-
-
-def _empty_wm(window: LatticeWindow, kgrid: KGrid) -> np.ndarray:
-    return np.zeros((2 * window.width - 1, kgrid.n_k, 2, 2), dtype=complex)
+    """The cat state with the basis spins |0> and |1>."""
+    return cat_state(CatSpec(spec.n1, spec.n2, spec.alpha), window)
 
 
 def double_delta_wigner_closed(
@@ -135,15 +169,8 @@ def double_delta_wigner_closed(
     (spin-11 weight), and n1+n2, where the spin off-diagonal carries the
     interference phase e^{+-i k (n1 - n2)}.
     """
-    i1, i2 = window.index(spec.n1), window.index(spec.n2)
-    vals = _empty_wm(window, kgrid)
-    k = kgrid.points
-    norm = 1.0 / (TWO_PI * (1.0 + abs(spec.alpha) ** 2))
-    vals[2 * i1, :, 0, 0] = norm
-    vals[2 * i2, :, 1, 1] = norm * abs(spec.alpha) ** 2
-    vals[i1 + i2, :, 0, 1] = norm * np.conj(spec.alpha) * np.exp(-1j * k * (spec.n1 - spec.n2))
-    vals[i1 + i2, :, 1, 0] = norm * spec.alpha * np.exp(1j * k * (spec.n1 - spec.n2))
-    return WignerMatrix(2 * window.n_min, 2 * window.n_max, kgrid, vals)
+    terms = _two_site_terms(spec.n1, 0, spec.n2, 1, spec.alpha)
+    return WignerMatrix.on_window(window, kgrid, site_pair_kernel(terms, window, kgrid))
 
 
 def spinless_double_delta_wigner(
@@ -156,18 +183,9 @@ def spinless_double_delta_wigner(
     phase sign follows from e^{-i(2n-m)k} in the definition (the transform
     oracle in the tests pins it).
     """
-    if n1 == n2:
-        raise DomainError("double delta requires two distinct sites")
-    i1, i2 = window.index(n1), window.index(n2)
-    alpha = complex(alpha)
-    vals = np.zeros((2 * window.width - 1, kgrid.n_k), dtype=complex)
-    k = kgrid.points
-    norm = 1.0 / (TWO_PI * (1.0 + abs(alpha) ** 2))
-    vals[2 * i1, :] = norm
-    vals[2 * i2, :] += norm * abs(alpha) ** 2
-    phi = math.atan2(alpha.imag, alpha.real)
-    vals[i1 + i2, :] += norm * 2.0 * abs(alpha) * np.cos((n2 - n1) * k - phi)
-    return ScalarWigner(2 * window.n_min, 2 * window.n_max, kgrid, vals)
+    DoubleDeltaSpec(n1, n2, alpha)
+    vals = site_pair_kernel(_two_site_terms(n1, 0, n2, 0, alpha), window, kgrid)
+    return ScalarWigner.on_window(window, kgrid, vals[:, :, 0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -198,17 +216,7 @@ def gaussian_product_state(
 ) -> PureState:
     """Discretized Gaussian times a pure spin state (separable)."""
     _require_gaussian_fit(window, center, sigma)
-    if isinstance(spin, str):
-        try:
-            spin_vec = SPIN_VECTORS[spin]
-        except KeyError:
-            raise DomainError(f"unknown spin vector name {spin!r}") from None
-    else:
-        spin_vec = np.asarray(spin, dtype=complex)
-        if spin_vec.shape != (2,):
-            raise DomainError("spin vector must have two components")
-        if abs(np.vdot(spin_vec, spin_vec) - 1.0) > 1e-12:
-            raise DomainError("spin vector must be normalized")
+    spin_vec = _spin_vector(spin)
     env = _gaussian_envelope(window, center, sigma)
     env = env / math.sqrt(float(np.sum(env * env)))
     return PureState(window, env[:, None] * spin_vec[None, :])
@@ -250,6 +258,15 @@ def _gauss_ksum(center: float, sigma: float, m: int, k: np.ndarray) -> np.ndarra
     return weights @ np.exp(-1j * np.outer(2 * ns - m, k))
 
 
+def _gauss_ridge(c: float, d: float, sigma: float, window: LatticeWindow, kgrid: KGrid):
+    """Rows exp(-(c - m/2)^2/sigma^2) * _gauss_ksum(m/2 + d) over the window's m range."""
+    return np.array([
+        math.exp(-((c - 0.5 * m) ** 2) / (sigma * sigma))
+        * _gauss_ksum(0.5 * m + d, sigma, m, kgrid.points)
+        for m in range(2 * window.n_min, 2 * window.n_max + 1)
+    ])
+
+
 def two_gaussian_wigner_closed(
     spec: TwoGaussianSpec, window: LatticeWindow, kgrid: KGrid
 ) -> WignerMatrix:
@@ -261,40 +278,19 @@ def two_gaussian_wigner_closed(
     infinite-lattice theta constant.
     """
     a, b, sigma = spec.a_center, spec.b_center, spec.sigma
-    n2 = gaussian_norm_constant(sigma)
-    pref = 1.0 / (2.0 * TWO_PI * n2)
-    k = kgrid.points
-    vals = _empty_wm(window, kgrid)
-    inv_s2 = 1.0 / (sigma * sigma)
-    for i in range(vals.shape[0]):
-        m = 2 * window.n_min + i
-        half = 0.5 * m
-        vals[i, :, 0, 0] = pref * math.exp(-((a - half) ** 2) * inv_s2) * _gauss_ksum(half, sigma, m, k)
-        vals[i, :, 1, 1] = pref * math.exp(-((b - half) ** 2) * inv_s2) * _gauss_ksum(half, sigma, m, k)
-        off = (
-            pref
-            * math.exp(-((m - a - b) ** 2) * inv_s2 / 4.0)
-            * _gauss_ksum(0.5 * (a + m - b), sigma, m, k)
-        )
-        vals[i, :, 0, 1] = off
-        vals[i, :, 1, 0] = np.conj(off)
-    return WignerMatrix(2 * window.n_min, 2 * window.n_max, kgrid, vals)
+    pref = 1.0 / (2.0 * TWO_PI * gaussian_norm_constant(sigma))
+    aa, bb = (pref * _gauss_ridge(c, 0.0, sigma, window, kgrid) for c in (a, b))
+    ab = pref * _gauss_ridge(0.5 * (a + b), 0.5 * (a - b), sigma, window, kgrid)
+    vals = np.stack([np.stack([aa, ab], axis=-1), np.stack([ab.conj(), bb], axis=-1)], axis=-2)
+    return WignerMatrix.on_window(window, kgrid, vals)
 
 
 def gaussian_scalar_wigner(
     center: int, sigma: float, window: LatticeWindow, kgrid: KGrid
 ) -> ScalarWigner:
     """Closed-form scalar Wigner function of a single lattice Gaussian."""
-    n2 = gaussian_norm_constant(sigma)
-    pref = 1.0 / (TWO_PI * n2)
-    k = kgrid.points
-    vals = np.zeros((2 * window.width - 1, kgrid.n_k), dtype=complex)
-    inv_s2 = 1.0 / (sigma * sigma)
-    for i in range(vals.shape[0]):
-        m = 2 * window.n_min + i
-        half = 0.5 * m
-        vals[i] = pref * math.exp(-((center - half) ** 2) * inv_s2) * _gauss_ksum(half, sigma, m, k)
-    return ScalarWigner(2 * window.n_min, 2 * window.n_max, kgrid, vals)
+    ridge = _gauss_ridge(center, 0.0, sigma, window, kgrid)
+    return ScalarWigner.on_window(window, kgrid, ridge / (TWO_PI * gaussian_norm_constant(sigma)))
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +302,8 @@ def product_wigner(w_l: ScalarWigner, rho_s) -> WignerMatrix:
     rho_s = np.asarray(rho_s, dtype=complex)
     if rho_s.shape != (2, 2):
         raise DomainError("spin state must be a 2x2 matrix")
-    if np.max(np.abs(rho_s - rho_s.conj().T)) > 1e-12 or abs(np.trace(rho_s) - 1.0) > 1e-12:
+    herm = np.max(np.abs(rho_s - rho_s.conj().T))
+    if herm > HERMITICITY_TOL or abs(np.trace(rho_s) - 1.0) > TRACE_TOL:
         raise DomainError("spin state must be Hermitian with unit trace")
     vals = w_l.values[:, :, None, None] * rho_s[None, None, :, :]
     return WignerMatrix(w_l.m_min, w_l.m_max, w_l.kgrid, vals)
@@ -347,17 +344,15 @@ def werner_wigner(spec: WernerSpec, window: LatticeWindow, kgrid: KGrid) -> Wign
     (z/2) W_ba, which keeps the field Hermitian.
     """
     a, b, z = spec.a_site, spec.b_site, spec.z
-    ia, ib = window.index(a), window.index(b)
-    vals = _empty_wm(window, kgrid)
-    k = kgrid.points
-    inv2pi = 1.0 / TWO_PI
-    vals[2 * ia, :, 0, 0] += (1.0 + z) / 4.0 * inv2pi
-    vals[2 * ib, :, 0, 0] += (1.0 - z) / 4.0 * inv2pi
-    vals[2 * ia, :, 1, 1] += (1.0 - z) / 4.0 * inv2pi
-    vals[2 * ib, :, 1, 1] += (1.0 + z) / 4.0 * inv2pi
-    vals[ia + ib, :, 0, 1] = 0.5 * z * inv2pi * np.exp(-1j * k * (a - b))
-    vals[ia + ib, :, 1, 0] = 0.5 * z * inv2pi * np.exp(-1j * k * (b - a))
-    return WignerMatrix(2 * window.n_min, 2 * window.n_max, kgrid, vals)
+    terms = [
+        (a, 0, a, 0, (1.0 + z) / 4.0),
+        (b, 0, b, 0, (1.0 - z) / 4.0),
+        (a, 1, a, 1, (1.0 - z) / 4.0),
+        (b, 1, b, 1, (1.0 + z) / 4.0),
+        (a, 0, b, 1, 0.5 * z),
+        (b, 1, a, 0, 0.5 * z),
+    ]
+    return WignerMatrix.on_window(window, kgrid, site_pair_kernel(terms, window, kgrid))
 
 
 def cat_state(spec: CatSpec, window: LatticeWindow) -> PureState:

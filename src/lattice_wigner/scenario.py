@@ -31,6 +31,7 @@ from .analytic import (
     werner_density,
 )
 from .continuous import (
+    _MAX_STEPS,
     DEFAULT_EPS_BOUNDARY,
     HamiltonianSpec,
     NoiseSpec,
@@ -60,6 +61,7 @@ from .states import (
 from .walk import CoinSpec, ProjectiveNoiseSpec, walk_trajectory
 from .wigner import (
     WignerMatrix,
+    _require_grid,
     edge_weight,
     hermiticity_defect,
     marginal_momentum,
@@ -280,8 +282,8 @@ def _parse_walk(doc: dict, where: str) -> WalkDynamics:
     _known(doc, where, "kind theta steps mode noise snapshot_steps")
     theta = _as_number(_need(doc, "theta", where), f"{where}.theta")
     steps = _as_int(_need(doc, "steps", where), f"{where}.steps")
-    if steps < 0:
-        raise ConfigError(f"{where}.steps must be >= 0")
+    if not 0 <= steps <= _MAX_STEPS:
+        raise ConfigError(f"{where}.steps must lie in [0, {_MAX_STEPS}], got {steps}")
     mode = doc.get("mode", "walk")
     if mode not in ("walk", "noise_only"):
         raise ConfigError(f"{where}.mode must be 'walk' or 'noise_only', got {mode!r}")
@@ -332,7 +334,7 @@ def parse_config(doc: dict) -> ScenarioConfig:
     n_k = _as_int(_need(kdoc, "n_k", "kgrid"), "kgrid.n_k")
     try:
         kgrid = KGrid(n_k)
-    except ValueError as exc:  # GridError, or numpy refusing an n_k past its array size limit
+    except (ValueError, MemoryError) as exc:  # GridError, or numpy refusing an n_k too large
         raise ConfigError(f"kgrid.n_k: {exc}") from exc
     sdoc = _known(_need(doc, "state", "config"), "state", "name params")
     name = _need(sdoc, "name", "state")
@@ -444,10 +446,19 @@ def _preflight(cfg: ScenarioConfig) -> tuple:
     """
     diags = []
     rho0 = w0 = None
-    state = _attempt(diags, "state", build_state, cfg.state_name, cfg.state_params, cfg.window)
-    if state is not None:
-        rho0 = density_from_pure(state) if isinstance(state, PureState) else state
-        w0 = _attempt(diags, "kgrid.n_k", wigner_of_density, rho0, cfg.kgrid)
+    _attempt(diags, "kgrid.n_k", _require_grid, cfg.window, cfg.kgrid)
+    if not diags:  # the state is built only on a grid that can hold its transform
+        try:
+            state = _attempt(
+                diags, "state", build_state, cfg.state_name, cfg.state_params, cfg.window
+            )
+            if state is not None:
+                rho0 = density_from_pure(state) if isinstance(state, PureState) else state
+                w0 = wigner_of_density(rho0, cfg.kgrid)
+        except MemoryError as exc:
+            rho0 = None
+            span = f"[{cfg.window.n_min}, {cfg.window.n_max}]"
+            diags.append(Diagnostic("error", f"window: {span} too wide to allocate the state: {exc}"))
 
     dyn = cfg.dynamics
     if isinstance(dyn, ContinuousDynamics):

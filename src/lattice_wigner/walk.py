@@ -24,8 +24,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .analytic import DoubleDeltaSpec, _two_site_terms, site_pair_kernel
 from .errors import BoundaryLeakError, DomainError, WindowError
-from .grids import TWO_PI, KGrid
+from .grids import KGrid
 from .states import DensityOperator, LatticeWindow, _rotation_map, _spin_pair_map
 from .wigner import WignerMatrix, edge_weight
 
@@ -159,23 +160,12 @@ def iterated_cat_wigner(
     identically for spin-basis and site-basis projections (the state is
     maximally entangled between the two factors).
     """
-    if n1 == n2:
-        raise DomainError("cat requires two distinct sites")
-    if not (0.0 <= p <= 1.0):
-        raise DomainError(f"p must lie in [0, 1], got {p!r}")
+    DoubleDeltaSpec(n1, n2)
+    ProjectiveNoiseSpec(p)
     if t < 0 or int(t) != t:
         raise DomainError(f"t must be a non-negative integer, got {t!r}")
-    i1, i2 = window.index(n1), window.index(n2)
-    k = kgrid.points
-    vals = np.zeros((2 * window.width - 1, kgrid.n_k, 2, 2), dtype=complex)
-    pref = 1.0 / (2.0 * TWO_PI)
-    damp = (1.0 - p) ** int(t)
-    vals[2 * i1, :, 0, 0] = pref
-    vals[2 * i2, :, 1, 1] = pref
-    cross = i1 + i2
-    vals[cross, :, 0, 1] = pref * damp * np.exp(-1j * k * (n1 - n2))
-    vals[cross, :, 1, 0] = pref * damp * np.exp(1j * k * (n1 - n2))
-    return WignerMatrix(2 * window.n_min, 2 * window.n_max, kgrid, vals)
+    terms = _two_site_terms(n1, 0, n2, 1, 1.0, (1.0 - p) ** int(t))
+    return WignerMatrix.on_window(window, kgrid, site_pair_kernel(terms, window, kgrid))
 
 
 def walk_trajectory(

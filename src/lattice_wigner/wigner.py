@@ -31,6 +31,7 @@ from .states import (
     PureState,
     _rotation_map,
     _spin_pair_map,
+    density_from_pure,
 )
 
 INV_TWO_PI = 1.0 / TWO_PI
@@ -67,6 +68,11 @@ class _Field:
         if not np.all(np.isfinite(vals.view(float))):
             raise StateError("Wigner values contain non-finite entries")
         object.__setattr__(self, "values", vals)
+
+    @classmethod
+    def on_window(cls, window: LatticeWindow, kgrid: KGrid, values):
+        """The field of a window's operators: m runs over [2 n_min, 2 n_max]."""
+        return cls(2 * window.n_min, 2 * window.n_max, kgrid, values)
 
     @property
     def n_m(self) -> int:
@@ -131,8 +137,8 @@ def _pair_map(width: int, n_k: int):
     return p + q, d % n_k, np.where(d % 2 == 0, 1.0, -1.0)
 
 
-def _transform_blocks(blocks: np.ndarray, window: LatticeWindow, kgrid: KGrid) -> np.ndarray:
-    """Shared kernel: blocks[n, a, n', b] -> values[m, k, a, b].
+def _transform_blocks(blocks: np.ndarray, window: LatticeWindow, kgrid: KGrid) -> WignerMatrix:
+    """Shared kernel: blocks[n, a, n', b] -> the WignerMatrix values[m, k, a, b].
 
     Each pair's block is placed at its (m, d mod n_k) cell with the sign
     (-1)^d, then one FFT along k sums every row's modes |2n-m| <= W-1.
@@ -141,24 +147,17 @@ def _transform_blocks(blocks: np.ndarray, window: LatticeWindow, kgrid: KGrid) -
     rows, cols, sign = _pair_map(window.width, kgrid.n_k)
     coeffs = np.zeros((2 * window.width - 1, kgrid.n_k, 2, 2), dtype=complex)
     coeffs[rows, cols] = sign[:, :, None, None] * blocks.transpose(0, 2, 1, 3)
-    return INV_TWO_PI * np.fft.fft(coeffs, axis=1)
+    return WignerMatrix.on_window(window, kgrid, INV_TWO_PI * np.fft.fft(coeffs, axis=1))
 
 
 def wigner_of_density(rho: DensityOperator, kgrid: KGrid) -> WignerMatrix:
     """Forward transform of a density operator."""
-    vals = _transform_blocks(rho.blocks(), rho.window, kgrid)
-    return WignerMatrix(2 * rho.window.n_min, 2 * rho.window.n_max, kgrid, vals)
+    return _transform_blocks(rho.blocks(), rho.window, kgrid)
 
 
 def wigner_of_pure(psi: PureState, kgrid: KGrid) -> WignerMatrix:
-    """Forward transform of a pure state from its spinor amplitudes.
-
-    Agrees with wigner_of_density(density_from_pure(psi)) to rounding.
-    """
-    a = psi.amplitudes
-    blocks = a[:, :, None, None] * a.conj()[None, None, :, :]  # [n, a, n', b]
-    vals = _transform_blocks(blocks, psi.window, kgrid)
-    return WignerMatrix(2 * psi.window.n_min, 2 * psi.window.n_max, kgrid, vals)
+    """Forward transform of a pure state: the transform of its projector."""
+    return wigner_of_density(density_from_pure(psi), kgrid)
 
 
 def wigner_of_operator(op, window: LatticeWindow, kgrid: KGrid) -> WignerMatrix:
@@ -172,8 +171,7 @@ def wigner_of_operator(op, window: LatticeWindow, kgrid: KGrid) -> WignerMatrix:
     if op.shape != (d, d):
         raise DomainError(f"operator must have shape ({d}, {d}), got {op.shape}")
     w = window.width
-    vals = _transform_blocks(op.reshape(w, 2, w, 2), window, kgrid)
-    return WignerMatrix(2 * window.n_min, 2 * window.n_max, kgrid, vals)
+    return _transform_blocks(op.reshape(w, 2, w, 2), window, kgrid)
 
 
 def scalar_wigner_of_lattice(rho_l: LatticeDensity, kgrid: KGrid) -> ScalarWigner:
@@ -181,8 +179,8 @@ def scalar_wigner_of_lattice(rho_l: LatticeDensity, kgrid: KGrid) -> ScalarWigne
     w = rho_l.window.width
     blocks = np.zeros((w, 2, w, 2), dtype=complex)
     blocks[:, 0, :, 0] = rho_l.matrix
-    vals = _transform_blocks(blocks, rho_l.window, kgrid)[:, :, 0, 0]
-    return ScalarWigner(2 * rho_l.window.n_min, 2 * rho_l.window.n_max, kgrid, vals)
+    vals = _transform_blocks(blocks, rho_l.window, kgrid).values[:, :, 0, 0]
+    return ScalarWigner.on_window(rho_l.window, kgrid, vals)
 
 
 # ---------------------------------------------------------------------------

@@ -28,9 +28,10 @@ from lattice_wigner import (
     werner_density,
     werner_wigner,
     wigner_of_density,
+    wigner_of_operator,
     wigner_of_pure,
 )
-from lattice_wigner.analytic import gaussian_norm_constant
+from lattice_wigner.analytic import gaussian_norm_constant, site_pair_kernel
 from lattice_wigner.states import DensityOperator, PureState
 
 from conftest import naive_scalar_wigner_values
@@ -79,6 +80,22 @@ class TestDoubleDelta:
         closed = double_delta_wigner_closed(DoubleDeltaSpec(-2, 3, 1.0), small_window, small_grid)
         i = closed.m_index(1)
         assert np.allclose(np.abs(closed.values[i, :, 0, 1]), 1.0 / (2 * TWO_PI), atol=1e-15)
+
+
+class TestSitePairKernel:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_operator_transform(self, small_window, small_grid, seed):
+        rng = np.random.default_rng(seed)
+        terms, op = [], np.zeros((small_window.dim, small_window.dim), dtype=complex)
+        for _ in range(rng.integers(1, 6)):
+            n, n2 = (int(s) for s in rng.choice(small_window.sites, size=2))
+            a, b = (int(s) for s in rng.integers(0, 2, size=2))
+            c = complex(rng.normal(), rng.normal())
+            terms.append((n, a, n2, b, c))
+            op[2 * small_window.index(n) + a, 2 * small_window.index(n2) + b] += c
+        kernel = site_pair_kernel(terms, small_window, small_grid)
+        via = wigner_of_operator(op, small_window, small_grid)
+        assert np.max(np.abs(kernel - via.values)) <= 1e-14
 
 
 class TestSpinlessDoubleDelta:
@@ -245,6 +262,12 @@ class TestCat:
         cat = cat_state(CatSpec(-2, 3, 0.8), small_window)
         dd = double_delta_state(DoubleDeltaSpec(-2, 3, 0.8), small_window)
         assert np.max(np.abs(cat.amplitudes - dd.amplitudes)) < 1e-15
+
+    @pytest.mark.parametrize("alpha", [2j, -0.3 + 0.4j])
+    def test_double_delta_is_cat_with_basis_spins(self, small_window, alpha):
+        cat = cat_state(CatSpec(-2, 3, alpha, (1.0, 0.0), (0.0, 1.0)), small_window)
+        dd = double_delta_state(DoubleDeltaSpec(-2, 3, alpha), small_window)
+        assert np.array_equal(cat.amplitudes, dd.amplitudes)
 
     def test_rotated_spin_pair(self, small_window):
         s1 = (1 / math.sqrt(2), 1 / math.sqrt(2))

@@ -244,6 +244,15 @@ def _set(path, value):
     return edit
 
 
+def _huge_window(half, n_k, state):
+    """Window [-half, half] with the given grid and state, under the closed form (no dt rule)."""
+    def edit(doc):
+        doc.update(window={"n_min": -half, "n_max": half}, kgrid={"n_k": n_k}, state=state)
+        doc["dynamics"].update(method="closed_form", dt=None)
+
+    return edit
+
+
 class TestNonFiniteConfig:
     @pytest.mark.parametrize(
         "edit, field",
@@ -278,12 +287,28 @@ class TestNonFiniteConfig:
                 _set(("state",), {"name": "werner", "params": {"a_site": 0, "b_site": 1, "z": "0.5"}}),
                 "state.params.z",
             ),
+            (_set(("dynamics",), {"kind": "walk", "theta": 0.0, "steps": 2**62}), "dynamics.steps"),
+            # Each allocation below exceeds the 128 TiB user address space, so it fails at once.
+            (_set(("kgrid", "n_k"), 10**15), "kgrid.n_k"),
+            (
+                _huge_window(
+                    3 * 10**6, 32, {"name": "werner", "params": {"a_site": 0, "b_site": 1, "z": 0.5}}
+                ),
+                "kgrid.n_k",
+            ),
+            (
+                _huge_window(
+                    2 * 10**6, 8000003, {"name": "double_delta", "params": {"n1": -2, "n2": 3}}
+                ),
+                "window",
+            ),
         ],
         ids=[
             "times_inf", "j_hop_nan", "j_hop_overflow", "slope_inf", "dt_minus_inf",
             "two_path_nan", "two_path_negative", "eps_boundary_negative", "gamma_nan",
             "n_k_overflow", "dt_tiny", "snapshot_steps_int", "directory_int", "center_float",
-            "center_string", "center_bool", "unknown_param", "werner_z_string",
+            "center_string", "center_bool", "unknown_param", "werner_z_string", "walk_steps_huge",
+            "n_k_unallocatable", "werner_window_huge", "double_delta_window_huge",
         ],
     )
     def test_rejected_with_field_name(self, tmp_path, capsys, edit, field):

@@ -6,7 +6,9 @@
 #
 # The revision is exported with `git archive` into a temporary directory.  Each
 # tree's src/ then runs the seven golden commands on its own scenarios/*.json:
-# the five scenario runs plus `negativity` on fig1 and walk_hadamard.  BLAS is
+# the five scenario runs plus `negativity` on fig1 and walk_hadamard.  It also
+# runs `validate` on the five scenarios and keeps its stdout and exit status, so
+# the pre-run checks are held to the same byte-identity.  BLAS is
 # pinned to one thread, because the density route's last bits depend on the
 # thread count.  The manifests' wall_clock_seconds, the one field allowed to
 # differ between identical runs, is dropped before `diff -r`.  Exit status:
@@ -32,6 +34,12 @@ golden_runs() {  # golden_runs TREE OUT
         name=${run#*:}
         (cd "$tmp" && PYTHONPATH="$tree/src" "$python" -m lattice_wigner.cli "$cmd" \
             --config "$tree/scenarios/$name.json" --out "$out/$cmd-$name" --quiet)
+    done
+    for name in cat_projective fig1_two_gaussian fig2_bloch fig3_spin_split walk_hadamard; do
+        status=0
+        (cd "$tmp" && PYTHONPATH="$tree/src" "$python" -m lattice_wigner.cli validate \
+            --config "$tree/scenarios/$name.json") >"$out/validate-$name.txt" || status=$?
+        echo "exit status $status" >>"$out/validate-$name.txt"
     done
     "$python" - "$out" <<'EOF'
 import json, pathlib, sys
