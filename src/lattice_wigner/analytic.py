@@ -67,8 +67,7 @@ class TwoGaussianSpec:
     sigma: float
 
     def __post_init__(self):
-        if not (self.sigma > 0.0):
-            raise DomainError(f"sigma must be positive, got {self.sigma!r}")
+        _require_sigma(self.sigma)
 
 
 @dataclass(frozen=True)
@@ -197,7 +196,14 @@ def _gaussian_envelope(window: LatticeWindow, center: float, sigma: float) -> np
     return np.exp(-((n - center) ** 2) / (2.0 * sigma * sigma))
 
 
+def _require_sigma(sigma: float) -> None:
+    """sigma > 0 with 2 sigma^2 > 0 in floating point: the envelope divides by it."""
+    if not (sigma > 0.0 and 2.0 * sigma * sigma > 0.0):
+        raise DomainError(f"sigma must be positive with 2 sigma^2 > 0, got {sigma!r}")
+
+
 def _require_gaussian_fit(window: LatticeWindow, center: float, sigma: float) -> None:
+    _require_sigma(sigma)
     if center - 6.0 * sigma < window.n_min or center + 6.0 * sigma > window.n_max:
         raise WindowError(
             f"window [{window.n_min}, {window.n_max}] does not contain "

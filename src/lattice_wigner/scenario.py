@@ -58,7 +58,7 @@ from .states import (
     PureState,
     density_from_pure,
 )
-from .walk import CoinSpec, ProjectiveNoiseSpec, walk_trajectory
+from .walk import CoinSpec, ProjectiveNoiseSpec, walk_snapshots
 from .wigner import (
     WignerMatrix,
     _require_grid,
@@ -544,9 +544,9 @@ def _grid_table(w: WignerMatrix, t=None):
     return ("t",) + header, [np.full(n_m * n_k, float(t)), *columns]
 
 
-def _timeseries_table(trajectory, times):
-    pairs = np.array(negativity_timeseries(trajectory, times), dtype=float).reshape(-1, 2)
-    return ("t", "eta"), list(pairs.T)
+def _timeseries_table(pairs):
+    """(t, eta) pairs -> the negativity_timeseries.csv table."""
+    return ("t", "eta"), list(np.array(pairs, dtype=float).reshape(-1, 2).T)
 
 
 def run(cfg: ScenarioConfig, command: str, out_dir, quiet: bool = False) -> dict:
@@ -614,13 +614,17 @@ def run(cfg: ScenarioConfig, command: str, out_dir, quiet: bool = False) -> dict
                 ("n",) + SPIN_HEADER,
                 [sites, *spin_columns(blocks)],
             )
-        emit("negativity_timeseries.csv", write_csv, *_timeseries_table(primary, dyn.times))
+        series = negativity_timeseries(primary, dyn.times)
+        emit("negativity_timeseries.csv", write_csv, *_timeseries_table(series))
         if oracle_result is not None:
             boundary = max(boundary, oracle_result.boundary_leak)
         if closed is not None:
             diagnostics["wigner_boundary_weight"] = max(edge_weight(s) for s in closed)
     else:
-        steps_list, densities = walk_trajectory(
+        # Each snapshot is transformed, written and reduced to its eta as it
+        # arrives, so the run holds one density and one field at a time.
+        etas = []
+        snapshots = walk_snapshots(
             rho0,
             dyn.coin,
             dyn.steps,
@@ -628,8 +632,8 @@ def run(cfg: ScenarioConfig, command: str, out_dir, quiet: bool = False) -> dict
             include_walk=dyn.mode == "walk",
             snapshot_steps=dyn.snapshot_steps,
         )
-        wms = [wigner_of_density(d, cfg.kgrid) for d in densities]
-        for i, (step, rho, wt) in enumerate(zip(steps_list, densities, wms)):
+        for i, (step, rho) in enumerate(snapshots):
+            wt = wigner_of_density(rho, cfg.kgrid)
             emit(f"snapshot_{i:03d}.csv", write_csv, *_grid_table(wt, step))
             pops = np.real(np.diagonal(rho.matrix)).reshape(rho.window.width, 2)
             emit(
@@ -639,11 +643,8 @@ def run(cfg: ScenarioConfig, command: str, out_dir, quiet: bool = False) -> dict
                 [cfg.window.sites, pops[:, 0], pops[:, 1], pops[:, 0] + pops[:, 1]],
             )
             boundary = max(boundary, rho.boundary_population())
-        emit(
-            "negativity_timeseries.csv",
-            write_csv,
-            *_timeseries_table(wms, [float(s) for s in steps_list]),
-        )
+            etas.append((float(step), matrix_negativity(wt).eta))
+        emit("negativity_timeseries.csv", write_csv, *_timeseries_table(etas))
 
     if command == "negativity":
         report = matrix_negativity(w0)

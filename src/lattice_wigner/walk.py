@@ -168,6 +168,41 @@ def iterated_cat_wigner(
     return WignerMatrix.on_window(window, kgrid, site_pair_kernel(terms, window, kgrid))
 
 
+def walk_snapshots(
+    rho0: DensityOperator,
+    coin: CoinSpec,
+    steps: int,
+    noise: Optional[ProjectiveNoiseSpec] = None,
+    include_walk: bool = True,
+    snapshot_steps: Optional[Sequence[int]] = None,
+):
+    """Iterate walk and/or noise steps, yielding (step, density) at each snapshot step.
+
+    include_walk=False gives the pure measurement-decoherence process (no
+    transport), the regime with a closed-form iterate.  Snapshot step 0 is
+    the initial state.  Only the current density is kept, so a caller that
+    consumes each snapshot as it arrives holds one density, however many
+    snapshots the run takes.
+    """
+    if steps < 0:
+        raise DomainError("steps must be >= 0")
+    if not include_walk and noise is None:
+        raise DomainError("noise-only trajectory needs a noise spec")
+    wanted = range(steps + 1) if snapshot_steps is None else {int(s) for s in snapshot_steps}
+    if any(s < 0 or s > steps for s in wanted):
+        raise DomainError(f"snapshot steps must lie in [0, {steps}]")
+    rho = rho0
+    if 0 in wanted:
+        yield 0, rho
+    for step in range(1, steps + 1):
+        if include_walk:
+            rho = qw_step_state(rho, coin)
+        if noise is not None:
+            rho = projective_map(rho, noise)
+        if step in wanted:
+            yield step, rho
+
+
 def walk_trajectory(
     rho0: DensityOperator,
     coin: CoinSpec,
@@ -176,32 +211,6 @@ def walk_trajectory(
     include_walk: bool = True,
     snapshot_steps: Optional[Sequence[int]] = None,
 ):
-    """Iterate walk and/or noise steps, collecting snapshots.
-
-    include_walk=False gives the pure measurement-decoherence process (no
-    transport), the regime with a closed-form iterate.  Snapshot step 0 is
-    the initial state.  Returns (steps_list, densities).
-    """
-    if steps < 0:
-        raise DomainError("steps must be >= 0")
-    if not include_walk and noise is None:
-        raise DomainError("noise-only trajectory needs a noise spec")
-    wanted = list(range(steps + 1)) if snapshot_steps is None else sorted(set(int(s) for s in snapshot_steps))
-    if any(s < 0 or s > steps for s in wanted):
-        raise DomainError(f"snapshot steps must lie in [0, {steps}]")
-    rho = rho0
-    out_steps, out_states = [], []
-    if wanted and wanted[0] == 0:
-        out_steps.append(0)
-        out_states.append(rho)
-        wanted = wanted[1:]
-    for step in range(1, steps + 1):
-        if include_walk:
-            rho = qw_step_state(rho, coin)
-        if noise is not None:
-            rho = projective_map(rho, noise)
-        if wanted and wanted[0] == step:
-            out_steps.append(step)
-            out_states.append(rho)
-            wanted = wanted[1:]
-    return out_steps, out_states
+    """All snapshots of walk_snapshots at once: returns (steps_list, densities)."""
+    snaps = list(walk_snapshots(rho0, coin, steps, noise, include_walk, snapshot_steps))
+    return [step for step, _ in snaps], [rho for _, rho in snaps]

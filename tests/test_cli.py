@@ -1,5 +1,7 @@
 import json
 import math
+import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +10,7 @@ import pytest
 from lattice_wigner import KGrid, LatticeWindow, TwoGaussianSpec, WignerMatrix, two_gaussian_state
 from lattice_wigner.cli import main
 from lattice_wigner import wigner_of_pure
-from lattice_wigner.output import write_csv
+from lattice_wigner.output import _BLOCK_ROWS, SPIN_HEADER, spin_columns, write_csv
 from lattice_wigner.scenario import _grid_table
 
 REPO = Path(__file__).resolve().parents[1]
@@ -132,6 +134,39 @@ class TestCsvRoundTrip:
         assert header == ["t", "eta"]
         self.assert_bits(cols[0], times)
         self.assert_bits(cols[1], etas)
+
+
+class TestWriterOracle:
+    """write_csv against the per-cell writer, byte for byte."""
+
+    @staticmethod
+    def reference(path, header, columns):
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(",".join(header) + "\n")
+            for row in zip(*(c.tolist() for c in columns)):
+                fh.write(",".join(map(repr, row)) + "\n")
+
+    def assert_same_bytes(self, tmp_path, header, columns):
+        write_csv(tmp_path / "got.csv", header, columns)
+        self.reference(tmp_path / "want.csv", header, columns)
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+    def test_matches_per_cell_repr(self, tmp_path):
+        rows = 2 * _BLOCK_ROWS + _BLOCK_ROWS // 2 + 3  # 2.5 blocks plus a remainder
+        rng = np.random.default_rng(11)
+        n = rng.integers(-3, 4, size=rows)
+        n[2:4] = 1, np.float64(1.0).view(np.int64)  # the int whose bits are 1.0's
+        x = rng.normal(size=rows)
+        x[:6] = [0.0, -0.0, 1.0, 5e-324, 2.5e-310, 0.1 + 0.2]  # first block
+        x[-3:] = [-1.0000000000000002, -0.0, 0.0]  # remainder block
+        y = np.round(rng.normal(size=rows), 1)
+        y[-1] = 0.1 + 0.2  # shared with x, across columns and blocks
+        spins = rng.normal(size=(rows, 2, 2)) + 1j * np.round(rng.normal(size=(rows, 2, 2)), 2)
+        header = ("n", "x", "y") + SPIN_HEADER
+        self.assert_same_bytes(tmp_path, header, [n, x, y, *spin_columns(spins)])
+
+    def test_header_only(self, tmp_path):
+        self.assert_same_bytes(tmp_path, ("n", "x"), [np.array([], dtype=int), np.array([])])
 
 
 class TestValidateCommand:
@@ -302,6 +337,9 @@ class TestNonFiniteConfig:
                 ),
                 "window",
             ),
+            (_set(("state", "params", "sigma"), 0.0), "sigma"),
+            (_set(("state", "params", "sigma"), -2.0), "sigma"),
+            (_set(("state", "params", "sigma"), 1e-300), "sigma"),
         ],
         ids=[
             "times_inf", "j_hop_nan", "j_hop_overflow", "slope_inf", "dt_minus_inf",
@@ -309,15 +347,20 @@ class TestNonFiniteConfig:
             "n_k_overflow", "dt_tiny", "snapshot_steps_int", "directory_int", "center_float",
             "center_string", "center_bool", "unknown_param", "werner_z_string", "walk_steps_huge",
             "n_k_unallocatable", "werner_window_huge", "double_delta_window_huge",
+            "sigma_zero", "sigma_negative", "sigma_underflow",
         ],
     )
     def test_rejected_with_field_name(self, tmp_path, capsys, edit, field):
         doc = continuous_config()
         edit(doc)
         cfg = write_config(tmp_path, doc)
-        assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-        assert field in capsys.readouterr().err
-        assert main(["validate", "--config", cfg]) == 2
+        # A warning (numpy's RuntimeWarning, say) would reach stderr outside pytest.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+            assert field in capsys.readouterr().err
+            assert main(["validate", "--config", cfg]) == 2
+        assert [str(w.message) for w in caught] == []
         # Parse errors on stderr, diagnostics on stdout: one line, naming the edited field.
         (line,) = "".join(capsys.readouterr()).splitlines()
         assert field in line
@@ -650,6 +693,22 @@ class TestWalkCommand:
             assert float(row.split(",")[1]) == pytest.approx(0.5**t, abs=1e-12)
         dist = (out / "site_distribution_000.csv").read_text().splitlines()
         assert dist[0] == "n,p_spin0,p_spin1,p_total"
+
+    def test_snapshots_stream(self, tmp_path):
+        # Ten times the snapshots must not cost ten times the memory: each
+        # snapshot is written and dropped before the next step is taken.
+        peaks = []
+        for steps in (40, 400):
+            doc = json.loads((SCENARIOS / "cat_projective.json").read_text())
+            doc["dynamics"]["steps"] = steps
+            cfg = write_config(tmp_path, doc, f"steps_{steps}.json")
+            tracemalloc.start()
+            try:
+                assert main(["walk", "--config", cfg, "--out", str(tmp_path / str(steps)), "--quiet"]) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.5 * peaks[0], peaks
 
     def test_hadamard_walk_runs(self, tmp_path):
         out = tmp_path / "out"

@@ -8,11 +8,14 @@
 # tree's src/ then runs the seven golden commands on its own scenarios/*.json:
 # the five scenario runs plus `negativity` on fig1 and walk_hadamard.  It also
 # runs `validate` on the five scenarios and keeps its stdout and exit status, so
-# the pre-run checks are held to the same byte-identity.  BLAS is
-# pinned to one thread, because the density route's last bits depend on the
-# thread count.  The manifests' wall_clock_seconds, the one field allowed to
-# differ between identical runs, is dropped before `diff -r`.  Exit status:
-# 0 when every file is byte-identical, 1 on any difference.
+# the pre-run checks are held to the same byte-identity.  Both trees also run
+# `evolve` on one copy of fig3, written into the temporary directory, with the
+# real spinor [cos 0.9, sin 0.9]: the committed configs use basis or "plus"
+# spins, so most of their cells repeat, and this copy has few repeated values.
+# BLAS is pinned to one thread, because the density route's last bits depend
+# on the thread count.  The manifests' wall_clock_seconds, the one field
+# allowed to differ between identical runs, is dropped before `diff -r`.  Exit
+# status: 0 when every file is byte-identical, 1 on any difference.
 set -euo pipefail
 
 parent=${1:?usage: tools/golden_check.sh PARENT_REV}
@@ -35,6 +38,8 @@ golden_runs() {  # golden_runs TREE OUT
         (cd "$tmp" && PYTHONPATH="$tree/src" "$python" -m lattice_wigner.cli "$cmd" \
             --config "$tree/scenarios/$name.json" --out "$out/$cmd-$name" --quiet)
     done
+    (cd "$tmp" && PYTHONPATH="$tree/src" "$python" -m lattice_wigner.cli evolve \
+        --config "$tmp/fig3_spinor.json" --out "$out/evolve-fig3_spinor" --quiet)
     for name in cat_projective fig1_two_gaussian fig2_bloch fig3_spin_split walk_hadamard; do
         status=0
         (cd "$tmp" && PYTHONPATH="$tree/src" "$python" -m lattice_wigner.cli validate \
@@ -50,6 +55,12 @@ for path in pathlib.Path(sys.argv[1]).glob("*/manifest.json"):
 EOF
 }
 
+"$python" - "$root/scenarios/fig3_spin_split.json" "$tmp/fig3_spinor.json" <<'EOF'
+import json, math, pathlib, sys
+doc = json.loads(pathlib.Path(sys.argv[1]).read_text())
+doc["state"]["params"]["spin"] = [math.cos(0.9), math.sin(0.9)]
+pathlib.Path(sys.argv[2]).write_text(json.dumps(doc))
+EOF
 golden_runs "$tmp/parent-tree" "$tmp/parent"
 golden_runs "$root" "$tmp/change"
 if diff -r "$tmp/parent" "$tmp/change"; then
