@@ -204,6 +204,11 @@ def _require_sigma(sigma: float) -> None:
 
 def _require_gaussian_fit(window: LatticeWindow, center: float, sigma: float) -> None:
     _require_sigma(sigma)
+    far = float(max(center - window.n_min, window.n_max - center))
+    if not math.isfinite(far * far / (2.0 * sigma * sigma)):  # the envelope's largest exponent
+        raise DomainError(
+            f"sigma={sigma!r} is too small: (n - center)^2 / (2 sigma^2) overflows on the window"
+        )
     if center - 6.0 * sigma < window.n_min or center + 6.0 * sigma > window.n_max:
         raise WindowError(
             f"window [{window.n_min}, {window.n_max}] does not contain "

@@ -581,33 +581,68 @@ def _bessel_band_propagate(
     below the tail tolerance, so nothing wraps around; rows pushed beyond the
     grid edge are dropped.  Raises WindowError when the band would push
     support off the m-grid.
+
+    Layout: every FFT runs along the last, contiguous axis, with the spin
+    entry ab = 2a + b leading.  The k-FFT reads the (ab, m, k) view of the
+    C-ordered (m, k, 2, 2) values into an (ab, m, k) array; the k-IFFT runs
+    on it in place.  The one transpose copies it to an (ab, k, m) array; the
+    m-FFT zero-pads that to (ab, k, n_pad), and the m-IFFT runs in place.
+    One copy writes the first n_m rows back in (m, k, 2, 2) order, fused with
+    the output dress.  Both phases are built once per distinct shift (one for
+    spin signs (1, 1), three for (1, -1)) and multiply the entries that share
+    it, so no phase is gathered to a (..., 2, 2) grid.  The arithmetic and
+    its order are those of the plain (m, k, 2, 2) formulation, so every
+    output bit is too.
     """
     if lambda_a == 0.0:
         raise DomainError("linear propagator requires lambda_a != 0")
     reach = bessel_band_reach(j_hop, lambda_a, t)
     check_slack(w0.values, reach, what)
+    n_m, n_k = w0.n_m, w0.kgrid.n_k
     delta = lambda_a * float(t)
     signs = np.asarray(spin_signs, dtype=float)
     shifts, entry = np.unique(0.5 * delta * np.add.outer(signs, signs), return_inverse=True)
-    entry = entry.reshape(2, 2)
+    entry = entry.reshape(4)  # the shift index of spin entry ab = 2a + b
     dress = None
     if signs[0] != signs[1]:  # equal signs make the dress all ones
-        dress = np.ones((w0.n_m, 1, 2, 2), dtype=complex)
-        dress[:, 0, 0, 1] = np.exp(-0.25j * delta * (signs[0] - signs[1]) * w0.m_values)
-        dress[:, 0, 1, 0] = dress[:, 0, 0, 1].conj()
-    # One transform per statement: each frees the grid-sized array it replaces.
-    spec = np.fft.fft(w0.values if dress is None else dress * w0.values, axis=1)
-    spec *= np.exp(1j * np.multiply.outer(w0.kgrid.modes(), shifts))[:, entry]
-    spec = np.fft.ifft(spec, axis=1)
-    n_pad = _smooth_length(w0.n_m + reach)
-    spec = np.fft.fft(spec, n=n_pad, axis=0)
+        # The diagonal entries are multiplied by its ones too: a product with
+        # 1 + 0j can turn a -0.0 part into 0.0, and the bits must not change.
+        dress = np.ones((4, n_m, 1), dtype=complex)
+        dress[1, :, 0] = np.exp(-0.25j * delta * (signs[0] - signs[1]) * w0.m_values)
+        dress[2] = dress[1].conj()
+    view = w0.values.reshape(n_m, n_k, 4).transpose(2, 0, 1)  # (ab, m, k)
+    spec = np.empty((4, n_m, n_k), dtype=complex)
+    # Transforms of equal length run in place; the two that change the layout
+    # free the array they replace.
+    if dress is None:
+        np.fft.fft(view, axis=2, out=spec)
+    else:
+        np.fft.fft(np.multiply(dress, view, out=spec), axis=2, out=spec)
+    k_phase = np.exp(1j * np.multiply.outer(shifts, w0.kgrid.modes()))
+    for ab in range(4):
+        spec[ab] *= k_phase[entry[ab]]
+    np.fft.ifft(spec, axis=2, out=spec)
+    spec = np.ascontiguousarray(spec.transpose(0, 2, 1))
+    n_pad = _smooth_length(n_m + reach)
+    spec = np.fft.fft(spec, n=n_pad, axis=2)
     scale = -8.0 * (j_hop / lambda_a) * math.sin(0.5 * lambda_a * float(t))
     z = scale * np.sin(np.add.outer(w0.kgrid.points, 0.5 * shifts))
     sin_q = np.sin(TWO_PI * np.arange(n_pad) / n_pad)
-    spec *= np.exp(-1j * np.multiply.outer(sin_q, z))[:, :, entry]
-    spec = np.fft.ifft(spec, axis=0)[: w0.n_m]
-    # A new array either way: the bare slice would keep the padded grid alive.
-    return w0.with_values(spec.copy() if dress is None else dress * spec)
+    phase = np.empty((n_k, n_pad), dtype=complex)
+    for i in range(shifts.size):
+        np.multiply(-1j, np.multiply.outer(z[:, i], sin_q), out=phase)
+        np.exp(phase, out=phase)
+        for ab in np.flatnonzero(entry == i):
+            spec[ab] *= phase
+    del phase  # the output copy below is the peak: the padded grid plus the output
+    np.fft.ifft(spec, axis=2, out=spec)
+    out = np.empty((n_m, n_k, 2, 2), dtype=complex)
+    rows = out.reshape(n_m, n_k, 4).transpose(2, 1, 0)  # (ab, k, m) view
+    if dress is None:
+        np.copyto(rows, spec[:, :, :n_m])
+    else:
+        np.multiply(dress.transpose(0, 2, 1), spec[:, :, :n_m], out=rows)
+    return w0.with_values(out)
 
 
 def linear_potential_propagate(

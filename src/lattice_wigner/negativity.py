@@ -33,8 +33,10 @@ def block_trace_norms(w: WignerMatrix) -> np.ndarray:
     if herm > HERMITICITY_TOL:
         raise DomainError(f"blocks deviate from Hermiticity by {herm:.3e} > {HERMITICITY_TOL}")
     v = w.values
-    h = 0.5 * (v[:, :, 0, 0] + v[:, :, 1, 1]).real
-    half_diff = 0.5 * (v[:, :, 0, 0] - v[:, :, 1, 1]).real
+    # Real parts summed as reals: the same bits as the real part of the complex sum.
+    re00, re11 = v[:, :, 0, 0].real, v[:, :, 1, 1].real
+    h = 0.5 * (re00 + re11)
+    half_diff = 0.5 * (re00 - re11)
     r = np.sqrt(half_diff**2 + np.abs(v[:, :, 0, 1]) ** 2)
     return np.abs(h + r) + np.abs(h - r)
 

@@ -278,6 +278,10 @@ def _parse_continuous(doc: dict, where: str) -> ContinuousDynamics:
     return ContinuousDynamics(HamiltonianSpec(j_hop, potential, spin_coupled), noise, method, times, dt)
 
 
+#: Most snapshots a walk run writes: each is a Wigner CSV and a site-distribution CSV.
+_MAX_SNAPSHOTS = 10_000
+
+
 def _parse_walk(doc: dict, where: str) -> WalkDynamics:
     _known(doc, where, "kind theta steps mode noise snapshot_steps")
     theta = _as_number(_need(doc, "theta", where), f"{where}.theta")
@@ -301,9 +305,16 @@ def _parse_walk(doc: dict, where: str) -> WalkDynamics:
         raise ConfigError(f"{where}: noise_only mode requires a noise block")
     snaps = doc.get("snapshot_steps")
     if snaps is None:
+        if steps + 1 > _MAX_SNAPSHOTS:
+            raise ConfigError(
+                f"{where}.steps={steps} with no snapshot_steps writes {steps + 1} snapshots, "
+                f"more than {_MAX_SNAPSHOTS}; list the wanted ones in {where}.snapshot_steps"
+            )
         snapshot_steps = tuple(range(steps + 1))
     elif not isinstance(snaps, list):
         raise ConfigError(f"{where}.snapshot_steps must be a list, got {snaps!r}")
+    elif len(snaps) > _MAX_SNAPSHOTS:
+        raise ConfigError(f"{where}.snapshot_steps lists {len(snaps)} snapshots, more than {_MAX_SNAPSHOTS}")
     else:
         snapshot_steps = tuple(_as_int(s, f"{where}.snapshot_steps") for s in snaps)
         if any(s < 0 or s > steps for s in snapshot_steps):

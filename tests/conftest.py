@@ -4,7 +4,9 @@ The oracles here deliberately avoid the package's vectorized kernels: the
 naive Wigner transforms are plain Python loops over the defining sums, the
 Bessel oracle is quadrature of the integral representation, and the walk
 oracle pushes amplitude vectors around by hand.  They are slow and obviously
-correct, which is the point.
+correct, which is the point.  The reference_* functions are the previous
+formulas of rewritten kernels, kept verbatim so the rewrites can be checked
+bit for bit (and timed against them by tools/layer_times.py).
 """
 
 import math
@@ -12,7 +14,20 @@ import math
 import numpy as np
 import pytest
 
-from lattice_wigner import DensityOperator, KGrid, LatticeWindow, PureState
+from lattice_wigner import (
+    DensityOperator,
+    DomainError,
+    KGrid,
+    LatticeWindow,
+    PureState,
+    WignerMatrix,
+    density_from_pure,
+    gaussian_product_state,
+    wigner_of_density,
+)
+from lattice_wigner.continuous import _smooth_length, bessel_band_reach, check_slack
+from lattice_wigner.grids import TWO_PI
+from lattice_wigner.negativity import HERMITICITY_TOL
 
 
 def naive_wigner_values(matrix, window, kgrid):
@@ -106,6 +121,88 @@ def random_su2(rng):
     return np.array(
         [[w + 1j * z, y + 1j * x], [-y + 1j * x, w - 1j * z]], dtype=complex
     )
+
+
+def same_bits(a, b) -> bool:
+    """Equal bit patterns: -0.0 and 0.0 differ, as they do in a CSV."""
+    a, b = np.atleast_1d(a), np.atleast_1d(b)
+    return a.dtype == b.dtype and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def with_negative_zeros(w):
+    """The field with every zero real or imaginary part replaced by -0.0."""
+    parts = w.values.copy().view(float)
+    parts[parts == 0.0] = -0.0
+    return w.with_values(parts.view(complex))
+
+
+def probe_fields(rng):
+    """Fields for bitwise checks of the negativity path, by name."""
+    window, grid = LatticeWindow(-6, 6), KGrid(27)
+    shape = (2 * window.width - 1, grid.n_k, 2, 2)
+    noise = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    hermitian = 0.5 * (noise + noise.conj().transpose(0, 1, 3, 2))
+    diagonal_defect = hermitian.copy()
+    diagonal_defect[:, :, 0, 0] += 1j * rng.normal(size=shape[:2])
+    up = wigner_of_density(density_from_pure(gaussian_product_state(0, 1.0, "up", window)), grid)
+    fields = {
+        "non_hermitian": noise,
+        "diagonal_defect": diagonal_defect,
+        "hermitian": hermitian,
+        "near_hermitian": hermitian + 1e-12 * noise,
+        "random_state": wigner_of_density(random_density(window, rng), grid).values,
+        "negative_zeros": with_negative_zeros(up).values,
+        "all_negative_zero": np.full(shape, complex(-0.0, -0.0)),
+    }
+    return {name: WignerMatrix.on_window(window, grid, v) for name, v in fields.items()}
+
+
+def reference_band_propagate(w0, j_hop, lambda_a, t, spin_signs, what):
+    """The Bessel-band kernel on the plain (m, k, 2, 2) layout: each FFT pair
+    runs along a strided axis and both phases are gathered to (..., 2, 2)
+    grids.  Kept only as the bitwise reference of _bessel_band_propagate."""
+    if lambda_a == 0.0:
+        raise DomainError("linear propagator requires lambda_a != 0")
+    reach = bessel_band_reach(j_hop, lambda_a, t)
+    check_slack(w0.values, reach, what)
+    delta = lambda_a * float(t)
+    signs = np.asarray(spin_signs, dtype=float)
+    shifts, entry = np.unique(0.5 * delta * np.add.outer(signs, signs), return_inverse=True)
+    entry = entry.reshape(2, 2)
+    dress = None
+    if signs[0] != signs[1]:
+        dress = np.ones((w0.n_m, 1, 2, 2), dtype=complex)
+        dress[:, 0, 0, 1] = np.exp(-0.25j * delta * (signs[0] - signs[1]) * w0.m_values)
+        dress[:, 0, 1, 0] = dress[:, 0, 0, 1].conj()
+    spec = np.fft.fft(w0.values if dress is None else dress * w0.values, axis=1)
+    spec *= np.exp(1j * np.multiply.outer(w0.kgrid.modes(), shifts))[:, entry]
+    spec = np.fft.ifft(spec, axis=1)
+    n_pad = _smooth_length(w0.n_m + reach)
+    spec = np.fft.fft(spec, n=n_pad, axis=0)
+    scale = -8.0 * (j_hop / lambda_a) * math.sin(0.5 * lambda_a * float(t))
+    z = scale * np.sin(np.add.outer(w0.kgrid.points, 0.5 * shifts))
+    sin_q = np.sin(TWO_PI * np.arange(n_pad) / n_pad)
+    spec *= np.exp(-1j * np.multiply.outer(sin_q, z))[:, :, entry]
+    spec = np.fft.ifft(spec, axis=0)[: w0.n_m]
+    return w0.with_values(spec.copy() if dress is None else dress * spec)
+
+
+def reference_hermiticity_defect(w):
+    """hermiticity_defect over the full grid, through a complex temporary."""
+    return float(np.max(np.abs(w.values - w.values.conj().transpose(0, 1, 3, 2))))
+
+
+def reference_block_trace_norms(w):
+    """block_trace_norms as the real part of complex sums, after the
+    full-grid Hermiticity check."""
+    herm = reference_hermiticity_defect(w)
+    if herm > HERMITICITY_TOL:
+        raise DomainError(f"blocks deviate from Hermiticity by {herm:.3e} > {HERMITICITY_TOL}")
+    v = w.values
+    h = 0.5 * (v[:, :, 0, 0] + v[:, :, 1, 1]).real
+    half_diff = 0.5 * (v[:, :, 0, 0] - v[:, :, 1, 1]).real
+    r = np.sqrt(half_diff**2 + np.abs(v[:, :, 0, 1]) ** 2)
+    return np.abs(h + r) + np.abs(h - r)
 
 
 def amplitude_walk_oracle(window, psi0, theta, steps):

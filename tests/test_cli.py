@@ -340,6 +340,16 @@ class TestNonFiniteConfig:
             (_set(("state", "params", "sigma"), 0.0), "sigma"),
             (_set(("state", "params", "sigma"), -2.0), "sigma"),
             (_set(("state", "params", "sigma"), 1e-300), "sigma"),
+            (_set(("state", "params", "sigma"), 1e-160), "sigma"),
+            (_set(("state", "params", "sigma"), 1e-155), "sigma"),
+            (_set(("dynamics",), {"kind": "walk", "theta": 0.0, "steps": 10**6}), "dynamics.steps"),
+            (
+                _set(
+                    ("dynamics",),
+                    {"kind": "walk", "theta": 0.0, "steps": 20000, "snapshot_steps": list(range(10001))},
+                ),
+                "dynamics.snapshot_steps",
+            ),
         ],
         ids=[
             "times_inf", "j_hop_nan", "j_hop_overflow", "slope_inf", "dt_minus_inf",
@@ -347,7 +357,8 @@ class TestNonFiniteConfig:
             "n_k_overflow", "dt_tiny", "snapshot_steps_int", "directory_int", "center_float",
             "center_string", "center_bool", "unknown_param", "werner_z_string", "walk_steps_huge",
             "n_k_unallocatable", "werner_window_huge", "double_delta_window_huge",
-            "sigma_zero", "sigma_negative", "sigma_underflow",
+            "sigma_zero", "sigma_negative", "sigma_underflow", "sigma_exponent_overflow",
+            "sigma_exponent_overflow_wide", "walk_snapshots_default_huge", "walk_snapshots_listed_huge",
         ],
     )
     def test_rejected_with_field_name(self, tmp_path, capsys, edit, field):

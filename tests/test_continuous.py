@@ -28,10 +28,11 @@ from lattice_wigner import (
     wigner_evolution_rhs,
     wigner_of_density,
 )
+from lattice_wigner.continuous import _bessel_band_propagate
 from lattice_wigner.grids import k_derivative, k_shift
 from lattice_wigner.states import PAULI_X, PAULI_Y, PAULI_Z
 
-from conftest import random_density
+from conftest import random_density, reference_band_propagate, same_bits, with_negative_zeros
 
 
 def gaussian_setup(window=None, grid=None, center=0, sigma=1.5, spin="up"):
@@ -351,6 +352,46 @@ class TestDenseReference:
         dense = wigner_of_density(DensityOperator(window, u @ rho0.matrix @ u.conj().T), grid)
         closed = propagate(w0, j_hop, lam_a, t)
         assert np.max(np.abs(closed.values - dense.values)) <= 1e-13
+
+
+BOTH_SIGNS = ((1.0, 1.0), (1.0, -1.0))
+
+
+class TestBandKernelBits:
+    """_bessel_band_propagate reproduces the plain-layout reference bit for bit."""
+
+    @pytest.mark.parametrize("n_k", [128, 129], ids=["even_nk", "odd_nk"])
+    @pytest.mark.parametrize(
+        "spin", ["up", "plus", np.array([0.6, 0.8j])], ids=["up", "plus", "complex_spinor"]
+    )
+    @pytest.mark.parametrize(
+        "j_hop, lambda_a, t",
+        [(1.0, 1.0, 0.0), (1.0, 1.0, 2.0 * math.pi), (1.0, -0.7, 1.3), (0.0, 0.9, 2.1), (0.6, 1.3, 0.77)],
+        ids=["t_zero", "bloch_period", "lambda_negative", "j_zero", "generic"],
+    )
+    def test_matches_reference(self, n_k, spin, j_hop, lambda_a, t):
+        _, _, _, w0 = gaussian_setup(LatticeWindow(-30, 30), KGrid(n_k), center=2, sigma=2.0, spin=spin)
+        for signs in BOTH_SIGNS:
+            out = _bessel_band_propagate(w0, j_hop, lambda_a, t, signs, "kernel")
+            ref = reference_band_propagate(w0, j_hop, lambda_a, t, signs, "kernel")
+            assert same_bits(out.values, ref.values), signs
+
+    def test_negative_zero_entries(self):
+        _, _, _, w0 = gaussian_setup(LatticeWindow(-20, 20), KGrid(99), spin="up")
+        w0 = with_negative_zeros(w0)
+        for signs in BOTH_SIGNS:
+            out = _bessel_band_propagate(w0, 0.8, 1.1, 1.9, signs, "kernel")
+            assert same_bits(out.values, reference_band_propagate(w0, 0.8, 1.1, 1.9, signs, "kernel").values)
+
+    @pytest.mark.parametrize("lambda_a, error", [(0.05, WindowError), (0.0, DomainError)])
+    def test_same_refusal(self, lambda_a, error):
+        _, _, _, w0 = gaussian_setup(LatticeWindow(-16, 16), KGrid(72))
+        for signs in BOTH_SIGNS:
+            with pytest.raises(error) as ours:
+                _bessel_band_propagate(w0, 1.0, lambda_a, 3.0, signs, "kernel")
+            with pytest.raises(error) as theirs:
+                reference_band_propagate(w0, 1.0, lambda_a, 3.0, signs, "kernel")
+            assert str(ours.value) == str(theirs.value)
 
 
 class TestWignerEvolutionRHS:

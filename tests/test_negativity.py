@@ -27,9 +27,10 @@ from lattice_wigner import (
     werner_wigner,
     wigner_of_pure,
 )
+from lattice_wigner.negativity import block_trace_norms
 from lattice_wigner.wigner import ScalarWigner
 
-from conftest import random_su2
+from conftest import probe_fields, random_su2, reference_block_trace_norms, same_bits
 
 WINDOW = LatticeWindow(-8, 8)
 GRID = KGrid(48)
@@ -160,3 +161,16 @@ class TestTimeseries:
         traj = [iterated_cat_wigner(-2, 3, 0.5, 0, WINDOW, GRID)]
         with pytest.raises(DomainError):
             negativity_timeseries(traj, times=[0.0, 1.0])
+
+
+class TestBlockTraceNormBits:
+    def test_matches_complex_formula(self, rng):
+        for name, w in probe_fields(rng).items():
+            if name in ("non_hermitian", "diagonal_defect"):
+                with pytest.raises(DomainError) as ours:
+                    block_trace_norms(w)
+                with pytest.raises(DomainError) as theirs:
+                    reference_block_trace_norms(w)
+                assert str(ours.value) == str(theirs.value), name
+                continue
+            assert same_bits(block_trace_norms(w), reference_block_trace_norms(w)), name

@@ -32,7 +32,14 @@ from lattice_wigner import (
 from lattice_wigner.states import SPIN_VECTORS
 from lattice_wigner.wigner import diagonal_imag_max
 
-from conftest import naive_wigner_values, random_density, random_pure
+from conftest import (
+    naive_wigner_values,
+    probe_fields,
+    random_density,
+    random_pure,
+    reference_hermiticity_defect,
+    same_bits,
+)
 
 TWO_PI = 2.0 * np.pi
 
@@ -330,3 +337,9 @@ class TestSpinTraceWigner:
         k = small_grid.points
         want = 2.0 * np.cos(3.0 * k) / (2.0 * TWO_PI)
         assert np.max(np.abs(scalar.values[i] - want)) < 1e-14
+
+
+class TestHermiticityDefectBits:
+    def test_matches_full_grid_formula(self, rng):
+        for name, w in probe_fields(rng).items():
+            assert same_bits(hermiticity_defect(w), reference_hermiticity_defect(w)), name

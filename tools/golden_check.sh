@@ -9,9 +9,12 @@
 # the five scenario runs plus `negativity` on fig1 and walk_hadamard.  It also
 # runs `validate` on the five scenarios and keeps its stdout and exit status, so
 # the pre-run checks are held to the same byte-identity.  Both trees also run
-# `evolve` on one copy of fig3, written into the temporary directory, with the
-# real spinor [cos 0.9, sin 0.9]: the committed configs use basis or "plus"
-# spins, so most of their cells repeat, and this copy has few repeated values.
+# `evolve` on two copies written into the temporary directory: fig3 with the
+# real spinor [cos 0.9, sin 0.9] (the committed configs use basis or "plus"
+# spins, so most of their cells repeat, and this copy has few repeated values),
+# and fig2 with an odd n_k = 193, spin "plus", a sigma_x channel and method
+# "both", which reaches the Bessel-band kernel's odd-n_k phases, the closed-form
+# spin channel and the density route.  96 files in all.
 # BLAS is pinned to one thread, because the density route's last bits depend
 # on the thread count.  The manifests' wall_clock_seconds, the one field
 # allowed to differ between identical runs, is dropped before `diff -r`.  Exit
@@ -38,8 +41,10 @@ golden_runs() {  # golden_runs TREE OUT
         (cd "$tmp" && PYTHONPATH="$tree/src" "$python" -m lattice_wigner.cli "$cmd" \
             --config "$tree/scenarios/$name.json" --out "$out/$cmd-$name" --quiet)
     done
-    (cd "$tmp" && PYTHONPATH="$tree/src" "$python" -m lattice_wigner.cli evolve \
-        --config "$tmp/fig3_spinor.json" --out "$out/evolve-fig3_spinor" --quiet)
+    for name in fig3_spinor fig2_odd_nk_channel; do
+        (cd "$tmp" && PYTHONPATH="$tree/src" "$python" -m lattice_wigner.cli evolve \
+            --config "$tmp/$name.json" --out "$out/evolve-$name" --quiet)
+    done
     for name in cat_projective fig1_two_gaussian fig2_bloch fig3_spin_split walk_hadamard; do
         status=0
         (cd "$tmp" && PYTHONPATH="$tree/src" "$python" -m lattice_wigner.cli validate \
@@ -55,11 +60,18 @@ for path in pathlib.Path(sys.argv[1]).glob("*/manifest.json"):
 EOF
 }
 
-"$python" - "$root/scenarios/fig3_spin_split.json" "$tmp/fig3_spinor.json" <<'EOF'
+"$python" - "$root/scenarios" "$tmp" <<'EOF'
 import json, math, pathlib, sys
-doc = json.loads(pathlib.Path(sys.argv[1]).read_text())
+scenarios, tmp = pathlib.Path(sys.argv[1]), pathlib.Path(sys.argv[2])
+doc = json.loads((scenarios / "fig3_spin_split.json").read_text())
 doc["state"]["params"]["spin"] = [math.cos(0.9), math.sin(0.9)]
-pathlib.Path(sys.argv[2]).write_text(json.dumps(doc))
+(tmp / "fig3_spinor.json").write_text(json.dumps(doc))
+doc = json.loads((scenarios / "fig2_bloch.json").read_text())
+doc["kgrid"]["n_k"] = 193
+doc["state"]["params"]["spin"] = "plus"
+doc["dynamics"]["method"] = "both"
+doc["dynamics"]["noise"] = {"lindblad": [{"op": "sigma_x", "gamma": 0.2}]}
+(tmp / "fig2_odd_nk_channel.json").write_text(json.dumps(doc))
 EOF
 golden_runs "$tmp/parent-tree" "$tmp/parent"
 golden_runs "$root" "$tmp/change"
