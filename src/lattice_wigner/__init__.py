@@ -97,7 +97,6 @@ from .walk import (
 from .negativity import (
     NegativityReport,
     matrix_negativity,
-    negativity_timeseries,
     scalar_negativity,
 )
 from .scenario import ScenarioConfig, build_state, parse_config, run, validate_config

@@ -200,6 +200,10 @@ class NoiseSpec:
             frozen.setflags(write=False)
             ops.append((frozen, gamma))
         object.__setattr__(self, "lindblad_ops", tuple(ops))
+        with np.errstate(all="ignore"):
+            finite = bool(np.all(np.isfinite(self.dissipator())))
+        if not finite:
+            raise DomainError("the Lindblad dissipator overflows: gamma |A|^2 is beyond the float range")
 
     @property
     def gamma_total(self) -> float:

@@ -11,7 +11,6 @@ the trace norm is unitarily invariant.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
 
 import numpy as np
 
@@ -58,13 +57,3 @@ def scalar_negativity(w: ScalarWigner) -> float:
     real = w.values.real
     return float(w.kgrid.weight * np.sum(np.abs(real) - real))
 
-
-def negativity_timeseries(
-    trajectory: Sequence[WignerMatrix], times: Optional[Sequence[float]] = None
-):
-    """(t, eta) pairs over a trajectory of Wigner snapshots."""
-    if times is None:
-        times = list(range(len(trajectory)))
-    if len(times) != len(trajectory):
-        raise DomainError("times and trajectory lengths differ")
-    return [(t, matrix_negativity(w).eta) for t, w in zip(times, trajectory)]

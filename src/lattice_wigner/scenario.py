@@ -48,7 +48,7 @@ from .continuous import (
 )
 from .errors import ConfigError, DomainError, InvariantViolation, LatticeWignerError, WindowError
 from .grids import KGrid
-from .negativity import matrix_negativity, negativity_timeseries
+from .negativity import matrix_negativity
 from .output import SPIN_HEADER, spin_columns, write_csv, write_json
 from .states import (
     SPIN_MATRICES,
@@ -81,8 +81,8 @@ class Diagnostic:
 
 @dataclass(frozen=True)
 class Tolerances:
-    eps_boundary: float = DEFAULT_EPS_BOUNDARY
-    two_path: float = 1e-6
+    eps_boundary: float
+    two_path: float
 
 
 @dataclass(frozen=True)
@@ -91,7 +91,7 @@ class ContinuousDynamics:
     noise: Optional[NoiseSpec]
     method: str  # "closed_form" | "rk4" | "both"
     times: tuple
-    dt: Optional[float] = None
+    dt: Optional[float]
 
 
 @dataclass(frozen=True)
@@ -119,32 +119,18 @@ class ScenarioConfig:
 # Parsing
 # ---------------------------------------------------------------------------
 
-# Config blocks that must be JSON objects, each with the blocks nested in it;
-# a block whose flag is True may also be null, which means absent.
-_BLOCKS = {
-    "window": (False, {}),
-    "kgrid": (False, {}),
-    "state": (False, {"params": (False, {})}),
-    "dynamics": (True, {"hamiltonian": (False, {"potential": (True, {})}), "noise": (True, {})}),
-    "outputs": (True, {}),
-    "tolerances": (False, {}),
-}
+def _object(doc, where: str) -> dict:
+    """doc, once it is a JSON object (the parsers rely on it)."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {doc!r}")
+    return doc
 
 
-def _check_blocks(doc: dict, blocks: dict = _BLOCKS, where: str = "") -> None:
-    """Every config block that is present is a JSON object (the parsers rely on it)."""
-    for key, (nullable, inner) in blocks.items():
-        if key not in doc or (nullable and doc[key] is None):
-            continue
-        if not isinstance(doc[key], dict):
-            raise ConfigError(f"{where}{key} must be a JSON object, got {doc[key]!r}")
-        _check_blocks(doc[key], inner, f"{where}{key}.")
-
-
-def _known(doc: dict, where: str, keys: str) -> dict:
-    """doc, once each of its keys is one of the space-separated keys: a misspelt
-    key would fall back to its default unseen, and could switch off a gate."""
-    unknown = sorted(doc.keys() - set(keys.split()))
+def _known(doc, where: str, keys: str) -> dict:
+    """doc, once it is a JSON object and each of its keys is one of the
+    space-separated keys: a misspelt key would fall back to its default
+    unseen, and could switch off a gate."""
+    unknown = sorted(_object(doc, where).keys() - set(keys.split()))
     if unknown:
         raise ConfigError(f"{where}.{unknown[0]} is not a key of {where}: {', '.join(keys.split())}")
     return doc
@@ -200,7 +186,7 @@ _POTENTIAL_KEYS = {"none": "kind", "linear": "kind slope", "polynomial": "kind c
 def _parse_potential(doc, where: str) -> Optional[Potential]:
     if doc is None:
         return None
-    kind = _need(doc, "kind", where)
+    kind = _need(_object(doc, where), "kind", where)
     if not isinstance(kind, str) or kind not in _POTENTIAL_KEYS:
         raise ConfigError(f"{where}.kind must be one of none/linear/polynomial, got {kind!r}")
     _known(doc, where, _POTENTIAL_KEYS[kind])
@@ -235,8 +221,6 @@ def _parse_noise(doc, where: str) -> Optional[NoiseSpec]:
     terms = []
     for i, entry in enumerate(entries):
         here = f"{where}.lindblad[{i}]"
-        if not isinstance(entry, dict):
-            raise ConfigError(f"{here} must be an object")
         _known(entry, here, "op gamma")
         gamma = _as_number(_need(entry, "gamma", here), f"{here}.gamma", nonnegative=True)
         op = _need(entry, "op", here)
@@ -249,7 +233,10 @@ def _parse_noise(doc, where: str) -> Optional[NoiseSpec]:
             terms.append((SPIN_MATRICES[op], gamma))
         else:
             terms.append((_parse_op_matrix(op, f"{here}.op"), gamma))
-    return NoiseSpec(tuple(terms)) if terms else None
+    try:
+        return NoiseSpec(tuple(terms)) if terms else None
+    except DomainError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def _parse_continuous(doc: dict, where: str) -> ContinuousDynamics:
@@ -329,9 +316,6 @@ def _parse_walk(doc: dict, where: str) -> WalkDynamics:
 
 
 def parse_config(doc: dict) -> ScenarioConfig:
-    if not isinstance(doc, dict):
-        raise ConfigError("config root must be a JSON object")
-    _check_blocks(doc)
     _known(doc, "config", "window kgrid state dynamics outputs tolerances")
     wdoc = _known(_need(doc, "window", "config"), "window", "n_min n_max a")
     n_min = _as_int(_need(wdoc, "n_min", "window"), "window.n_min")
@@ -349,12 +333,12 @@ def parse_config(doc: dict) -> ScenarioConfig:
         raise ConfigError(f"kgrid.n_k: {exc}") from exc
     sdoc = _known(_need(doc, "state", "config"), "state", "name params")
     name = _need(sdoc, "name", "state")
-    params = sdoc.get("params", {})
+    params = _object(sdoc.get("params", {}), "state.params")
 
     dyn_doc = doc.get("dynamics")
     dynamics = None
     if dyn_doc is not None:
-        kind = _need(dyn_doc, "kind", "dynamics")
+        kind = _need(_object(dyn_doc, "dynamics"), "kind", "dynamics")
         if kind == "none":
             _known(dyn_doc, "dynamics", "kind")
         elif kind == "continuous":
@@ -364,7 +348,8 @@ def parse_config(doc: dict) -> ScenarioConfig:
         else:
             raise ConfigError(f"dynamics.kind must be none/continuous/walk, got {kind!r}")
 
-    out_dir = _known(doc.get("outputs") or {}, "outputs", "directory").get("directory")
+    odoc = doc.get("outputs")
+    out_dir = None if odoc is None else _known(odoc, "outputs", "directory").get("directory")
     if out_dir is not None and not isinstance(out_dir, str):
         raise ConfigError(f"outputs.directory must be a string, got {out_dir!r}")
     tdoc = _known(doc.get("tolerances", {}), "tolerances", "eps_boundary two_path")
@@ -372,7 +357,7 @@ def parse_config(doc: dict) -> ScenarioConfig:
         eps_boundary=_as_number(
             tdoc.get("eps_boundary", DEFAULT_EPS_BOUNDARY), "tolerances.eps_boundary", nonnegative=True
         ),
-        two_path=_as_number(tdoc.get("two_path", 1e-6), "tolerances.two_path", nonnegative=True),
+        two_path=_as_number(tdoc.get("two_path", 1e-10), "tolerances.two_path", nonnegative=True),
     )
     return ScenarioConfig(window, kgrid, name, params, dynamics, out_dir, tolerances, doc)
 
@@ -424,14 +409,11 @@ def build_state(name: str, params: dict, window: LatticeWindow):
         known = ", ".join(sorted(_STATES))
         raise DomainError(f"unknown state {name!r}; known states: {known}")
     builder, schema = _STATES[name]
-    unknown = sorted(params.keys() - schema.keys())
-    if unknown:
-        raise ConfigError(f"state.params.{unknown[0]} is not a parameter of {name}: {', '.join(schema)}")
+    _known(params, "state.params", " ".join(schema))
     values = {}
     for key, (convert, default) in schema.items():
-        if key not in params and default is None:
-            raise ConfigError(f"state.params for {name} is missing {key!r}")
-        values[key] = convert(params.get(key, default), f"state.params.{key}")
+        value = _need(params, key, "state.params") if default is None else params.get(key, default)
+        values[key] = convert(value, f"state.params.{key}")
     return builder(window=window, **values)
 
 
@@ -555,9 +537,25 @@ def _grid_table(w: WignerMatrix, t=None):
     return ("t",) + header, [np.full(n_m * n_k, float(t)), *columns]
 
 
-def _timeseries_table(pairs):
-    """(t, eta) pairs -> the negativity_timeseries.csv table."""
-    return ("t", "eta"), list(np.array(pairs, dtype=float).reshape(-1, 2).T)
+def _marginal_table(w: WignerMatrix):
+    """Header and columns of the position marginal: one row per site."""
+    sites, blocks = marginal_position(w)
+    return ("n",) + SPIN_HEADER, [sites, *spin_columns(blocks)]
+
+
+def _walk_snapshots(cfg: ScenarioConfig, dyn: WalkDynamics, rho0: DensityOperator, leaks: list):
+    """(step, field, side-table name, side table) per walk snapshot, each
+    transformed as it arrives, so a run holds one density and one field at a
+    time; each snapshot's boundary population is appended to leaks."""
+    include_walk = dyn.mode == "walk"
+    for step, rho in walk_snapshots(rho0, dyn.coin, dyn.steps, dyn.noise, include_walk, dyn.snapshot_steps):
+        leaks.append(rho.boundary_population())
+        pops = np.real(np.diagonal(rho.matrix)).reshape(rho.window.width, 2)
+        table = (
+            ("n", "p_spin0", "p_spin1", "p_total"),
+            [cfg.window.sites, pops[:, 0], pops[:, 1], pops[:, 0] + pops[:, 1]],
+        )
+        yield step, wigner_of_density(rho, cfg.kgrid), "site_distribution", table
 
 
 def run(cfg: ScenarioConfig, command: str, out_dir, quiet: bool = False) -> dict:
@@ -593,69 +591,43 @@ def run(cfg: ScenarioConfig, command: str, out_dir, quiet: bool = False) -> dict
         files.append(name)
 
     two_path_dev = None
-    boundary = rho0.boundary_population()
+    leaks = [rho0.boundary_population()]
 
     if command == "state" or dyn is None:
         emit("wigner.csv", write_csv, *_grid_table(w0))
-        sites, blocks = marginal_position(w0)
-        emit("marginal_position.csv", write_csv, ("n",) + SPIN_HEADER, [sites, *spin_columns(blocks)])
+        emit("marginal_position.csv", write_csv, *_marginal_table(w0))
         emit(
             "marginal_momentum.csv",
             write_csv,
             ("k",) + SPIN_HEADER,
             [cfg.kgrid.points, *spin_columns(marginal_momentum(w0))],
         )
-    elif isinstance(dyn, ContinuousDynamics):
-        closed = oracle_snaps = oracle_result = None
-        if dyn.method in ("closed_form", "both"):
-            closed = _closed_form_snapshots(cfg, dyn, w0)
-        if dyn.method in ("rk4", "both"):
-            oracle_snaps, oracle_result = _oracle_snapshots(cfg, dyn, rho0)
-        primary = closed if closed is not None else oracle_snaps
-        if dyn.method == "both":
-            two_path_dev = max(
-                float(np.max(np.abs(a.values - b.values))) for a, b in zip(closed, oracle_snaps)
-            )
-        for i, (t, wt) in enumerate(zip(dyn.times, primary)):
-            emit(f"snapshot_{i:03d}.csv", write_csv, *_grid_table(wt, t))
-            sites, blocks = marginal_position(wt)
-            emit(
-                f"marginal_position_{i:03d}.csv",
-                write_csv,
-                ("n",) + SPIN_HEADER,
-                [sites, *spin_columns(blocks)],
-            )
-        series = negativity_timeseries(primary, dyn.times)
-        emit("negativity_timeseries.csv", write_csv, *_timeseries_table(series))
-        if oracle_result is not None:
-            boundary = max(boundary, oracle_result.boundary_leak)
-        if closed is not None:
-            diagnostics["wigner_boundary_weight"] = max(edge_weight(s) for s in closed)
     else:
-        # Each snapshot is transformed, written and reduced to its eta as it
-        # arrives, so the run holds one density and one field at a time.
-        etas = []
-        snapshots = walk_snapshots(
-            rho0,
-            dyn.coin,
-            dyn.steps,
-            noise=dyn.noise,
-            include_walk=dyn.mode == "walk",
-            snapshot_steps=dyn.snapshot_steps,
-        )
-        for i, (step, rho) in enumerate(snapshots):
-            wt = wigner_of_density(rho, cfg.kgrid)
-            emit(f"snapshot_{i:03d}.csv", write_csv, *_grid_table(wt, step))
-            pops = np.real(np.diagonal(rho.matrix)).reshape(rho.window.width, 2)
-            emit(
-                f"site_distribution_{i:03d}.csv",
-                write_csv,
-                ("n", "p_spin0", "p_spin1", "p_total"),
-                [cfg.window.sites, pops[:, 0], pops[:, 1], pops[:, 0] + pops[:, 1]],
+        if isinstance(dyn, ContinuousDynamics):
+            closed = oracle_snaps = None
+            if dyn.method in ("closed_form", "both"):
+                closed = _closed_form_snapshots(cfg, dyn, w0)
+                diagnostics["wigner_boundary_weight"] = max(edge_weight(s) for s in closed)
+            if dyn.method in ("rk4", "both"):
+                oracle_snaps, oracle_result = _oracle_snapshots(cfg, dyn, rho0)
+                leaks.append(oracle_result.boundary_leak)
+            primary = closed if closed is not None else oracle_snaps
+            if dyn.method == "both":
+                two_path_dev = max(
+                    float(np.max(np.abs(a.values - b.values))) for a, b in zip(closed, oracle_snaps)
+                )
+            snapshots = (
+                (t, wt, "marginal_position", _marginal_table(wt)) for t, wt in zip(dyn.times, primary)
             )
-            boundary = max(boundary, rho.boundary_population())
-            etas.append((float(step), matrix_negativity(wt).eta))
-        emit("negativity_timeseries.csv", write_csv, *_timeseries_table(etas))
+        else:
+            snapshots = _walk_snapshots(cfg, dyn, rho0, leaks)
+        etas = []
+        for i, (t, wt, side, table) in enumerate(snapshots):
+            emit(f"snapshot_{i:03d}.csv", write_csv, *_grid_table(wt, t))
+            emit(f"{side}_{i:03d}.csv", write_csv, *table)
+            etas.append((float(t), matrix_negativity(wt).eta))
+        eta_columns = list(np.array(etas, dtype=float).reshape(-1, 2).T)
+        emit("negativity_timeseries.csv", write_csv, ("t", "eta"), eta_columns)
 
     if command == "negativity":
         report = matrix_negativity(w0)
@@ -671,7 +643,7 @@ def run(cfg: ScenarioConfig, command: str, out_dir, quiet: bool = False) -> dict
 
     emit("wigner_meta.json", write_json, _sidecar(cfg, command, w0))
 
-    diagnostics["boundary_leak"] = boundary
+    diagnostics["boundary_leak"] = max(leaks)
     if two_path_dev is not None:
         diagnostics["two_path_max_deviation"] = two_path_dev
 

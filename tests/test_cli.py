@@ -11,7 +11,7 @@ from lattice_wigner import KGrid, LatticeWindow, TwoGaussianSpec, WignerMatrix, 
 from lattice_wigner.cli import main
 from lattice_wigner import wigner_of_pure
 from lattice_wigner.output import _BLOCK_ROWS, SPIN_HEADER, spin_columns, write_csv
-from lattice_wigner.scenario import _grid_table
+from lattice_wigner.scenario import Tolerances, _grid_table, parse_config
 
 REPO = Path(__file__).resolve().parents[1]
 SCENARIOS = REPO / "scenarios"
@@ -307,6 +307,14 @@ class TestNonFiniteConfig:
                 _set(("dynamics", "noise", "lindblad"), [{"op": "sigma_z", "gamma": math.nan}]),
                 "dynamics.noise.lindblad[0].gamma",
             ),
+            (
+                _set(("dynamics", "noise", "lindblad"), [{"op": [[1e160, 0], [0, 0]], "gamma": 1.0}]),
+                "dynamics.noise",
+            ),
+            (
+                _set(("dynamics", "noise", "lindblad"), [{"op": [[1e200, 0], [0, 0]], "gamma": 1e-100}]),
+                "dynamics.noise",
+            ),
             (_set(("kgrid", "n_k"), 10**400), "kgrid.n_k"),
             (lambda doc: doc["dynamics"].update(method="rk4", dt=1e-300), "dynamics.dt"),
             (
@@ -354,6 +362,7 @@ class TestNonFiniteConfig:
         ids=[
             "times_inf", "j_hop_nan", "j_hop_overflow", "slope_inf", "dt_minus_inf",
             "two_path_nan", "two_path_negative", "eps_boundary_negative", "gamma_nan",
+            "dissipator_overflow", "dissipator_overflow_small_gamma",
             "n_k_overflow", "dt_tiny", "snapshot_steps_int", "directory_int", "center_float",
             "center_string", "center_bool", "unknown_param", "werner_z_string", "walk_steps_huge",
             "n_k_unallocatable", "werner_window_huge", "double_delta_window_huge",
@@ -385,6 +394,68 @@ class TestNonFiniteConfig:
         assert main(["evolve", "--config", cfg, "--out", str(out), "--quiet"]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["diagnostics"]["two_path_max_deviation"] < 1e-10
+
+    def test_default_tolerances(self, tmp_path):
+        doc = continuous_config()
+        del doc["tolerances"]
+        assert parse_config(doc).tolerances == Tolerances(eps_boundary=1e-8, two_path=1e-10)
+        cfg = write_config(tmp_path, doc)
+        assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 0
+
+
+def walk_config():
+    doc = continuous_config()
+    doc["dynamics"] = {"kind": "walk", "theta": 0.3, "steps": 2, "noise": {"p": 0.5}}
+    return doc
+
+
+MISSING_FIELDS = [
+    ("evolve", path)
+    for path in [
+        ("window", "n_min"),
+        ("window", "n_max"),
+        ("kgrid", "n_k"),
+        ("state", "name"),
+        ("state", "params", "sigma"),
+        ("dynamics", "kind"),
+        ("dynamics", "hamiltonian"),
+        ("dynamics", "hamiltonian", "j_hop"),
+        ("dynamics", "times"),
+        ("dynamics", "hamiltonian", "potential", "kind"),
+        ("dynamics", "hamiltonian", "potential", "slope"),
+        ("dynamics", "noise", "lindblad", 0, "op"),
+        ("dynamics", "noise", "lindblad", 0, "gamma"),
+    ]
+] + [("walk", path) for path in [("dynamics", "theta"), ("dynamics", "steps"), ("dynamics", "noise", "p")]]
+
+
+def _dotted(path):
+    return "".join(f"[{key}]" if isinstance(key, int) else f".{key}" for key in path)[1:]
+
+
+@pytest.mark.parametrize(
+    "command, path", MISSING_FIELDS, ids=[_dotted(path) for _, path in MISSING_FIELDS]
+)
+def test_missing_required_field_names_its_path(tmp_path, capsys, command, path):
+    doc = continuous_config() if command == "evolve" else walk_config()
+    *parents, leaf = path
+    block = doc
+    for key in parents:
+        block = block[key]
+    del block[leaf]
+    cfg = write_config(tmp_path, doc)
+    for argv in (["validate", "--config", cfg], [command, "--config", cfg, "--out", str(tmp_path / "o")]):
+        assert main(argv) == 2
+        (line,) = "".join(capsys.readouterr()).splitlines()
+        assert line.endswith(f"missing required field {_dotted(path)}")
+    assert not (tmp_path / "o").exists()
+
+
+def test_readme_example_config_validates(tmp_path, capsys):
+    readme = (REPO / "README.md").read_text()
+    example = readme.split("Config shape:\n\n```json\n", 1)[1].split("```", 1)[0]
+    assert main(["validate", "--config", write_config(tmp_path, json.loads(example))]) == 0
+    assert capsys.readouterr().out == "ok: no diagnostics\n"
 
 
 class TestConfigTypes:
@@ -552,7 +623,7 @@ class TestBesselSlack:
         doc["state"] = {"name": "cat", "params": {"a_site": -2}}
         cfg = write_config(tmp_path, doc)
         assert main(["validate", "--config", cfg]) == 2
-        assert "error: state.params for cat is missing 'b_site'" in capsys.readouterr().out
+        assert capsys.readouterr().out == "error: missing required field state.params.b_site\n"
         assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
 

@@ -246,9 +246,9 @@ class TestLinearPropagator:
         window, grid, rho0, w0 = gaussian_setup()
         h = HamiltonianSpec(1.0, Potential.linear(1.0))
         closed = linear_potential_propagate(w0, 1.0, 1.0, 2.0)
-        res = von_neumann_rk4(rho0, h, 2.0, dt=5e-4)
+        res = von_neumann_exact(rho0, h, 2.0)
         oracle = wigner_of_density(res.snapshots[-1], grid)
-        assert np.max(np.abs(closed.values - oracle.values)) < 1e-6
+        assert np.max(np.abs(closed.values - oracle.values)) < 1e-12
 
     def test_rk4_bloch_period(self):
         window, grid, rho0, w0 = gaussian_setup()
@@ -294,9 +294,9 @@ class TestSpinPropagator:
         )
         h = HamiltonianSpec(1.0, Potential.linear(1.0), spin_coupled=True)
         closed = spin_linear_propagate(w0, 1.0, 1.0, 2.0)
-        res = von_neumann_rk4(rho0, h, 2.0, dt=5e-4)
+        res = von_neumann_exact(rho0, h, 2.0)
         oracle = wigner_of_density(res.snapshots[-1], grid)
-        assert np.max(np.abs(closed.values - oracle.values)) < 1e-6
+        assert np.max(np.abs(closed.values - oracle.values)) < 1e-12
 
     def test_j_zero_phase_law(self):
         _, _, _, w0 = gaussian_setup(spin="plus")

@@ -19,7 +19,6 @@ from lattice_wigner import (
     iterated_cat_wigner,
     lindblad_wigner_closed,
     matrix_negativity,
-    negativity_timeseries,
     product_wigner,
     scalar_negativity,
     spin_trace_wigner,
@@ -141,26 +140,6 @@ class TestScalarNegativity:
         vals[5, 7] = value
         with pytest.raises(StateError):
             ScalarWigner(2 * WINDOW.n_min, 2 * WINDOW.n_max, GRID, vals)
-
-
-class TestTimeseries:
-    def test_projective_sequences(self):
-        for p, want in ((0.0, lambda t: 1.0), (0.5, lambda t: 0.5**t)):
-            traj = [iterated_cat_wigner(-2, 3, p, t, WINDOW, GRID) for t in range(6)]
-            series = negativity_timeseries(traj)
-            for t, eta in series:
-                assert eta == pytest.approx(want(t), abs=1e-12)
-
-    def test_explicit_times(self):
-        traj = [iterated_cat_wigner(-2, 3, 0.5, t, WINDOW, GRID) for t in (0, 2)]
-        series = negativity_timeseries(traj, times=[0.0, 2.0])
-        assert series[0][0] == 0.0
-        assert series[1][1] == pytest.approx(0.25, abs=1e-12)
-
-    def test_length_mismatch(self):
-        traj = [iterated_cat_wigner(-2, 3, 0.5, 0, WINDOW, GRID)]
-        with pytest.raises(DomainError):
-            negativity_timeseries(traj, times=[0.0, 1.0])
 
 
 class TestBlockTraceNormBits:

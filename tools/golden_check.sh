@@ -7,14 +7,17 @@
 # The revision is exported with `git archive` into a temporary directory.  Each
 # tree's src/ then runs the seven golden commands on its own scenarios/*.json:
 # the five scenario runs plus `negativity` on fig1 and walk_hadamard.  It also
-# runs `validate` on the five scenarios and keeps its stdout and exit status, so
-# the pre-run checks are held to the same byte-identity.  Both trees also run
+# runs `validate` on the five scenarios and on eight malformed copies of fig2
+# (non-object window, potential and tolerances, the unknown key dynamics.methd,
+# no dynamics.times, a NaN j_hop, method "rk5" and kgrid.n_k 16), and keeps its
+# stdout, stderr and exit status, so the pre-run checks and their error
+# messages are held to the same byte-identity.  Both trees also run
 # `evolve` on two copies written into the temporary directory: fig3 with the
 # real spinor [cos 0.9, sin 0.9] (the committed configs use basis or "plus"
 # spins, so most of their cells repeat, and this copy has few repeated values),
 # and fig2 with an odd n_k = 193, spin "plus", a sigma_x channel and method
 # "both", which reaches the Bessel-band kernel's odd-n_k phases, the closed-form
-# spin channel and the density route.  96 files in all.
+# spin channel and the density route.  104 files in all.
 # BLAS is pinned to one thread, because the density route's last bits depend
 # on the thread count.  The manifests' wall_clock_seconds, the one field
 # allowed to differ between identical runs, is dropped before `diff -r`.  Exit
@@ -31,6 +34,14 @@ mkdir "$tmp/parent-tree"
 git -C "$root" archive "$parent" | tar -x -C "$tmp/parent-tree"
 export OPENBLAS_NUM_THREADS=1
 
+validate_run() {  # validate_run TREE CONFIG FILE: stdout, stderr and exit status into FILE
+    local status=0
+    (cd "$tmp" && PYTHONPATH="$1/src" "$python" -m lattice_wigner.cli validate --config "$2") \
+        >"$3" 2>"$3.err" || status=$?
+    { echo "stderr:"; cat "$3.err"; echo "exit status $status"; } >>"$3"
+    rm "$3.err"
+}
+
 golden_runs() {  # golden_runs TREE OUT
     local tree=$1 out=$2 cmd name
     for run in state:fig1_two_gaussian evolve:fig2_bloch evolve:fig3_spin_split \
@@ -46,10 +57,11 @@ golden_runs() {  # golden_runs TREE OUT
             --config "$tmp/$name.json" --out "$out/evolve-$name" --quiet)
     done
     for name in cat_projective fig1_two_gaussian fig2_bloch fig3_spin_split walk_hadamard; do
-        status=0
-        (cd "$tmp" && PYTHONPATH="$tree/src" "$python" -m lattice_wigner.cli validate \
-            --config "$tree/scenarios/$name.json") >"$out/validate-$name.txt" || status=$?
-        echo "exit status $status" >>"$out/validate-$name.txt"
+        validate_run "$tree" "$tree/scenarios/$name.json" "$out/validate-$name.txt"
+    done
+    for config in "$tmp"/malformed-*.json; do
+        name=$(basename "$config" .json)
+        validate_run "$tree" "$config" "$out/validate-$name.txt"
     done
     "$python" - "$out" <<'EOF'
 import json, pathlib, sys
@@ -72,6 +84,27 @@ doc["state"]["params"]["spin"] = "plus"
 doc["dynamics"]["method"] = "both"
 doc["dynamics"]["noise"] = {"lindblad": [{"op": "sigma_x", "gamma": 0.2}]}
 (tmp / "fig2_odd_nk_channel.json").write_text(json.dumps(doc))
+absent = object()
+for name, path, value in [
+    ("window", ["window"], 5),
+    ("potential", ["dynamics", "hamiltonian", "potential"], "linear"),
+    ("tolerances", ["tolerances"], []),
+    ("unknown_key", ["dynamics", "methd"], "rk4"),
+    ("no_times", ["dynamics", "times"], absent),
+    ("j_hop_nan", ["dynamics", "hamiltonian", "j_hop"], math.nan),
+    ("method_rk5", ["dynamics", "method"], "rk5"),
+    ("n_k_16", ["kgrid", "n_k"], 16),
+]:
+    doc = json.loads((scenarios / "fig2_bloch.json").read_text())
+    *parents, leaf = path
+    block = doc
+    for key in parents:
+        block = block[key]
+    if value is absent:
+        del block[leaf]
+    else:
+        block[leaf] = value
+    (tmp / f"malformed-{name}.json").write_text(json.dumps(doc))
 EOF
 golden_runs "$tmp/parent-tree" "$tmp/parent"
 golden_runs "$root" "$tmp/change"
