@@ -71,8 +71,9 @@ _DEFAULT_STEP_FRACTION = 0.05
 #: take a few thousand steps; a dt that asks for more would practically never end.
 _MAX_STEPS = 10**6
 
-#: Magnitude below which a Wigner m-row counts as unoccupied.
-_SUPPORT_TOL = 1e-13
+#: Common period in delta = lambda_a t of every phase the Bessel-band kernel builds: 2 pi for
+#: e^{i delta d}, 4 pi for sin(delta / 2), sin(k +- delta / 2) and the sigma_z dress e^{-i delta m / 2}.
+_PHASE_PERIOD = 4.0 * math.pi
 
 
 @dataclass(frozen=True)
@@ -519,18 +520,6 @@ def wigner_evolution_rhs(w: WignerMatrix, h: HamiltonianSpec, a: float = 1.0) ->
     return out
 
 
-def occupied_rows(values: np.ndarray) -> Optional[tuple]:
-    """(first, last) index along axis 0 holding a magnitude above the support tolerance."""
-    mags = np.max(np.abs(values.reshape(values.shape[0], -1)), axis=1)
-    scale = float(mags.max()) if mags.size else 0.0
-    if scale == 0.0:
-        return None
-    occupied = np.nonzero(mags > _SUPPORT_TOL * max(1.0, scale))[0]
-    if occupied.size == 0:
-        return None
-    return int(occupied[0]), int(occupied[-1])
-
-
 def bessel_band_reach(j_hop: float, lambda_a: float, t: float) -> int:
     """Empty m-rows the Bessel band needs on each side of the support at time t.
 
@@ -541,16 +530,14 @@ def bessel_band_reach(j_hop: float, lambda_a: float, t: float) -> int:
     delta = lambda_a * float(t)
     if not math.isfinite(delta):
         raise DomainError(f"lambda_a * t = {delta} is not finite")
-    z_max = abs(8.0 * j_hop / lambda_a * math.sin(0.5 * delta))
+    z_max = abs(8.0 * j_hop / lambda_a * math.sin(0.5 * math.fmod(delta, _PHASE_PERIOD)))
     return bessel_tail_order(z_max)
 
 
-def check_slack(values: np.ndarray, needed: int, what: str) -> None:
-    support = occupied_rows(values)
-    if support is None:
+def check_slack(w: WignerMatrix, needed: int, what: str) -> None:
+    if w.occupied is None:
         return
-    lo, hi = support
-    slack = min(lo, values.shape[0] - 1 - hi)
+    slack = min(w.occupied[0], w.n_m - 1 - w.occupied[1])
     if slack < needed:
         raise WindowError(
             f"{what}: kernel needs {needed} empty m-rows on each side, "
@@ -601,9 +588,9 @@ def _bessel_band_propagate(
     if lambda_a == 0.0:
         raise DomainError("linear propagator requires lambda_a != 0")
     reach = bessel_band_reach(j_hop, lambda_a, t)
-    check_slack(w0.values, reach, what)
+    check_slack(w0, reach, what)
     n_m, n_k = w0.n_m, w0.kgrid.n_k
-    delta = lambda_a * float(t)
+    delta = math.fmod(lambda_a * float(t), _PHASE_PERIOD)
     signs = np.asarray(spin_signs, dtype=float)
     shifts, entry = np.unique(0.5 * delta * np.add.outer(signs, signs), return_inverse=True)
     entry = entry.reshape(4)  # the shift index of spin entry ab = 2a + b
@@ -629,7 +616,7 @@ def _bessel_band_propagate(
     spec = np.ascontiguousarray(spec.transpose(0, 2, 1))
     n_pad = _smooth_length(n_m + reach)
     spec = np.fft.fft(spec, n=n_pad, axis=2)
-    scale = -8.0 * (j_hop / lambda_a) * math.sin(0.5 * lambda_a * float(t))
+    scale = -8.0 * (j_hop / lambda_a) * math.sin(0.5 * delta)
     z = scale * np.sin(np.add.outer(w0.kgrid.points, 0.5 * shifts))
     sin_q = np.sin(TWO_PI * np.arange(n_pad) / n_pad)
     phase = np.empty((n_k, n_pad), dtype=complex)

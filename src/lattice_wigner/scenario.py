@@ -41,7 +41,6 @@ from .continuous import (
     decohere_wigner,
     lindblad_rk4,
     linear_potential_propagate,
-    occupied_rows,
     spin_linear_propagate,
     step_size,
     von_neumann_exact,
@@ -67,6 +66,7 @@ from .wigner import (
     marginal_momentum,
     marginal_position,
     normalization_total,
+    occupied_rows,
     wigner_of_density,
 )
 
@@ -466,7 +466,7 @@ def _preflight(cfg: ScenarioConfig) -> tuple:
                     diags, "dynamics.times", max, (bessel_band_reach(h.j_hop, lam_a, t) for t in dyn.times)
                 )
                 if reach is not None:
-                    _attempt(diags, "window", check_slack, w0.values, reach, "closed-form propagator")
+                    _attempt(diags, "window", check_slack, w0, reach, "closed-form propagator")
         if dyn.dt is not None or dyn.method != "closed_form":
             _attempt(diags, "dynamics.dt", step_size, h, dyn.noise, cfg.window, dyn.times[-1], dyn.dt)
     elif isinstance(dyn, WalkDynamics) and dyn.mode == "walk" and rho0 is not None:
@@ -485,30 +485,40 @@ def validate_config(cfg: ScenarioConfig) -> list:
 # Run pipeline
 # ---------------------------------------------------------------------------
 
-def _closed_form_snapshots(cfg: ScenarioConfig, dyn: ContinuousDynamics, w0: WignerMatrix):
+def _continuous_snapshots(cfg: ScenarioConfig, dyn: ContinuousDynamics, w0, rho0, diagnostics: dict):
+    """(t, field, side-table name, side table) per snapshot time.  The density
+    route (exact eigh propagation and channel flow, RK4 for channels that do not
+    commute with H) runs first, so its leak monitor refuses a run before any file
+    is written; then each time's fields are made, compared and dropped in turn.
+    Edge weight and two-path deviation go into diagnostics as running maxima."""
     h = dyn.hamiltonian
-    lam_a = h.lambda_a(cfg.window)
+    densities = (None,) * len(dyn.times)
+    if dyn.method != "closed_form":
+        evolve = von_neumann_exact if dyn.noise is None or dyn.noise.commutes_with(h) else lindblad_rk4
+        result = evolve(
+            rho0, h, noise=dyn.noise, t_final=dyn.times[-1], dt=dyn.dt, snapshot_times=dyn.times,
+            eps_boundary=cfg.tolerances.eps_boundary,
+        )
+        _running_max(diagnostics, "boundary_leak", result.boundary_leak)
+        densities = result.snapshots
+    lam_a = h.lambda_a(cfg.window) if dyn.method != "rk4" else None
     propagate = spin_linear_propagate if h.spin_coupled else linear_potential_propagate
-    snapshots = []
-    for t in dyn.times:
-        wt = propagate(w0, h.j_hop, lam_a, t)
-        snapshots.append(wt if dyn.noise is None else decohere_wigner(wt, dyn.noise, t))
-    return snapshots
+    for t, rho in zip(dyn.times, densities):
+        wt = None if lam_a is None else propagate(w0, h.j_hop, lam_a, t)
+        if wt is not None:
+            wt = wt if dyn.noise is None else decohere_wigner(wt, dyn.noise, t)
+            _running_max(diagnostics, "wigner_boundary_weight", edge_weight(wt))
+        oracle = None if rho is None else wigner_of_density(rho, cfg.kgrid)
+        wt = oracle if wt is None else wt
+        if dyn.method == "both":
+            deviation = float(np.max(np.abs(wt.values - oracle.values)))
+            _running_max(diagnostics, "two_path_max_deviation", deviation)
+        del oracle
+        yield t, wt, "marginal_position", _marginal_table(wt)
 
 
-def _oracle_snapshots(cfg: ScenarioConfig, dyn: ContinuousDynamics, rho0: DensityOperator):
-    """Density route: exact eigh propagation and channel flow, RK4 for channels that do not commute with H."""
-    schedule = dict(
-        t_final=dyn.times[-1],
-        dt=dyn.dt,
-        snapshot_times=dyn.times,
-        eps_boundary=cfg.tolerances.eps_boundary,
-    )
-    if dyn.noise is None or dyn.noise.commutes_with(dyn.hamiltonian):
-        result = von_neumann_exact(rho0, dyn.hamiltonian, noise=dyn.noise, **schedule)
-    else:
-        result = lindblad_rk4(rho0, dyn.hamiltonian, dyn.noise, **schedule)
-    return [wigner_of_density(s, cfg.kgrid) for s in result.snapshots], result
+def _running_max(diagnostics: dict, key: str, value: float) -> None:
+    diagnostics[key] = max(diagnostics.get(key, value), value)
 
 
 def _sidecar(cfg: ScenarioConfig, command: str, w: WignerMatrix) -> dict:
@@ -543,13 +553,13 @@ def _marginal_table(w: WignerMatrix):
     return ("n",) + SPIN_HEADER, [sites, *spin_columns(blocks)]
 
 
-def _walk_snapshots(cfg: ScenarioConfig, dyn: WalkDynamics, rho0: DensityOperator, leaks: list):
+def _walk_snapshots(cfg: ScenarioConfig, dyn: WalkDynamics, rho0: DensityOperator, diagnostics: dict):
     """(step, field, side-table name, side table) per walk snapshot, each
     transformed as it arrives, so a run holds one density and one field at a
-    time; each snapshot's boundary population is appended to leaks."""
+    time; the boundary population goes into diagnostics as a running maximum."""
     include_walk = dyn.mode == "walk"
     for step, rho in walk_snapshots(rho0, dyn.coin, dyn.steps, dyn.noise, include_walk, dyn.snapshot_steps):
-        leaks.append(rho.boundary_population())
+        _running_max(diagnostics, "boundary_leak", rho.boundary_population())
         pops = np.real(np.diagonal(rho.matrix)).reshape(rho.window.width, 2)
         table = (
             ("n", "p_spin0", "p_spin1", "p_total"),
@@ -584,14 +594,12 @@ def run(cfg: ScenarioConfig, command: str, out_dir, quiet: bool = False) -> dict
     diagnostics = {
         "initial_hermiticity_defect": hermiticity_defect(w0),
         "initial_normalization_error": abs(normalization_total(w0) - 1.0),
+        "boundary_leak": rho0.boundary_population(),
     }
 
     def emit(name: str, writer, *args) -> None:
         writer(out / name, *args)
         files.append(name)
-
-    two_path_dev = None
-    leaks = [rho0.boundary_population()]
 
     if command == "state" or dyn is None:
         emit("wigner.csv", write_csv, *_grid_table(w0))
@@ -604,23 +612,9 @@ def run(cfg: ScenarioConfig, command: str, out_dir, quiet: bool = False) -> dict
         )
     else:
         if isinstance(dyn, ContinuousDynamics):
-            closed = oracle_snaps = None
-            if dyn.method in ("closed_form", "both"):
-                closed = _closed_form_snapshots(cfg, dyn, w0)
-                diagnostics["wigner_boundary_weight"] = max(edge_weight(s) for s in closed)
-            if dyn.method in ("rk4", "both"):
-                oracle_snaps, oracle_result = _oracle_snapshots(cfg, dyn, rho0)
-                leaks.append(oracle_result.boundary_leak)
-            primary = closed if closed is not None else oracle_snaps
-            if dyn.method == "both":
-                two_path_dev = max(
-                    float(np.max(np.abs(a.values - b.values))) for a, b in zip(closed, oracle_snaps)
-                )
-            snapshots = (
-                (t, wt, "marginal_position", _marginal_table(wt)) for t, wt in zip(dyn.times, primary)
-            )
+            snapshots = _continuous_snapshots(cfg, dyn, w0, rho0, diagnostics)
         else:
-            snapshots = _walk_snapshots(cfg, dyn, rho0, leaks)
+            snapshots = _walk_snapshots(cfg, dyn, rho0, diagnostics)
         etas = []
         for i, (t, wt, side, table) in enumerate(snapshots):
             emit(f"snapshot_{i:03d}.csv", write_csv, *_grid_table(wt, t))
@@ -643,10 +637,6 @@ def run(cfg: ScenarioConfig, command: str, out_dir, quiet: bool = False) -> dict
 
     emit("wigner_meta.json", write_json, _sidecar(cfg, command, w0))
 
-    diagnostics["boundary_leak"] = max(leaks)
-    if two_path_dev is not None:
-        diagnostics["two_path_max_deviation"] = two_path_dev
-
     manifest = {
         "command": command,
         "config": cfg.raw,
@@ -662,7 +652,8 @@ def run(cfg: ScenarioConfig, command: str, out_dir, quiet: bool = False) -> dict
     if not quiet:
         for name in sorted(files + ["manifest.json"]):
             print(out / name)
-    if two_path_dev is not None and two_path_dev > cfg.tolerances.two_path:
+    two_path_dev = diagnostics.get("two_path_max_deviation", 0.0)
+    if two_path_dev > cfg.tolerances.two_path:
         raise InvariantViolation(
             f"two-path deviation {two_path_dev:.3e} exceeds tolerance "
             f"{cfg.tolerances.two_path:.3e}"

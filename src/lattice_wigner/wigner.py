@@ -19,6 +19,8 @@ points, whose k-integral vanishes for any state.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Optional
 
 import numpy as np
 
@@ -38,6 +40,19 @@ INV_TWO_PI = 1.0 / TWO_PI
 
 #: Largest |k-integral| an odd m-row of a state-derived field may carry.
 ODD_ROW_TOL = 1e-10
+
+#: Magnitude below which a row counts as unoccupied.
+_SUPPORT_TOL = 1e-13
+
+
+def occupied_rows(values: np.ndarray) -> Optional[tuple]:
+    """(first, last) index along axis 0 holding a magnitude above the support tolerance."""
+    mags = np.max(np.abs(values.reshape(values.shape[0], -1)), axis=1)
+    scale = float(mags.max()) if mags.size else 0.0
+    occupied = np.nonzero(mags > _SUPPORT_TOL * max(1.0, scale))[0]
+    if occupied.size == 0:
+        return None
+    return int(occupied[0]), int(occupied[-1])
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -73,6 +88,11 @@ class _Field:
     def on_window(cls, window: LatticeWindow, kgrid: KGrid, values):
         """The field of a window's operators: m runs over [2 n_min, 2 n_max]."""
         return cls(2 * window.n_min, 2 * window.n_max, kgrid, values)
+
+    @cached_property
+    def occupied(self) -> Optional[tuple]:
+        """occupied_rows of the values, computed once: they are read-only."""
+        return occupied_rows(self.values)
 
     @property
     def n_m(self) -> int:
@@ -147,7 +167,9 @@ def _transform_blocks(blocks: np.ndarray, window: LatticeWindow, kgrid: KGrid) -
     rows, cols, sign = _pair_map(window.width, kgrid.n_k)
     coeffs = np.zeros((2 * window.width - 1, kgrid.n_k, 2, 2), dtype=complex)
     coeffs[rows, cols] = sign[:, :, None, None] * blocks.transpose(0, 2, 1, 3)
-    return WignerMatrix.on_window(window, kgrid, INV_TWO_PI * np.fft.fft(coeffs, axis=1))
+    np.fft.fft(coeffs, axis=1, out=coeffs)
+    coeffs *= INV_TWO_PI
+    return WignerMatrix.on_window(window, kgrid, coeffs)
 
 
 def wigner_of_density(rho: DensityOperator, kgrid: KGrid) -> WignerMatrix:

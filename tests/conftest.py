@@ -28,6 +28,7 @@ from lattice_wigner import (
 from lattice_wigner.continuous import _smooth_length, bessel_band_reach, check_slack
 from lattice_wigner.grids import TWO_PI
 from lattice_wigner.negativity import HERMITICITY_TOL
+from lattice_wigner.wigner import INV_TWO_PI, _pair_map
 
 
 def naive_wigner_values(matrix, window, kgrid):
@@ -164,7 +165,7 @@ def reference_band_propagate(w0, j_hop, lambda_a, t, spin_signs, what):
     if lambda_a == 0.0:
         raise DomainError("linear propagator requires lambda_a != 0")
     reach = bessel_band_reach(j_hop, lambda_a, t)
-    check_slack(w0.values, reach, what)
+    check_slack(w0, reach, what)
     delta = lambda_a * float(t)
     signs = np.asarray(spin_signs, dtype=float)
     shifts, entry = np.unique(0.5 * delta * np.add.outer(signs, signs), return_inverse=True)
@@ -185,6 +186,16 @@ def reference_band_propagate(w0, j_hop, lambda_a, t, spin_signs, what):
     spec *= np.exp(-1j * np.multiply.outer(sin_q, z))[:, :, entry]
     spec = np.fft.ifft(spec, axis=0)[: w0.n_m]
     return w0.with_values(spec.copy() if dress is None else dress * spec)
+
+
+def reference_transform_values(op, window, kgrid):
+    """The forward transform's values with its FFT and 1/(2 pi) scale out of
+    place.  Kept only as the bitwise reference of wigner._transform_blocks."""
+    w = window.width
+    rows, cols, sign = _pair_map(w, kgrid.n_k)
+    coeffs = np.zeros((2 * w - 1, kgrid.n_k, 2, 2), dtype=complex)
+    coeffs[rows, cols] = sign[:, :, None, None] * np.asarray(op).reshape(w, 2, w, 2).transpose(0, 2, 1, 3)
+    return INV_TWO_PI * np.fft.fft(coeffs, axis=1)
 
 
 def reference_hermiticity_defect(w):

@@ -740,6 +740,50 @@ class TestEvolveCommand:
         cfg = write_config(tmp_path, doc)
         assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
 
+    def test_snapshots_stream(self, tmp_path):
+        # Eight times the snapshot times must not cost eight times the memory:
+        # each time's closed-form and oracle fields are made, compared, written
+        # and dropped before the next time's.  The window is narrow and the
+        # hopping weak, so the grids stay small and the writer stays quick.
+        peaks = []
+        for count in (4, 32):
+            doc = continuous_config(times=[0.5 * i / (count - 1) for i in range(count)])
+            doc.update(window={"n_min": -5, "n_max": 5}, kgrid={"n_k": 48})
+            doc["state"] = {"name": "double_delta", "params": {"n1": 0, "n2": 1}}
+            doc["dynamics"]["hamiltonian"]["j_hop"] = 0.02
+            cfg = write_config(tmp_path, doc, f"times_{count}.json")
+            tracemalloc.start()
+            try:
+                assert main(["evolve", "--config", cfg, "--out", str(tmp_path / str(count)), "--quiet"]) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.5 * peaks[0], peaks
+
+    @pytest.mark.parametrize("eps_boundary", [0.0, 1e-38], ids=["initial", "during_steps"])
+    def test_density_leak_writes_no_snapshot(self, tmp_path, capsys, eps_boundary):
+        # The density route runs to its last time before the first file is
+        # written, so a leak it finds leaves no snapshot behind.
+        doc = continuous_config()
+        doc["tolerances"]["eps_boundary"] = eps_boundary
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "out"
+        assert main(["evolve", "--config", cfg, "--out", str(out), "--quiet"]) == 3
+        assert "boundary population" in capsys.readouterr().err
+        assert not list(out.glob("snapshot_*.csv"))
+
+    def test_long_closed_form_time(self, tmp_path, capsys):
+        # lambda_a t = 1e12: the kernel's phases are taken at lambda_a t mod 4 pi.
+        doc = json.loads((SCENARIOS / "fig2_bloch.json").read_text())
+        doc["dynamics"]["times"] = [0.0, 1e12]
+        cfg = write_config(tmp_path, doc)
+        assert main(["validate", "--config", cfg]) == 0
+        assert capsys.readouterr().out == "ok: no diagnostics\n"
+        out = tmp_path / "out"
+        assert main(["evolve", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+        marginal = np.loadtxt(out / "marginal_position_001.csv", delimiter=",", skiprows=1)
+        assert abs(marginal[:, 1].sum() + marginal[:, 7].sum() - 1.0) < 1e-13  # re00 + re11
+
     def test_sigma_z_closed_form_timeseries(self, tmp_path):
         doc = {
             "window": {"n_min": -8, "n_max": 8, "a": 1.0},

@@ -28,6 +28,7 @@ from lattice_wigner import (
     wigner_evolution_rhs,
     wigner_of_density,
 )
+from lattice_wigner import wigner
 from lattice_wigner.continuous import _bessel_band_propagate
 from lattice_wigner.grids import k_derivative, k_shift
 from lattice_wigner.states import PAULI_X, PAULI_Y, PAULI_Z
@@ -382,6 +383,30 @@ class TestBandKernelBits:
         for signs in BOTH_SIGNS:
             out = _bessel_band_propagate(w0, 0.8, 1.1, 1.9, signs, "kernel")
             assert same_bits(out.values, reference_band_propagate(w0, 0.8, 1.1, 1.9, signs, "kernel").values)
+
+    @pytest.mark.parametrize("t", [1e12, 1e15])
+    def test_long_time_is_the_reduced_time(self, t):
+        # Every phase of the kernel has period 4 pi in lambda_a t, and the
+        # kernel reduces lambda_a t to it first: with lambda_a = 1 the field
+        # at t is the field at t mod 4 pi, bit for bit, and stays a state's.
+        _, _, _, w0 = gaussian_setup(spin="plus")
+        for signs in BOTH_SIGNS:
+            out = _bessel_band_propagate(w0, 1.0, 1.0, t, signs, "kernel")
+            reduced = _bessel_band_propagate(w0, 1.0, 1.0, math.fmod(t, 4.0 * math.pi), signs, "kernel")
+            assert same_bits(out.values, reduced.values), signs
+            assert abs(normalization_total(out) - 1.0) < 1e-13
+            assert hermiticity_defect(out) < 1e-13
+
+    def test_support_found_once_per_field(self, monkeypatch):
+        # The occupied rows of w0 are cached on the field: a time sweep finds them once.
+        calls = []
+        find = wigner.occupied_rows
+        monkeypatch.setattr(wigner, "occupied_rows", lambda values: calls.append(1) or find(values))
+        _, _, _, w0 = gaussian_setup()
+        for t in (0.5, 1.0, 1.5):
+            linear_potential_propagate(w0, 1.0, 1.0, t)
+            spin_linear_propagate(w0, 1.0, 1.0, t)
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("lambda_a, error", [(0.05, WindowError), (0.0, DomainError)])
     def test_same_refusal(self, lambda_a, error):

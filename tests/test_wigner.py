@@ -38,6 +38,7 @@ from conftest import (
     random_density,
     random_pure,
     reference_hermiticity_defect,
+    reference_transform_values,
     same_bits,
 )
 
@@ -101,6 +102,18 @@ class TestFftKernelsAgainstDirectSum:
         scale = np.max(np.abs(op))
         assert np.max(np.abs(back.matrix - per_m_reconstruction(w.values, window, grid))) < 1e-14 * scale
         assert np.max(np.abs(back.matrix - op)) < 1e-13 * scale
+
+
+class TestTransformBits:
+    @pytest.mark.parametrize("width, n_k", FFT_CASES)
+    def test_in_place_fft_matches_reference(self, width, n_k, rng):
+        window, grid = LatticeWindow(3 - width, 2), KGrid(n_k)
+        op = rng.normal(size=(window.dim,) * 2) + 1j * rng.normal(size=(window.dim,) * 2)
+        parts = op.view(float)
+        parts[rng.random(parts.shape) < 0.3] = -0.0
+        for case in (op, random_density(window, rng).matrix):
+            w = wigner_of_operator(case, window, grid)
+            assert same_bits(w.values, reference_transform_values(case, window, grid))
 
 
 class TestForwardTransform:
