@@ -80,7 +80,6 @@ from .continuous import (
     linear_potential_propagate,
     spin_linear_propagate,
     von_neumann_exact,
-    von_neumann_rk4,
     wigner_evolution_rhs,
 )
 from .walk import (

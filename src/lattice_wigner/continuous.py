@@ -67,7 +67,7 @@ _STABILITY_CAP = 0.5
 #: Default dt satisfies dt * (spectral norm estimate) <= this.
 _DEFAULT_STEP_FRACTION = 0.05
 
-#: Longest step grid (t_final / dt) a density route accepts.  Configured runs
+#: Longest step grid (t_end / dt) a density route accepts.  Configured runs
 #: take a few thousand steps; a dt that asks for more would practically never end.
 _MAX_STEPS = 10**6
 
@@ -152,9 +152,14 @@ class HamiltonianSpec:
         return (1.0, -1.0) if self.spin_coupled else (1.0, 1.0)
 
     def site_potential(self, window: LatticeWindow) -> np.ndarray:
+        """V(n a) on the window's sites; DomainError where it is not finite."""
         if self.potential is None:
             return np.zeros(window.width)
-        return np.asarray(self.potential.values(window.sites * window.a), dtype=float)
+        with np.errstate(all="ignore"):
+            v = np.asarray(self.potential.values(window.sites * window.a), dtype=float)
+        if not np.all(np.isfinite(v)):
+            raise DomainError(f"V(n a) is not finite on the window's sites with a = {window.a!r}")
+        return v
 
     def lambda_a(self, window: LatticeWindow) -> float:
         """Coupling lambda*a of a linear potential (slope times spacing)."""
@@ -246,12 +251,10 @@ class NoiseSpec:
 
 @dataclass(frozen=True)
 class EvolutionResult:
-    """Snapshot trajectory with the worst boundary population seen."""
+    """One density snapshot per requested time, and the worst boundary population seen."""
 
-    times: tuple
     snapshots: tuple
     boundary_leak: float
-    method: str
 
 
 # ---------------------------------------------------------------------------
@@ -287,30 +290,31 @@ def step_size(
     h: HamiltonianSpec,
     noise: Optional[NoiseSpec],
     window: LatticeWindow,
-    t_final: float,
+    t_end: float,
     dt: Optional[float] = None,
 ) -> float:
-    """The fixed step both density routes take up to t_final.
+    """The fixed step both density routes take up to t_end.
 
     dt=None picks the default rule.  Raises StepSizeError when dt times the
-    spectral norm estimate (plus 2 gamma_total with noise) exceeds the
-    stability cap, or when t_final / dt exceeds _MAX_STEPS.
+    spectral norm estimate (plus 2 gamma_total with noise) is not within the
+    stability cap (a NaN estimate never is), or when t_end / dt exceeds
+    _MAX_STEPS.
     """
     norm_est = h.norm_estimate(window)
     if noise is not None:
         norm_est += 2.0 * noise.gamma_total
     if dt is None:
-        dt = _DEFAULT_STEP_FRACTION / norm_est if norm_est > 0.0 else float(t_final) or 1.0
+        dt = _DEFAULT_STEP_FRACTION / norm_est if norm_est > 0.0 else float(t_end) or 1.0
     if dt <= 0.0:
         raise StepSizeError(f"dt must be positive, got {dt}")
-    if norm_est > 0.0 and dt * norm_est > _STABILITY_CAP:
+    if not dt * norm_est <= _STABILITY_CAP:
         raise StepSizeError(
             f"dt={dt} times norm estimate {norm_est:.3g} exceeds "
             f"stability cap {_STABILITY_CAP}"
         )
-    if t_final / dt > _MAX_STEPS:
+    if t_end / dt > _MAX_STEPS:
         raise StepSizeError(
-            f"dt={dt} makes {t_final / dt:.3g} steps up to t={t_final}, more than {_MAX_STEPS}"
+            f"dt={dt} makes {t_end / dt:.3g} steps up to t={t_end}, more than {_MAX_STEPS}"
         )
     return dt
 
@@ -319,27 +323,26 @@ def _step_plan(
     rho0: DensityOperator,
     h: HamiltonianSpec,
     noise: Optional[NoiseSpec],
-    t_final: float,
+    times: Sequence[float],
     dt: Optional[float],
-    snapshot_times: Optional[Sequence[float]],
     eps_boundary: float,
 ):
     """Front end shared by both density routes.
 
-    Resolves the step (:func:`step_size`) and the snapshot times, and refuses
-    an initial state already past eps_boundary.  Returns (times, steps, leak):
-    steps[i] = (n_steps, hstep) is the fixed step grid of the interval ending
-    at times[i], and leak is the initial boundary population.
+    Checks the snapshot times (non-empty, >= 0, ascending; the last is where
+    the run ends), resolves the step up to that end (:func:`step_size`), and
+    refuses an initial state already past eps_boundary.  Returns (times,
+    steps, leak): steps[i] = (n_steps, hstep) is the fixed step grid of the
+    interval ending at times[i], and leak is the initial boundary population.
     """
-    dt = step_size(h, noise, rho0.window, t_final, dt)
-    if snapshot_times is None:
-        times = [float(t_final)]
-    else:
-        times = [float(t) for t in snapshot_times]
-    if any(t < 0.0 for t in times):
+    times = [float(t) for t in times]
+    if not times:
+        raise DomainError("times must hold at least one snapshot time")
+    if not all(t >= 0.0 for t in times):
         raise DomainError("snapshot times must be >= 0")
     if any(b < a for a, b in zip(times, times[1:])):
         raise DomainError("snapshot times must be ascending")
+    dt = step_size(h, noise, rho0.window, times[-1], dt)
     leak = rho0.boundary_population()
     if leak > eps_boundary:
         raise BoundaryLeakError(
@@ -366,12 +369,12 @@ def lindblad_rk4(
     rho0: DensityOperator,
     h: HamiltonianSpec,
     noise: Optional[NoiseSpec],
-    t_final: float,
+    times: Sequence[float],
     dt: Optional[float] = None,
-    snapshot_times: Optional[Sequence[float]] = None,
     eps_boundary: float = DEFAULT_EPS_BOUNDARY,
 ) -> EvolutionResult:
-    """Fixed-step RK4 integration of the Lindblad equation.
+    """Fixed-step RK4 integration of the Lindblad equation (noise=None: the
+    closed system), with one snapshot at each of the ascending times.
 
     Hermiticity is restored by symmetrization after every step; the trace is
     conserved by the equation itself and is not renormalized.  Each step the
@@ -380,7 +383,7 @@ def lindblad_rk4(
     instead of letting the hard wall reflect.
     """
     window = rho0.window
-    times, steps, leak = _step_plan(rho0, h, noise, t_final, dt, snapshot_times, eps_boundary)
+    times, steps, leak = _step_plan(rho0, h, noise, times, dt, eps_boundary)
 
     rhs = _make_rhs(h, noise, window)
     mat = rho0.matrix.astype(complex).copy()
@@ -398,19 +401,7 @@ def lindblad_rk4(
                 raise _leak_error(edge, eps_boundary, t)
             leak = max(leak, edge)
         snapshots.append(DensityOperator(window, mat.copy()))
-    return EvolutionResult(tuple(times), tuple(snapshots), leak, "rk4")
-
-
-def von_neumann_rk4(
-    rho0: DensityOperator,
-    h: HamiltonianSpec,
-    t_final: float,
-    dt: Optional[float] = None,
-    snapshot_times: Optional[Sequence[float]] = None,
-    eps_boundary: float = DEFAULT_EPS_BOUNDARY,
-) -> EvolutionResult:
-    """Closed-system special case of :func:`lindblad_rk4`."""
-    return lindblad_rk4(rho0, h, None, t_final, dt, snapshot_times, eps_boundary)
+    return EvolutionResult(tuple(snapshots), leak)
 
 
 #: Monitor times evaluated per batch: no (all times) x N array is held, and
@@ -421,13 +412,13 @@ _MONITOR_CHUNK = 32
 def von_neumann_exact(
     rho0: DensityOperator,
     h: HamiltonianSpec,
-    t_final: float,
+    noise: Optional[NoiseSpec],
+    times: Sequence[float],
     dt: Optional[float] = None,
-    snapshot_times: Optional[Sequence[float]] = None,
     eps_boundary: float = DEFAULT_EPS_BOUNDARY,
-    noise: Optional[NoiseSpec] = None,
 ) -> EvolutionResult:
-    """Exact evolution rho(t) = e^{tD}[U(t) rho0 U(t)^+] with U(t) = V e^{-iEt} V^+.
+    """Exact evolution rho(t) = e^{tD}[U(t) rho0 U(t)^+] with U(t) = V e^{-iEt} V^+,
+    with one snapshot at each of the ascending times.
 
     One eigendecomposition H = V E V^+ of the dense window Hamiltonian makes
     every snapshot exact up to rounding, with no step-size error; the channels
@@ -441,13 +432,17 @@ def von_neumann_exact(
     if noise is not None and not noise.commutes_with(h):
         raise DomainError("the spin channels do not commute with the Hamiltonian; use lindblad_rk4")
     window = rho0.window
-    times, steps, leak = _step_plan(rho0, h, noise, t_final, dt, snapshot_times, eps_boundary)
+    times, steps, leak = _step_plan(rho0, h, noise, times, dt, eps_boundary)
     # Real hopping and potential make H real symmetric: the real solver is exact
     # here, faster, and maps less LAPACK code than the complex one.
     energies, vecs = np.linalg.eigh(h.dense_matrix(window).real)
     rho_eig = vecs.T @ rho0.matrix @ vecs
 
     edge_rows = vecs[[0, 1, -2, -1]]  # both spin components of the two edge sites
+    # Two buffers serve every chunk (a short last chunk uses their leading rows):
+    # the edge rows, then their conjugate; the rows times rho~, then the product.
+    rows_buf = np.empty((4 * _MONITOR_CHUNK, energies.size), dtype=complex)
+    prod_buf = np.empty_like(rows_buf)
     mat = rho0.matrix
     snapshots = []
     t_prev = 0.0
@@ -455,8 +450,11 @@ def von_neumann_exact(
         for lo in range(0, n_steps, _MONITOR_CHUNK):
             chunk = t_prev + hstep * np.arange(lo + 1, min(lo + _MONITOR_CHUNK, n_steps) + 1)
             phases = np.exp(-1j * np.multiply.outer(chunk, energies))
-            rows = (phases[:, None, :] * edge_rows).reshape(-1, energies.size)
-            pops = np.real(np.sum((rows @ rho_eig) * rows.conj(), axis=1))
+            rows = rows_buf[: 4 * chunk.size]
+            np.multiply(phases[:, None, :], edge_rows, out=rows.reshape(chunk.size, 4, energies.size))
+            prod = np.matmul(rows, rho_eig, out=prod_buf[: 4 * chunk.size])
+            prod *= np.conjugate(rows, out=rows)
+            pops = np.real(np.sum(prod, axis=1))
             edges = pops.reshape(chunk.size, 4).sum(axis=1)
             over = np.nonzero(edges > eps_boundary)[0]
             if over.size:
@@ -470,7 +468,7 @@ def von_neumann_exact(
             mat = 0.5 * (mat + mat.conj().T)
         snapshots.append(DensityOperator(window, mat.copy()))
         t_prev = t
-    return EvolutionResult(tuple(times), tuple(snapshots), leak, "exact")
+    return EvolutionResult(tuple(snapshots), leak)
 
 
 # ---------------------------------------------------------------------------

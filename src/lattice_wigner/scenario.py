@@ -239,6 +239,10 @@ def _parse_noise(doc, where: str) -> Optional[NoiseSpec]:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
+#: Most snapshots a run writes: each is a Wigner CSV and a side-table CSV.
+_MAX_SNAPSHOTS = 10_000
+
+
 def _parse_continuous(doc: dict, where: str) -> ContinuousDynamics:
     _known(doc, where, "kind hamiltonian noise method times dt")
     hdoc = _known(_need(doc, "hamiltonian", where), f"{where}.hamiltonian", "j_hop potential spin_coupled")
@@ -255,6 +259,8 @@ def _parse_continuous(doc: dict, where: str) -> ContinuousDynamics:
     times_doc = _need(doc, "times", where)
     if not isinstance(times_doc, list) or not times_doc:
         raise ConfigError(f"{where}.times must be a non-empty list")
+    if len(times_doc) > _MAX_SNAPSHOTS:
+        raise ConfigError(f"{where}.times lists {len(times_doc)} snapshots, more than {_MAX_SNAPSHOTS}")
     times = tuple(_as_number(t, f"{where}.times", nonnegative=True) for t in times_doc)
     if any(b < a for a, b in zip(times, times[1:])):
         raise ConfigError(f"{where}.times must be sorted ascending")
@@ -263,10 +269,6 @@ def _parse_continuous(doc: dict, where: str) -> ContinuousDynamics:
         dt = _as_number(dt, f"{where}.dt")
     noise = _parse_noise(doc.get("noise"), f"{where}.noise")
     return ContinuousDynamics(HamiltonianSpec(j_hop, potential, spin_coupled), noise, method, times, dt)
-
-
-#: Most snapshots a walk run writes: each is a Wigner CSV and a site-distribution CSV.
-_MAX_SNAPSHOTS = 10_000
 
 
 def _parse_walk(doc: dict, where: str) -> WalkDynamics:
@@ -456,6 +458,7 @@ def _preflight(cfg: ScenarioConfig) -> tuple:
     dyn = cfg.dynamics
     if isinstance(dyn, ContinuousDynamics):
         h = dyn.hamiltonian
+        potential = _attempt(diags, "dynamics.hamiltonian.potential, window.a", h.site_potential, cfg.window)
         if dyn.method in ("closed_form", "both"):
             if dyn.noise is not None and not dyn.noise.commutes_with(h):
                 message = "closed-form decoherence needs channels that commute with the hamiltonian"
@@ -467,7 +470,7 @@ def _preflight(cfg: ScenarioConfig) -> tuple:
                 )
                 if reach is not None:
                     _attempt(diags, "window", check_slack, w0, reach, "closed-form propagator")
-        if dyn.dt is not None or dyn.method != "closed_form":
+        if potential is not None and (dyn.dt is not None or dyn.method != "closed_form"):
             _attempt(diags, "dynamics.dt", step_size, h, dyn.noise, cfg.window, dyn.times[-1], dyn.dt)
     elif isinstance(dyn, WalkDynamics) and dyn.mode == "walk" and rho0 is not None:
         lo, hi = occupied_rows(rho0.site_populations())
@@ -495,10 +498,7 @@ def _continuous_snapshots(cfg: ScenarioConfig, dyn: ContinuousDynamics, w0, rho0
     densities = (None,) * len(dyn.times)
     if dyn.method != "closed_form":
         evolve = von_neumann_exact if dyn.noise is None or dyn.noise.commutes_with(h) else lindblad_rk4
-        result = evolve(
-            rho0, h, noise=dyn.noise, t_final=dyn.times[-1], dt=dyn.dt, snapshot_times=dyn.times,
-            eps_boundary=cfg.tolerances.eps_boundary,
-        )
+        result = evolve(rho0, h, dyn.noise, dyn.times, dyn.dt, cfg.tolerances.eps_boundary)
         _running_max(diagnostics, "boundary_leak", result.boundary_leak)
         densities = result.snapshots
     lam_a = h.lambda_a(cfg.window) if dyn.method != "rk4" else None

@@ -6,7 +6,7 @@ Bessel oracle is quadrature of the integral representation, and the walk
 oracle pushes amplitude vectors around by hand.  They are slow and obviously
 correct, which is the point.  The reference_* functions are the previous
 formulas of rewritten kernels, kept verbatim so the rewrites can be checked
-bit for bit (and timed against them by tools/layer_times.py).
+bit for bit.
 """
 
 import math

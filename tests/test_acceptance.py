@@ -90,9 +90,9 @@ def test_criterion_03_bloch_oscillations():
 
     times = [1.6, 3.1, 4.7, period]
     h = lw.HamiltonianSpec(1.0, lw.Potential.linear(1.0))
-    res = lw.von_neumann_exact(rho0, h, period, snapshot_times=times)
+    res = lw.von_neumann_exact(rho0, h, None, times)
     dev = 0.0
-    for t, snap in zip(res.times, res.snapshots):
+    for t, snap in zip(times, res.snapshots):
         closed = lw.linear_potential_propagate(w0, 1.0, 1.0, t)
         oracle = lw.wigner_of_density(snap, grid)
         dev = max(dev, float(np.max(np.abs(closed.values - oracle.values))))
@@ -117,7 +117,7 @@ def test_criterion_04_spin_dependent_splitting():
     report("criterion 4b ridge separation at t=1 exceeds 0.5", d1, 0.5, invert=True)
 
     h = lw.HamiltonianSpec(1.0, lw.Potential.linear(1.0), spin_coupled=True)
-    res = lw.von_neumann_exact(rho0, h, 1.0)
+    res = lw.von_neumann_exact(rho0, h, None, [1.0])
     oracle = lw.wigner_of_density(res.snapshots[-1], grid)
     dev = float(np.max(np.abs(w1.values - oracle.values)))
     report("criterion 4c all four entries vs exact oracle", dev, 1e-12)
@@ -130,22 +130,18 @@ def test_criterion_05_lindblad_closed_forms():
     w0 = lw.wigner_of_density(rho0, grid)
     gamma = 0.3
 
-    res = lw.lindblad_rk4(
-        rho0, lw.HamiltonianSpec(0.0), lw.NoiseSpec(((PAULI_Z, gamma),)),
-        5.0, dt=0.002, snapshot_times=[1.0, 2.0, 3.0, 4.0, 5.0],
-    )
+    times = [1.0, 2.0, 3.0, 4.0, 5.0]
+    res = lw.lindblad_rk4(rho0, lw.HamiltonianSpec(0.0), lw.NoiseSpec(((PAULI_Z, gamma),)), times, dt=0.002)
     dev_z = 0.0
     mask = np.abs(w0.values[:, :, 0, 1]) > 1e-3
-    for t, snap in zip(res.times, res.snapshots):
+    for t, snap in zip(times, res.snapshots):
         wt = lw.wigner_of_density(snap, grid)
         ratio = wt.values[:, :, 0, 1][mask] / w0.values[:, :, 0, 1][mask]
         dev_z = max(dev_z, float(np.max(np.abs(ratio - math.exp(-2 * gamma * t)))))
     report("criterion 5a sigma_z off-diagonal ratio e^{-2 gamma t}", dev_z, 1e-8)
 
     t_x = 2.0
-    res_x = lw.lindblad_rk4(
-        rho0, lw.HamiltonianSpec(0.0), lw.NoiseSpec(((PAULI_X, gamma),)), t_x, dt=0.002
-    )
+    res_x = lw.lindblad_rk4(rho0, lw.HamiltonianSpec(0.0), lw.NoiseSpec(((PAULI_X, gamma),)), [t_x], dt=0.002)
     wt = lw.wigner_of_density(res_x.snapshots[-1], grid)
     f = math.exp(-2 * gamma * t_x)
     want00 = 0.5 * (1 + f) * w0.values[:, :, 0, 0] + 0.5 * (1 - f) * w0.values[:, :, 1, 1]
@@ -158,11 +154,11 @@ def test_criterion_05_lindblad_closed_forms():
 
     h = lw.HamiltonianSpec(1.0)
     t = 2.0
-    w_h = lw.wigner_of_density(lw.von_neumann_rk4(rho0, h, t, dt=0.002).snapshots[-1], grid)
+    w_h = lw.wigner_of_density(lw.lindblad_rk4(rho0, h, None, [t], dt=0.002).snapshots[-1], grid)
     dev_hop = 0.0
     for channel, op in (("sigma_z", PAULI_Z), ("sigma_x", PAULI_X)):
         closed = lw.lindblad_wigner_closed(w_h, channel, gamma, t)
-        full = lw.lindblad_rk4(rho0, h, lw.NoiseSpec(((op, gamma),)), t, dt=0.002)
+        full = lw.lindblad_rk4(rho0, h, lw.NoiseSpec(((op, gamma),)), [t], dt=0.002)
         oracle = lw.wigner_of_density(full.snapshots[-1], grid)
         dev_hop = max(dev_hop, float(np.max(np.abs(closed.values - oracle.values))))
     report("criterion 5c closed forms vs lindblad RK4 with hopping", dev_hop, 1e-7)

@@ -358,6 +358,8 @@ class TestNonFiniteConfig:
                 ),
                 "dynamics.snapshot_steps",
             ),
+            (_set(("window", "a"), 1e308), "window.a"),
+            (_set(("dynamics", "hamiltonian", "potential", "slope"), 1e308), "dynamics.hamiltonian.potential"),
         ],
         ids=[
             "times_inf", "j_hop_nan", "j_hop_overflow", "slope_inf", "dt_minus_inf",
@@ -368,6 +370,7 @@ class TestNonFiniteConfig:
             "n_k_unallocatable", "werner_window_huge", "double_delta_window_huge",
             "sigma_zero", "sigma_negative", "sigma_underflow", "sigma_exponent_overflow",
             "sigma_exponent_overflow_wide", "walk_snapshots_default_huge", "walk_snapshots_listed_huge",
+            "spacing_overflow", "slope_overflow",
         ],
     )
     def test_rejected_with_field_name(self, tmp_path, capsys, edit, field):
@@ -384,6 +387,15 @@ class TestNonFiniteConfig:
         # Parse errors on stderr, diagnostics on stdout: one line, naming the edited field.
         (line,) = "".join(capsys.readouterr()).splitlines()
         assert field in line
+        assert not (tmp_path / "o").exists()
+
+    def test_continuous_snapshot_cap(self, tmp_path, capsys):
+        # validate first: a run of the uncapped config would keep 10,001 densities.
+        cfg = write_config(tmp_path, continuous_config(times=[1e-4 * i for i in range(10_001)]))
+        assert main(["validate", "--config", cfg]) == 2
+        assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        message = "dynamics.times lists 10001 snapshots, more than 10000"
+        assert capsys.readouterr().err.count(message) == 2
         assert not (tmp_path / "o").exists()
 
     def test_unedited_fixture_runs(self, tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -24,12 +25,11 @@ from lattice_wigner import (
     normalization_total,
     spin_linear_propagate,
     von_neumann_exact,
-    von_neumann_rk4,
     wigner_evolution_rhs,
     wigner_of_density,
 )
-from lattice_wigner import wigner
-from lattice_wigner.continuous import _bessel_band_propagate
+from lattice_wigner import continuous, wigner
+from lattice_wigner.continuous import _bessel_band_propagate, step_size
 from lattice_wigner.grids import k_derivative, k_shift
 from lattice_wigner.states import PAULI_X, PAULI_Y, PAULI_Z
 
@@ -68,6 +68,19 @@ class TestHamiltonianSpec:
         window = LatticeWindow(-2, 2, a=0.5)
         h = HamiltonianSpec(1.0, Potential.linear(2.0))
         assert np.allclose(h.site_potential(window), [-2.0, -1.0, 0.0, 1.0, 2.0])
+
+    @pytest.mark.parametrize("a, slope", [(1e308, 1.0), (1.0, 1e308)], ids=["spacing", "slope"])
+    def test_site_potential_not_finite_refused(self, a, slope):
+        # V(n a) overflows to inf, and polyval turns inf into NaN: refused, without a warning.
+        h = HamiltonianSpec(1.0, Potential.linear(slope))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="not finite"):
+                h.site_potential(LatticeWindow(-3, 3, a=a))
+
+    def test_nan_norm_estimate_fails_the_stability_cap(self):
+        with pytest.raises(StepSizeError, match="stability cap"):
+            step_size(HamiltonianSpec(math.nan), None, LatticeWindow(-3, 3), 1.0)
 
     def test_dense_matrix_is_hermitian(self):
         window = LatticeWindow(-3, 3)
@@ -135,7 +148,7 @@ class TestVonNeumannRK4:
         # Window-filling state: opt out of the boundary guard, nothing moves.
         window = LatticeWindow(-5, 5)
         rho0 = random_density(window, rng)
-        res = von_neumann_rk4(rho0, HamiltonianSpec(0.0), 1.0, dt=0.1, eps_boundary=2.0)
+        res = lindblad_rk4(rho0, HamiltonianSpec(0.0), None, [1.0], dt=0.1, eps_boundary=2.0)
         assert np.max(np.abs(res.snapshots[-1].matrix - rho0.matrix)) < 1e-14
 
     def test_trace_and_purity_conserved(self):
@@ -143,7 +156,7 @@ class TestVonNeumannRK4:
             LatticeWindow(-20, 20), KGrid(96), sigma=1.5
         )
         h = HamiltonianSpec(1.0, Potential.linear(0.5))
-        res = von_neumann_rk4(rho0, h, 2.0)
+        res = lindblad_rk4(rho0, h, None, [2.0])
         final = res.snapshots[-1]
         assert abs(np.trace(final.matrix) - 1.0) < 1e-10
         assert final.purity() == pytest.approx(1.0, abs=1e-8)
@@ -151,8 +164,7 @@ class TestVonNeumannRK4:
     def test_snapshot_schedule(self):
         window, grid, rho0, _ = gaussian_setup(LatticeWindow(-16, 16), KGrid(72))
         h = HamiltonianSpec(0.5)
-        res = von_neumann_rk4(rho0, h, 1.0, snapshot_times=[0.0, 0.5, 1.0])
-        assert res.times == (0.0, 0.5, 1.0)
+        res = lindblad_rk4(rho0, h, None, [0.0, 0.5, 1.0])
         assert len(res.snapshots) == 3
         assert np.max(np.abs(res.snapshots[0].matrix - rho0.matrix)) == 0.0
 
@@ -160,7 +172,7 @@ class TestVonNeumannRK4:
         window, grid, rho0, _ = gaussian_setup(LatticeWindow(-16, 16), KGrid(72))
         h = HamiltonianSpec(1.0, Potential.linear(1.0))
         with pytest.raises(StepSizeError):
-            von_neumann_rk4(rho0, h, 1.0, dt=1.0)
+            lindblad_rk4(rho0, h, None, [1.0], dt=1.0)
 
     def test_boundary_leak_detected(self):
         # Free spreading from a packet close to the wall must trip the guard.
@@ -168,7 +180,7 @@ class TestVonNeumannRK4:
         psi = gaussian_product_state(0, 1.3, "up", window)
         rho0 = density_from_pure(psi)
         with pytest.raises(BoundaryLeakError):
-            von_neumann_rk4(rho0, HamiltonianSpec(1.0), 6.0)
+            lindblad_rk4(rho0, HamiltonianSpec(1.0), None, [6.0])
 
 
 class TestVonNeumannExact:
@@ -176,9 +188,9 @@ class TestVonNeumannExact:
         window, grid, rho0, _ = gaussian_setup(LatticeWindow(-20, 20), KGrid(96), spin="plus")
         h = HamiltonianSpec(1.0, Potential.linear(0.5), spin_coupled=True)
         times = [0.0, 1.0, 2.0]
-        exact = von_neumann_exact(rho0, h, 2.0, snapshot_times=times)
-        rk4 = von_neumann_rk4(rho0, h, 2.0, dt=0.01, snapshot_times=times)
-        assert exact.method == "exact" and exact.times == rk4.times
+        exact = von_neumann_exact(rho0, h, None, times)
+        rk4 = lindblad_rk4(rho0, h, None, times, dt=0.01)
+        assert len(exact.snapshots) == len(rk4.snapshots) == len(times)
         assert np.array_equal(exact.snapshots[0].matrix, rho0.matrix)
         for a, b in zip(exact.snapshots, rk4.snapshots):
             # RK4 global error at dt = 0.01 is about 3e-10 here.
@@ -191,7 +203,7 @@ class TestVonNeumannExact:
         rho0 = random_density(window, rng)
         h = HamiltonianSpec(0.0, Potential.polynomial([0.1, 0.3, 0.05]), spin_coupled=True)
         t = 2.7
-        res = von_neumann_exact(rho0, h, t, eps_boundary=2.0)
+        res = von_neumann_exact(rho0, h, None, [t], eps_boundary=2.0)
         v = np.real(np.diagonal(h.dense_matrix(window)))
         want = rho0.matrix * np.exp(-1j * np.subtract.outer(v, v) * t)
         assert np.max(np.abs(res.snapshots[-1].matrix - want)) <= 1e-14
@@ -200,18 +212,18 @@ class TestVonNeumannExact:
         window = LatticeWindow(-8, 8)
         rho0 = density_from_pure(gaussian_product_state(0, 1.3, "up", window))
         with pytest.raises(BoundaryLeakError, match="during step towards t=6.0"):
-            von_neumann_exact(rho0, HamiltonianSpec(1.0), 6.0)
+            von_neumann_exact(rho0, HamiltonianSpec(1.0), None, [6.0])
 
     def test_initial_leak_detected(self, rng):
         rho0 = random_density(LatticeWindow(-5, 5), rng)
         with pytest.raises(BoundaryLeakError, match="initial boundary population"):
-            von_neumann_exact(rho0, HamiltonianSpec(1.0), 1.0)
+            von_neumann_exact(rho0, HamiltonianSpec(1.0), None, [1.0])
 
     def test_step_size_guard(self):
         window, grid, rho0, _ = gaussian_setup(LatticeWindow(-16, 16), KGrid(72))
         h = HamiltonianSpec(1.0, Potential.linear(1.0))
         with pytest.raises(StepSizeError):
-            von_neumann_exact(rho0, h, 1.0, dt=1.0)
+            von_neumann_exact(rho0, h, None, [1.0], dt=1.0)
 
     @pytest.mark.parametrize(
         "propagate, spin_coupled",
@@ -224,11 +236,37 @@ class TestVonNeumannExact:
         )
         h = HamiltonianSpec(1.0, Potential.linear(1.0), spin_coupled=spin_coupled)
         times = list(np.linspace(0.0, 2.0 * math.pi, 9))
-        res = von_neumann_exact(rho0, h, times[-1], snapshot_times=times)
+        res = von_neumann_exact(rho0, h, None, times)
         for t, snap in zip(times, res.snapshots):
             closed = propagate(w0, 1.0, 1.0, t)
             oracle = wigner_of_density(snap, grid)
             assert np.max(np.abs(closed.values - oracle.values)) <= 1e-12
+
+
+class TestStepPlan:
+    @pytest.mark.parametrize("evolve", [lindblad_rk4, von_neumann_exact], ids=["rk4", "exact"])
+    def test_step_cap_reads_the_last_time(self, monkeypatch, evolve):
+        # The default dt is 0.05 / 22 here, so reaching t = 1e6 would take 4.4e8 steps.
+        _, _, rho0, _ = gaussian_setup(LatticeWindow(-20, 20), KGrid(96))
+
+        def no_step(*args):
+            raise AssertionError("the route started stepping")
+
+        monkeypatch.setattr(continuous, "_make_rhs", no_step)
+        monkeypatch.setattr(HamiltonianSpec, "dense_matrix", no_step)
+        with pytest.raises(StepSizeError, match="up to t=1000000.0"):
+            evolve(rho0, HamiltonianSpec(1.0, Potential.linear(1.0)), None, [0.0, 1e6])
+
+    @pytest.mark.parametrize("evolve", [lindblad_rk4, von_neumann_exact], ids=["rk4", "exact"])
+    @pytest.mark.parametrize(
+        "times, message",
+        [([], "at least one"), ([0.5, -1.0], ">= 0"), ([0.0, math.nan], ">= 0"), ([1.0, 0.5], "ascending")],
+        ids=["empty", "negative", "nan", "descending"],
+    )
+    def test_times_refused(self, evolve, times, message):
+        _, _, rho0, _ = gaussian_setup(LatticeWindow(-16, 16), KGrid(72))
+        with pytest.raises(DomainError, match=message):
+            evolve(rho0, HamiltonianSpec(1.0), None, times)
 
 
 class TestLinearPropagator:
@@ -247,14 +285,14 @@ class TestLinearPropagator:
         window, grid, rho0, w0 = gaussian_setup()
         h = HamiltonianSpec(1.0, Potential.linear(1.0))
         closed = linear_potential_propagate(w0, 1.0, 1.0, 2.0)
-        res = von_neumann_exact(rho0, h, 2.0)
+        res = von_neumann_exact(rho0, h, None, [2.0])
         oracle = wigner_of_density(res.snapshots[-1], grid)
         assert np.max(np.abs(closed.values - oracle.values)) < 1e-12
 
     def test_rk4_bloch_period(self):
         window, grid, rho0, w0 = gaussian_setup()
         h = HamiltonianSpec(1.0, Potential.linear(1.0))
-        res = von_neumann_rk4(rho0, h, 2.0 * math.pi, dt=1e-3)
+        res = lindblad_rk4(rho0, h, None, [2.0 * math.pi], dt=1e-3)
         w_period = wigner_of_density(res.snapshots[-1], grid)
         assert np.max(np.abs(w_period.values - w0.values)) < 1e-5
 
@@ -295,7 +333,7 @@ class TestSpinPropagator:
         )
         h = HamiltonianSpec(1.0, Potential.linear(1.0), spin_coupled=True)
         closed = spin_linear_propagate(w0, 1.0, 1.0, 2.0)
-        res = von_neumann_exact(rho0, h, 2.0)
+        res = von_neumann_exact(rho0, h, None, [2.0])
         oracle = wigner_of_density(res.snapshots[-1], grid)
         assert np.max(np.abs(closed.values - oracle.values)) < 1e-12
 
@@ -471,11 +509,11 @@ class TestWignerEvolutionRHS:
         rhs = wigner_evolution_rhs(w0, h, a=window.a)
         eps = 1e-5
         plus = wigner_of_density(
-            von_neumann_rk4(rho0, h, eps, dt=eps / 4).snapshots[-1], grid
+            lindblad_rk4(rho0, h, None, [eps], dt=eps / 4).snapshots[-1], grid
         )
         h_neg = HamiltonianSpec(-h.j_hop, negate_potential(h.potential), h.spin_coupled)
         minus = wigner_of_density(
-            von_neumann_rk4(rho0, h_neg, eps, dt=eps / 4).snapshots[-1], grid
+            lindblad_rk4(rho0, h_neg, None, [eps], dt=eps / 4).snapshots[-1], grid
         )
         fd = (plus.values - minus.values) / (2 * eps)
         assert np.max(np.abs(rhs - fd)) < 1e-9
@@ -494,18 +532,15 @@ class TestLindblad:
         window = LatticeWindow(-6, 6)
         rho0 = random_density(window, rng)
         h = HamiltonianSpec(0.4)
-        a = lindblad_rk4(rho0, h, NoiseSpec(((PAULI_Z, 0.0),)), 0.5, dt=0.01, eps_boundary=2.0)
-        b = von_neumann_rk4(rho0, h, 0.5, dt=0.01, eps_boundary=2.0)
+        a = lindblad_rk4(rho0, h, NoiseSpec(((PAULI_Z, 0.0),)), [0.5], dt=0.01, eps_boundary=2.0)
+        b = lindblad_rk4(rho0, h, None, [0.5], dt=0.01, eps_boundary=2.0)
         assert np.max(np.abs(a.snapshots[-1].matrix - b.snapshots[-1].matrix)) < 1e-12
 
     def test_sigma_z_damps_off_diagonals(self):
         window, grid, rho0, w0 = self.make_cat()
-        gamma = 0.3
-        res = lindblad_rk4(
-            rho0, HamiltonianSpec(0.0), NoiseSpec(((PAULI_Z, gamma),)), 5.0,
-            dt=0.01, snapshot_times=[1.0, 5.0],
-        )
-        for t, snap in zip(res.times, res.snapshots):
+        gamma, times = 0.3, [1.0, 5.0]
+        res = lindblad_rk4(rho0, HamiltonianSpec(0.0), NoiseSpec(((PAULI_Z, gamma),)), times, dt=0.01)
+        for t, snap in zip(times, res.snapshots):
             wt = wigner_of_density(snap, grid)
             mask = np.abs(w0.values[:, :, 0, 1]) > 1e-3
             ratio = wt.values[:, :, 0, 1][mask] / w0.values[:, :, 0, 1][mask]
@@ -514,9 +549,7 @@ class TestLindblad:
     def test_sigma_x_mixes_diagonals(self):
         window, grid, rho0, w0 = self.make_cat()
         gamma, t = 0.4, 2.0
-        res = lindblad_rk4(
-            rho0, HamiltonianSpec(0.0), NoiseSpec(((PAULI_X, gamma),)), t, dt=0.01
-        )
+        res = lindblad_rk4(rho0, HamiltonianSpec(0.0), NoiseSpec(((PAULI_X, gamma),)), [t], dt=0.01)
         wt = wigner_of_density(res.snapshots[-1], grid)
         f = math.exp(-2 * gamma * t)
         want00 = 0.5 * (1 + f) * w0.values[:, :, 0, 0] + 0.5 * (1 - f) * w0.values[:, :, 1, 1]
@@ -527,8 +560,7 @@ class TestLindblad:
     def test_purity_non_increasing(self):
         window, grid, rho0, _ = self.make_cat()
         res = lindblad_rk4(
-            rho0, HamiltonianSpec(0.0), NoiseSpec(((PAULI_Z, 0.5),)), 3.0,
-            dt=0.01, snapshot_times=[0.5, 1.0, 2.0, 3.0],
+            rho0, HamiltonianSpec(0.0), NoiseSpec(((PAULI_Z, 0.5),)), [0.5, 1.0, 2.0, 3.0], dt=0.01
         )
         purities = [s.purity() for s in res.snapshots]
         assert all(b <= a + 1e-12 for a, b in zip(purities, purities[1:]))
@@ -555,9 +587,9 @@ class TestLindblad:
         window, grid, rho0, _ = self.make_cat()
         gamma, t = 0.3, 2.0
         h = HamiltonianSpec(1.0)
-        w_h = wigner_of_density(von_neumann_rk4(rho0, h, t, dt=0.005).snapshots[-1], grid)
+        w_h = wigner_of_density(lindblad_rk4(rho0, h, None, [t], dt=0.005).snapshots[-1], grid)
         closed = lindblad_wigner_closed(w_h, channel, gamma, t)
-        full = lindblad_rk4(rho0, h, NoiseSpec(((op, gamma),)), t, dt=0.005)
+        full = lindblad_rk4(rho0, h, NoiseSpec(((op, gamma),)), [t], dt=0.005)
         oracle = wigner_of_density(full.snapshots[-1], grid)
         assert np.max(np.abs(closed.values - oracle.values)) < 1e-7
 
@@ -634,8 +666,8 @@ class TestSpinChannel:
         h = HamiltonianSpec(1.0, Potential.linear(0.5), spin_coupled=spin_coupled)
         noise = NoiseSpec(channels)
         times = [0.0, 0.5, 1.0]
-        exact = von_neumann_exact(rho0, h, 1.0, dt=1e-3, snapshot_times=times, noise=noise)
-        rk4 = lindblad_rk4(rho0, h, noise, 1.0, dt=1e-3, snapshot_times=times)
+        exact = von_neumann_exact(rho0, h, noise, times, dt=1e-3)
+        rk4 = lindblad_rk4(rho0, h, noise, times, dt=1e-3)
         for a, b in zip(exact.snapshots, rk4.snapshots):
             assert np.max(np.abs(a.matrix - b.matrix)) <= 1e-11
         assert exact.boundary_leak == pytest.approx(rk4.boundary_leak, rel=1e-3, abs=0.0)
@@ -644,4 +676,4 @@ class TestSpinChannel:
         _, _, rho0, _ = gaussian_setup(LatticeWindow(-12, 12), KGrid(52))
         h = HamiltonianSpec(1.0, Potential.linear(0.5), spin_coupled=True)
         with pytest.raises(DomainError, match="do not commute"):
-            von_neumann_exact(rho0, h, 1.0, noise=NoiseSpec(((PAULI_X, 0.2),)))
+            von_neumann_exact(rho0, h, NoiseSpec(((PAULI_X, 0.2),)), [1.0])

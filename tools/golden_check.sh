@@ -12,14 +12,16 @@
 # no dynamics.times, a NaN j_hop, method "rk5" and kgrid.n_k 16), and keeps its
 # stdout, stderr and exit status, so the pre-run checks and their error
 # messages are held to the same byte-identity.  Both trees also run
-# `evolve` on three copies written into the temporary directory: fig3 with the
+# `evolve` on four copies written into the temporary directory: fig3 with the
 # real spinor [cos 0.9, sin 0.9] (the committed configs use basis or "plus"
 # spins, so most of their cells repeat, and this copy has few repeated values);
 # fig2 with an odd n_k = 193, spin "plus", a sigma_x channel and method
 # "both", which reaches the Bessel-band kernel's odd-n_k phases, the closed-form
-# spin channel and the density route; and fig2 with method "both" at 12 evenly
+# spin channel and the density route; fig2 with method "both" at 12 evenly
 # spaced times over [0, 4.7], whose manifest holds the two-path deviation and
-# edge weight maximized over many snapshots.  131 files in all.
+# edge weight maximized over many snapshots; and fig3 with a sigma_x channel,
+# method "rk4" and times [0, 0.5], whose channel does not commute with the
+# sigma_z-coupled potential, so it runs the RK4 density route.  138 files in all.
 # BLAS is pinned to one thread, because the density route's last bits depend
 # on the thread count.  The manifests' wall_clock_seconds, the one field
 # allowed to differ between identical runs, is dropped before `diff -r`.  Exit
@@ -54,7 +56,7 @@ golden_runs() {  # golden_runs TREE OUT
         (cd "$tmp" && PYTHONPATH="$tree/src" "$python" -m lattice_wigner.cli "$cmd" \
             --config "$tree/scenarios/$name.json" --out "$out/$cmd-$name" --quiet)
     done
-    for name in fig3_spinor fig2_odd_nk_channel fig2_many_both; do
+    for name in fig3_spinor fig2_odd_nk_channel fig2_many_both fig3_rk4_sigma_x; do
         (cd "$tmp" && PYTHONPATH="$tree/src" "$python" -m lattice_wigner.cli evolve \
             --config "$tmp/$name.json" --out "$out/evolve-$name" --quiet)
     done
@@ -90,6 +92,11 @@ doc = json.loads((scenarios / "fig2_bloch.json").read_text())
 doc["dynamics"]["method"] = "both"
 doc["dynamics"]["times"] = [4.7 * i / 11 for i in range(12)]
 (tmp / "fig2_many_both.json").write_text(json.dumps(doc))
+doc = json.loads((scenarios / "fig3_spin_split.json").read_text())
+doc["dynamics"]["noise"] = {"lindblad": [{"op": "sigma_x", "gamma": 0.2}]}
+doc["dynamics"]["method"] = "rk4"
+doc["dynamics"]["times"] = [0.0, 0.5]
+(tmp / "fig3_rk4_sigma_x.json").write_text(json.dumps(doc))
 absent = object()
 for name, path, value in [
     ("window", ["window"], 5),
