@@ -438,10 +438,13 @@ def von_neumann_exact(
     energies, vecs = np.linalg.eigh(h.dense_matrix(window).real)
     rho_eig = vecs.T @ rho0.matrix @ vecs
 
-    edge_rows = vecs[[0, 1, -2, -1]]  # both spin components of the two edge sites
+    # Both spin components of the outermost sites, counted as _edge_population
+    # counts them: a width-1 window has one such site.
+    edge_rows = vecs[[0, 1, -2, -1]] if window.width > 1 else vecs[[0, 1]]
+    n_edge = len(edge_rows)
     # Two buffers serve every chunk (a short last chunk uses their leading rows):
     # the edge rows, then their conjugate; the rows times rho~, then the product.
-    rows_buf = np.empty((4 * _MONITOR_CHUNK, energies.size), dtype=complex)
+    rows_buf = np.empty((n_edge * _MONITOR_CHUNK, energies.size), dtype=complex)
     prod_buf = np.empty_like(rows_buf)
     mat = rho0.matrix
     snapshots = []
@@ -450,12 +453,12 @@ def von_neumann_exact(
         for lo in range(0, n_steps, _MONITOR_CHUNK):
             chunk = t_prev + hstep * np.arange(lo + 1, min(lo + _MONITOR_CHUNK, n_steps) + 1)
             phases = np.exp(-1j * np.multiply.outer(chunk, energies))
-            rows = rows_buf[: 4 * chunk.size]
-            np.multiply(phases[:, None, :], edge_rows, out=rows.reshape(chunk.size, 4, energies.size))
-            prod = np.matmul(rows, rho_eig, out=prod_buf[: 4 * chunk.size])
+            rows = rows_buf[: n_edge * chunk.size]
+            np.multiply(phases[:, None, :], edge_rows, out=rows.reshape(chunk.size, n_edge, energies.size))
+            prod = np.matmul(rows, rho_eig, out=prod_buf[: n_edge * chunk.size])
             prod *= np.conjugate(rows, out=rows)
             pops = np.real(np.sum(prod, axis=1))
-            edges = pops.reshape(chunk.size, 4).sum(axis=1)
+            edges = pops.reshape(chunk.size, n_edge).sum(axis=1)
             over = np.nonzero(edges > eps_boundary)[0]
             if over.size:
                 raise _leak_error(float(edges[over[0]]), eps_boundary, t)

@@ -12,6 +12,7 @@ exact evaluation at shifted arguments k + delta.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
@@ -62,6 +63,23 @@ def periodic_trapezoid(samples, grid: KGrid, axis: int = -1):
     return grid.weight * samples.sum(axis=axis)
 
 
+def _k_multiply(values, grid: KGrid, factor: Optional[np.ndarray], axis: int) -> np.ndarray:
+    """Multiply the spectrum of `values` along the k axis by `factor` (one entry per mode).
+
+    factor=None is the identity: it returns a copy without the FFT round trip,
+    whose rounding would change the last bits.
+    """
+    values = np.asarray(values, dtype=complex)
+    if values.shape[axis] != grid.n_k:
+        raise GridError("k axis length does not match grid")
+    if factor is None:
+        return values.copy()
+    spec = np.fft.fft(values, axis=axis)
+    shape = [1] * values.ndim
+    shape[axis] = grid.n_k
+    return np.fft.ifft(spec * factor.reshape(shape), axis=axis)
+
+
 def k_shift(values, grid: KGrid, delta: float, axis: int = -1) -> np.ndarray:
     """Evaluate the trigonometric interpolant of `values` at k + delta.
 
@@ -69,27 +87,11 @@ def k_shift(values, grid: KGrid, delta: float, axis: int = -1) -> np.ndarray:
     case for every Wigner grid satisfying the n_k >= 2W+1 condition.  delta
     may be any real number; periodicity is automatic.
     """
-    values = np.asarray(values, dtype=complex)
-    if values.shape[axis] != grid.n_k:
-        raise GridError("k axis length does not match grid")
-    spec = np.fft.fft(values, axis=axis)
-    factor = np.exp(1j * grid.modes() * float(delta))
-    shape = [1] * values.ndim
-    shape[axis] = grid.n_k
-    return np.fft.ifft(spec * factor.reshape(shape), axis=axis)
+    return _k_multiply(values, grid, np.exp(1j * grid.modes() * float(delta)), axis)
 
 
 def k_derivative(values, grid: KGrid, order: int = 1, axis: int = -1) -> np.ndarray:
     """Spectral derivative d^order/dk^order along the k axis."""
     if order < 0:
         raise GridError("derivative order must be >= 0")
-    values = np.asarray(values, dtype=complex)
-    if values.shape[axis] != grid.n_k:
-        raise GridError("k axis length does not match grid")
-    if order == 0:
-        return values.copy()
-    spec = np.fft.fft(values, axis=axis)
-    factor = (1j * grid.modes()) ** order
-    shape = [1] * values.ndim
-    shape[axis] = grid.n_k
-    return np.fft.ifft(spec * factor.reshape(shape), axis=axis)
+    return _k_multiply(values, grid, (1j * grid.modes()) ** order if order else None, axis)

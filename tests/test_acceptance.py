@@ -4,7 +4,6 @@ Run with `pytest tests/test_acceptance.py -v -s` to see every line.  Each
 criterion pins its tolerances here; nothing is deferred to calibration.
 """
 
-import json
 import math
 from pathlib import Path
 
@@ -264,16 +263,9 @@ def test_criterion_10_cli_determinism(tmp_path):
     names = sorted(p.name for p in out_a.iterdir())
     assert names == sorted(p.name for p in out_b.iterdir())
     for name in names:
-        if name == "manifest.json":
-            a = json.loads((out_a / name).read_text())
-            b = json.loads((out_b / name).read_text())
-            a.pop("wall_clock_seconds")
-            b.pop("wall_clock_seconds")
-            if a != b:
-                mismatched.append(name)
-        elif (out_a / name).read_bytes() != (out_b / name).read_bytes():
+        if (out_a / name).read_bytes() != (out_b / name).read_bytes():
             mismatched.append(name)
     ok = not mismatched
     print(f"[{'PASS' if ok else 'FAIL'}] criterion 10 CLI determinism on the Bloch scenario: "
-          f"{len(names)} files byte-identical (manifest compared sans wall clock)")
+          f"{len(names)} files byte-identical, manifest included")
     assert ok, f"files differ between runs: {mismatched}"

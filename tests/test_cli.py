@@ -40,6 +40,7 @@ class TestStateCommand:
         out = tmp_path / "out"
         assert main(["state", "--config", cfg, "--out", str(out), "--quiet"]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
+        assert sorted(p.name for p in out.iterdir()) == sorted(manifest["files"] + ["manifest.json"])
         for name in manifest["files"]:
             assert (out / name).is_file()
         assert "wigner.csv" in manifest["files"]
@@ -248,6 +249,15 @@ class TestExitCodes:
         doc = base_config()
         cfg = write_config(tmp_path, doc)
         assert main(["state", "--config", cfg]) == 2
+
+    @pytest.mark.parametrize("sub", ["afile", "afile/sub"], ids=["is_a_file", "under_a_file"])
+    def test_output_directory_not_creatable(self, tmp_path, capsys, sub):
+        cfg = write_config(tmp_path, base_config())
+        (tmp_path / "afile").write_text("")
+        out = tmp_path / sub
+        assert main(["state", "--config", cfg, "--out", str(out)]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"config error: cannot create output directory {out}: ")
 
 
 def continuous_config(**dynamics):
@@ -732,6 +742,7 @@ class TestEvolveCommand:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["diagnostics"]["two_path_max_deviation"] < 1e-12
         assert "snapshot_000.csv" in manifest["files"]
+        assert sorted(p.name for p in out.iterdir()) == sorted(manifest["files"] + ["manifest.json"])
         first = (out / "snapshot_001.csv").read_text().splitlines()
         assert first[0].startswith("t,m,k")
 
@@ -826,6 +837,8 @@ class TestWalkCommand:
              "--out", str(out), "--quiet"]
         )
         assert code == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert sorted(p.name for p in out.iterdir()) == sorted(manifest["files"] + ["manifest.json"])
         rows = (out / "negativity_timeseries.csv").read_text().splitlines()[1:]
         for t, row in enumerate(rows):
             assert float(row.split(",")[1]) == pytest.approx(0.5**t, abs=1e-12)
@@ -880,6 +893,7 @@ class TestNegativityCommand:
         manifest = json.loads((out / "manifest.json").read_text())
         assert "negativity.json" in manifest["files"]
         assert "negativity_timeseries.csv" in manifest["files"]
+        assert sorted(p.name for p in out.iterdir()) == sorted(manifest["files"] + ["manifest.json"])
 
     def test_output_directory_from_config(self, tmp_path, monkeypatch):
         doc = base_config(outputs={"directory": "cfg_out"})
@@ -909,11 +923,4 @@ class TestDeterminism:
         names = sorted(p.name for p in out_a.iterdir())
         assert names == sorted(p.name for p in out_b.iterdir())
         for name in names:
-            if name == "manifest.json":
-                a = json.loads((out_a / name).read_text())
-                b = json.loads((out_b / name).read_text())
-                a.pop("wall_clock_seconds")
-                b.pop("wall_clock_seconds")
-                assert a == b
-            else:
-                assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+            assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name

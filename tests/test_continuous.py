@@ -225,6 +225,13 @@ class TestVonNeumannExact:
         with pytest.raises(StepSizeError):
             von_neumann_exact(rho0, h, None, [1.0], dt=1.0)
 
+    @pytest.mark.parametrize("evolve", [lindblad_rk4, von_neumann_exact], ids=["rk4", "exact"])
+    def test_width_one_window_counts_its_site_once(self, evolve):
+        # The one site is both edges: its population, 1, is the boundary population.
+        rho0 = DensityOperator(LatticeWindow(0, 0), np.eye(2) / 2)
+        res = evolve(rho0, HamiltonianSpec(1.0, Potential.linear(0.3)), None, [0.0, 0.5], eps_boundary=1.0)
+        assert res.boundary_leak == pytest.approx(1.0, abs=1e-14)
+
     @pytest.mark.parametrize(
         "propagate, spin_coupled",
         [(linear_potential_propagate, False), (spin_linear_propagate, True)],
