@@ -8,7 +8,8 @@ Subcommands:
   negativity  trace-norm negativity (JSON; timeseries CSV under dynamics)
   validate    the checks a run makes before its first step, nothing evolved
 
-Exit codes: 0 success, 2 config error, 3 numerical-invariant violation.
+Exit codes: 0 success; 2 config error, refused before the first step as validate
+reports it, or an output directory that cannot be made; 3 found while evolving.
 """
 
 from __future__ import annotations
@@ -80,9 +81,9 @@ def main(argv=None) -> int:
         return EXIT_OK
 
     try:
-        out_dir = args.out or cfg.out_dir
-        if out_dir is None:
-            raise ConfigError("no output directory: set outputs.directory or pass --out")
+        out_dir = cfg.out_dir if args.out is None else args.out
+        if not out_dir:
+            raise ConfigError("no output directory: set outputs.directory or pass a non-empty --out")
         run(cfg, args.command, out_dir, quiet=args.quiet)
     except (BoundaryLeakError, InvariantViolation) as exc:
         print(f"numerical invariant violated: {exc}", file=sys.stderr)

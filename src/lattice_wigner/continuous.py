@@ -162,10 +162,10 @@ class HamiltonianSpec:
         return v
 
     def lambda_a(self, window: LatticeWindow) -> float:
-        """Coupling lambda*a of a linear potential (slope times spacing)."""
+        """Coupling lambda*a of a linear potential (slope times spacing), if 8 J / (lambda a) is finite."""
         if self.potential is None or not self.potential.is_linear:
             raise DomainError("lambda_a is only defined for linear potentials")
-        return self.potential.slope * window.a
+        return _checked_lambda_a(self.j_hop, self.potential.slope * window.a)
 
     def norm_estimate(self, window: LatticeWindow) -> float:
         v = self.site_potential(window)
@@ -286,39 +286,6 @@ def _make_rhs(h: HamiltonianSpec, noise: Optional[NoiseSpec], window: LatticeWin
     return rhs
 
 
-def step_size(
-    h: HamiltonianSpec,
-    noise: Optional[NoiseSpec],
-    window: LatticeWindow,
-    t_end: float,
-    dt: Optional[float] = None,
-) -> float:
-    """The fixed step both density routes take up to t_end.
-
-    dt=None picks the default rule.  Raises StepSizeError when dt times the
-    spectral norm estimate (plus 2 gamma_total with noise) is not within the
-    stability cap (a NaN estimate never is), or when t_end / dt exceeds
-    _MAX_STEPS.
-    """
-    norm_est = h.norm_estimate(window)
-    if noise is not None:
-        norm_est += 2.0 * noise.gamma_total
-    if dt is None:
-        dt = _DEFAULT_STEP_FRACTION / norm_est if norm_est > 0.0 else float(t_end) or 1.0
-    if dt <= 0.0:
-        raise StepSizeError(f"dt must be positive, got {dt}")
-    if not dt * norm_est <= _STABILITY_CAP:
-        raise StepSizeError(
-            f"dt={dt} times norm estimate {norm_est:.3g} exceeds "
-            f"stability cap {_STABILITY_CAP}"
-        )
-    if t_end / dt > _MAX_STEPS:
-        raise StepSizeError(
-            f"dt={dt} makes {t_end / dt:.3g} steps up to t={t_end}, more than {_MAX_STEPS}"
-        )
-    return dt
-
-
 def _step_plan(
     rho0: DensityOperator,
     h: HamiltonianSpec,
@@ -327,13 +294,15 @@ def _step_plan(
     dt: Optional[float],
     eps_boundary: float,
 ):
-    """Front end shared by both density routes.
+    """Front end shared by both density routes: all they refuse before their first step.
 
-    Checks the snapshot times (non-empty, >= 0, ascending; the last is where
-    the run ends), resolves the step up to that end (:func:`step_size`), and
-    refuses an initial state already past eps_boundary.  Returns (times,
-    steps, leak): steps[i] = (n_steps, hstep) is the fixed step grid of the
-    interval ending at times[i], and leak is the initial boundary population.
+    Checks the snapshot times (non-empty, >= 0, ascending; the last, t_end, is
+    where the run ends); then that the step dt (None: the default rule) times
+    the norm estimate (plus 2 gamma_total with noise) is within the stability
+    cap and t_end / dt within _MAX_STEPS (StepSizeError; a NaN estimate fails);
+    then refuses an initial state already past eps_boundary.  Returns (times,
+    steps, leak): steps[i] = (n_steps, hstep) is the fixed step grid up to
+    times[i], and leak is the initial boundary population.
     """
     times = [float(t) for t in times]
     if not times:
@@ -342,7 +311,18 @@ def _step_plan(
         raise DomainError("snapshot times must be >= 0")
     if any(b < a for a, b in zip(times, times[1:])):
         raise DomainError("snapshot times must be ascending")
-    dt = step_size(h, noise, rho0.window, times[-1], dt)
+    t_end = times[-1]
+    norm_est = h.norm_estimate(rho0.window)
+    if noise is not None:
+        norm_est += 2.0 * noise.gamma_total
+    if dt is None:
+        dt = _DEFAULT_STEP_FRACTION / norm_est if norm_est > 0.0 else t_end or 1.0
+    if dt <= 0.0:
+        raise StepSizeError(f"dt must be positive, got {dt}")
+    if not dt * norm_est <= _STABILITY_CAP:
+        raise StepSizeError(f"dt={dt} times norm estimate {norm_est:.3g} exceeds stability cap {_STABILITY_CAP}")
+    if t_end / dt > _MAX_STEPS:
+        raise StepSizeError(f"dt={dt} makes {t_end / dt:.3g} steps up to t={t_end}, more than {_MAX_STEPS}")
     leak = rho0.boundary_population()
     if leak > eps_boundary:
         raise BoundaryLeakError(
@@ -521,17 +501,25 @@ def wigner_evolution_rhs(w: WignerMatrix, h: HamiltonianSpec, a: float = 1.0) ->
     return out
 
 
+def _checked_lambda_a(j_hop: float, lambda_a: float) -> float:
+    """lambda_a, once the Bessel band's scale 8 J / lambda_a is finite (DomainError otherwise)."""
+    if lambda_a == 0.0 or not math.isfinite(8.0 * j_hop / lambda_a):
+        raise DomainError(f"8 J / lambda_a is not finite for J = {j_hop!r} and lambda_a = {lambda_a!r}")
+    return lambda_a
+
+
 def bessel_band_reach(j_hop: float, lambda_a: float, t: float) -> int:
     """Empty m-rows the Bessel band needs on each side of the support at time t.
 
     Beyond the tail order of the largest argument |8J/(lambda a) sin(lambda a
     t / 2)| every band entry J_d is below 1e-15.  Raises DomainError when
-    lambda a t is not finite.
+    lambda a t or 8J/(lambda a) is not finite.
     """
     delta = lambda_a * float(t)
     if not math.isfinite(delta):
         raise DomainError(f"lambda_a * t = {delta} is not finite")
-    z_max = abs(8.0 * j_hop / lambda_a * math.sin(0.5 * math.fmod(delta, _PHASE_PERIOD)))
+    scale = 8.0 * j_hop / _checked_lambda_a(j_hop, lambda_a)
+    z_max = abs(scale * math.sin(0.5 * math.fmod(delta, _PHASE_PERIOD)))
     return bessel_tail_order(z_max)
 
 

@@ -34,16 +34,18 @@ from .continuous import (
     HamiltonianSpec,
     NoiseSpec,
     Potential,
+    _bessel_band_propagate,
+    _step_plan,
     bessel_band_reach,
     check_slack,
     decohere_wigner,
     lindblad_rk4,
-    linear_potential_propagate,
-    spin_linear_propagate,
-    step_size,
     von_neumann_exact,
 )
-from .errors import ConfigError, DomainError, InvariantViolation, LatticeWignerError, WindowError
+from .errors import (
+    BoundaryLeakError, ConfigError, DomainError, InvariantViolation,
+    LatticeWignerError, StepSizeError, WindowError,
+)
 from .grids import KGrid
 from .negativity import matrix_negativity
 from .output import SPIN_HEADER, spin_columns, write_csv, write_json
@@ -55,7 +57,7 @@ from .states import (
     PureState,
     density_from_pure,
 )
-from .walk import CoinSpec, ProjectiveNoiseSpec, walk_snapshots
+from .walk import CoinSpec, ProjectiveNoiseSpec, _require_walkable, walk_snapshots
 from .wigner import (
     WignerMatrix,
     _require_grid,
@@ -350,8 +352,8 @@ def parse_config(doc: dict) -> ScenarioConfig:
 
     odoc = doc.get("outputs")
     out_dir = None if odoc is None else _known(odoc, "outputs", "directory").get("directory")
-    if out_dir is not None and not isinstance(out_dir, str):
-        raise ConfigError(f"outputs.directory must be a string, got {out_dir!r}")
+    if out_dir is not None and (not isinstance(out_dir, str) or not out_dir):
+        raise ConfigError(f"outputs.directory must be a non-empty string, got {out_dir!r}")
     tdoc = _known(doc.get("tolerances", {}), "tolerances", "eps_boundary two_path")
     tolerances = Tolerances(
         eps_boundary=_as_number(
@@ -421,18 +423,19 @@ def build_state(name: str, params: dict, window: LatticeWindow):
 # Pre-run checks
 # ---------------------------------------------------------------------------
 
-def _attempt(diags: list, where: str, fn, *args):
-    """fn(*args), or None after recording its failure as an error diagnostic."""
+def _attempt(diags: list, where, fn, *args):
+    """fn(*args), or None after recording its failure as an error naming where (a dict: by type)."""
     try:
         return fn(*args)
     except ConfigError as exc:  # names its field already
         diags.append(Diagnostic("error", str(exc)))
     except (LatticeWignerError, ValueError, OverflowError) as exc:
-        diags.append(Diagnostic("error", f"{where}: {exc}"))
+        field = where if isinstance(where, str) else where[type(exc)]
+        diags.append(Diagnostic("error", f"{field}: {exc}"))
 
 
 def _preflight(cfg: ScenarioConfig) -> tuple:
-    """Every check a run makes before its first step, with the run's own functions.
+    """Every pre-step check of a run, with the run's own functions: it starts exactly when none fails.
 
     Returns (rho0, w0, diagnostics); rho0 and w0 are None when the state or
     its transform cannot be built.
@@ -461,16 +464,20 @@ def _preflight(cfg: ScenarioConfig) -> tuple:
             if dyn.noise is not None and not dyn.noise.commutes_with(h):
                 message = "closed-form decoherence needs channels that commute with the hamiltonian"
                 diags.append(Diagnostic("error", f"dynamics.noise: {message} (use method rk4)"))
-            lam_a = _attempt(diags, "dynamics.hamiltonian.potential", h.lambda_a, cfg.window)
+            lam_a = _attempt(diags, "dynamics.hamiltonian.potential, window.a", h.lambda_a, cfg.window)
             if lam_a is not None and w0 is not None:
                 reach = _attempt(  # the generator runs, and may raise, inside max
                     diags, "dynamics.times", max, (bessel_band_reach(h.j_hop, lam_a, t) for t in dyn.times)
                 )
                 if reach is not None:
                     _attempt(diags, "window", check_slack, w0, reach, "closed-form propagator")
-        if potential is not None and (dyn.dt is not None or dyn.method != "closed_form"):
-            _attempt(diags, "dynamics.dt", step_size, h, dyn.noise, cfg.window, dyn.times[-1], dyn.dt)
+        if potential is not None and rho0 is not None and (dyn.dt is not None or dyn.method != "closed_form"):
+            eps = math.inf if dyn.method == "closed_form" else cfg.tolerances.eps_boundary  # closed_form: dt alone
+            where = {StepSizeError: "dynamics.dt", BoundaryLeakError: "state, tolerances.eps_boundary"}
+            _attempt(diags, where, _step_plan, rho0, h, dyn.noise, dyn.times, dyn.dt, eps)
     elif isinstance(dyn, WalkDynamics) and dyn.mode == "walk" and rho0 is not None:
+        if dyn.steps:
+            _attempt(diags, "state, window", _require_walkable, rho0)
         lo, hi = occupied_rows(rho0.site_populations())
         if lo - dyn.steps <= 0 or hi + dyn.steps >= cfg.window.width - 1:
             diags.append(Diagnostic("warning", f"{dyn.steps} walk steps may reach the window boundary"))
@@ -493,24 +500,23 @@ def _continuous_snapshots(cfg: ScenarioConfig, dyn: ContinuousDynamics, w0, rho0
     is written; then each time's fields are made, compared and dropped in turn.
     Edge weight and two-path deviation go into diagnostics as running maxima."""
     h = dyn.hamiltonian
-    densities = (None,) * len(dyn.times)
     if dyn.method != "closed_form":
         evolve = von_neumann_exact if dyn.noise is None or dyn.noise.commutes_with(h) else lindblad_rk4
         result = evolve(rho0, h, dyn.noise, dyn.times, dyn.dt, cfg.tolerances.eps_boundary)
         _running_max(diagnostics, "boundary_leak", result.boundary_leak)
-        densities = result.snapshots
     lam_a = h.lambda_a(cfg.window) if dyn.method != "rk4" else None
-    propagate = spin_linear_propagate if h.spin_coupled else linear_potential_propagate
-    for t, rho in zip(dyn.times, densities):
-        wt = None if lam_a is None else propagate(w0, h.j_hop, lam_a, t)
-        if wt is not None:
+    for i, t in enumerate(dyn.times):
+        wt = oracle = None
+        if lam_a is not None:
+            wt = _bessel_band_propagate(w0, h.j_hop, lam_a, t, h.spin_signs, "closed-form propagator")
             wt = wt if dyn.noise is None else decohere_wigner(wt, dyn.noise, t)
             _running_max(diagnostics, "wigner_boundary_weight", edge_weight(wt))
-        oracle = None if rho is None else wigner_of_density(rho, cfg.kgrid)
-        wt = oracle if wt is None else wt
+        if dyn.method != "closed_form":
+            oracle = wigner_of_density(result.snapshots[i], cfg.kgrid)
         if dyn.method == "both":
             deviation = float(np.max(np.abs(wt.values - oracle.values)))
             _running_max(diagnostics, "two_path_max_deviation", deviation)
+        wt = oracle if wt is None else wt
         del oracle
         yield t, wt, "marginal_position", _marginal_table(wt)
 
@@ -569,10 +575,10 @@ def _walk_snapshots(cfg: ScenarioConfig, dyn: WalkDynamics, rho0: DensityOperato
 def run(cfg: ScenarioConfig, command: str, out_dir, quiet: bool = False) -> dict:
     """Execute a scenario and write its outputs; returns the manifest dict.
 
-    Raises ConfigError for statically detectable problems and
-    InvariantViolation / BoundaryLeakError for numerical failures; the
-    manifest is written before a two-path violation is raised so the
-    deviation is inspectable.
+    Raises ConfigError when the preflight refuses the run and InvariantViolation
+    / BoundaryLeakError for what evolving finds; the directory is made with the
+    first file, and the manifest is written before a two-path violation is
+    raised so the deviation is inspectable.
     """
     dyn = cfg.dynamics
     if command == "evolve" and not isinstance(dyn, ContinuousDynamics):
@@ -585,11 +591,6 @@ def run(cfg: ScenarioConfig, command: str, out_dir, quiet: bool = False) -> dict
         raise ConfigError("; ".join(errors))
 
     out = Path(out_dir)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"cannot create output directory {out}: {exc.strerror or exc}") from None
-
     files = []
     diagnostics = {
         "initial_hermiticity_defect": hermiticity_defect(w0),
@@ -598,6 +599,11 @@ def run(cfg: ScenarioConfig, command: str, out_dir, quiet: bool = False) -> dict
     }
 
     def emit(name: str, writer, *args) -> None:
+        if not files:
+            try:
+                out.mkdir(parents=True, exist_ok=True)
+            except OSError as exc:
+                raise ConfigError(f"cannot create output directory {out}: {exc.strerror or exc}") from None
         writer(out / name, *args)
         files.append(name)
 

@@ -80,12 +80,8 @@ def walk_unitary(theta: float, window: LatticeWindow) -> np.ndarray:
     return shift @ coin_full
 
 
-def qw_step_state(rho: DensityOperator, coin: CoinSpec) -> DensityOperator:
-    """One walk step rho -> U rho U+ in state space, O(W^2).
-
-    U is applied to rho, then to the adjoint of the product, which applies
-    U+ from the right: (U (U rho)+)+ = (U rho) U+.
-    """
+def _require_walkable(rho: DensityOperator) -> None:
+    """Refuse a walk step from rho unless its window has three sites or more and empty walls."""
     if rho.window.width < 3:
         raise WindowError("walk needs a window of at least three sites")
     edge = rho.boundary_population()
@@ -94,6 +90,15 @@ def qw_step_state(rho: DensityOperator, coin: CoinSpec) -> DensityOperator:
             f"boundary sites hold population {edge:.3e} > {BOUNDARY_TOL}; "
             "a walk step needs one empty site at each wall"
         )
+
+
+def qw_step_state(rho: DensityOperator, coin: CoinSpec) -> DensityOperator:
+    """One walk step rho -> U rho U+ in state space, O(W^2).
+
+    U is applied to rho, then to the adjoint of the product, which applies
+    U+ from the right: (U (U rho)+)+ = (U rho) U+.
+    """
+    _require_walkable(rho)
     c = coin_operator(coin.theta)
     return DensityOperator(rho.window, _walk_rows(_walk_rows(rho.matrix, c).conj().T, c).conj().T)
 

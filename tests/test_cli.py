@@ -236,6 +236,7 @@ class TestExitCodes:
         assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
     def test_boundary_leak_exit_code(self, tmp_path):
+        # The state starts on the wall at n = 3: refused before the first step.
         doc = {
             "window": {"n_min": -3, "n_max": 3, "a": 1.0},
             "kgrid": {"n_k": 16},
@@ -243,12 +244,65 @@ class TestExitCodes:
             "dynamics": {"kind": "walk", "theta": 0.0, "steps": 4, "mode": "walk"},
         }
         cfg = write_config(tmp_path, doc)
-        assert main(["walk", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+        assert main(["walk", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o").exists()
+
+    def test_walk_reaching_the_wall_exits_3(self, tmp_path, capsys):
+        # theta = 0 moves spin 0 left and spin 1 right by one site a step: from
+        # n = -1 and 1 the walls at -3 and 3 fill after two steps, so the third
+        # step is refused while evolving, after snapshots 0 to 2 are written.
+        doc = {
+            "window": {"n_min": -3, "n_max": 3, "a": 1.0},
+            "kgrid": {"n_k": 16},
+            "state": {"name": "double_delta", "params": {"n1": -1, "n2": 1, "alpha": 1.0}},
+            "dynamics": {"kind": "walk", "theta": 0.0, "steps": 4, "mode": "walk"},
+        }
+        cfg = write_config(tmp_path, doc)
+        assert main(["validate", "--config", cfg]) == 0
+        out = tmp_path / "o"
+        assert main(["walk", "--config", cfg, "--out", str(out), "--quiet"]) == 3
+        assert "boundary sites hold population" in capsys.readouterr().err
+        assert sorted(p.name for p in out.glob("snapshot_*.csv")) == [f"snapshot_00{i}.csv" for i in range(3)]
+
+    @pytest.mark.parametrize(
+        "command, scenario, edit",
+        [
+            ("walk", "walk_hadamard", lambda doc: doc.update(window={"n_min": 0, "n_max": 1})),
+            ("walk", "walk_hadamard", lambda doc: doc["state"]["params"].update(n1=16)),
+            (
+                "evolve",
+                "fig2_bloch",
+                lambda doc: (doc["dynamics"].update(method="rk4"), doc["tolerances"].update(eps_boundary=1e-300)),
+            ),
+        ],
+        ids=["walk_two_sites", "walk_state_on_wall", "density_initial_leak"],
+    )
+    def test_pre_step_refusal_is_validated(self, tmp_path, capsys, command, scenario, edit):
+        # validate reports the refusal with the run's message, and the refused
+        # run leaves no output directory behind.
+        doc = json.loads((SCENARIOS / f"{scenario}.json").read_text())
+        edit(doc)
+        cfg = write_config(tmp_path, doc)
+        assert main(["validate", "--config", cfg]) == 2
+        lines = capsys.readouterr().out.splitlines()
+        errors = [line[len("error: "):] for line in lines if line.startswith("error: ")]
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out), "--quiet"]) == 2
+        assert capsys.readouterr().err == f"config error: {'; '.join(errors)}\n"
+        assert not out.exists()
 
     def test_no_output_directory(self, tmp_path):
         doc = base_config()
         cfg = write_config(tmp_path, doc)
         assert main(["state", "--config", cfg]) == 2
+
+    def test_empty_out_refused(self, tmp_path, capsys, monkeypatch):
+        # An empty --out does not fall back to outputs.directory.
+        cfg = write_config(tmp_path, base_config(outputs={"directory": "cfg_out"}))
+        monkeypatch.chdir(tmp_path)
+        assert main(["state", "--config", cfg, "--out", ""]) == 2
+        assert "--out" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
     @pytest.mark.parametrize("sub", ["afile", "afile/sub"], ids=["is_a_file", "under_a_file"])
     def test_output_directory_not_creatable(self, tmp_path, capsys, sub):
@@ -294,6 +348,14 @@ def _huge_window(half, n_k, state):
     def edit(doc):
         doc.update(window={"n_min": -half, "n_max": half}, kgrid={"n_k": n_k}, state=state)
         doc["dynamics"].update(method="closed_form", dt=None)
+
+    return edit
+
+
+def _lambda_a(a, slope):
+    def edit(doc):
+        doc["window"]["a"] = a
+        doc["dynamics"]["hamiltonian"]["potential"]["slope"] = slope
 
     return edit
 
@@ -370,6 +432,11 @@ class TestNonFiniteConfig:
             ),
             (_set(("window", "a"), 1e308), "window.a"),
             (_set(("dynamics", "hamiltonian", "potential", "slope"), 1e308), "dynamics.hamiltonian.potential"),
+            (_set(("outputs",), {"directory": ""}), "outputs.directory"),
+            # slope * a underflows to 0, or to a subnormal whose 8 J / (slope * a) overflows.
+            (_lambda_a(1e-200, 1e-200), "dynamics.hamiltonian.potential, window.a"),
+            (_lambda_a(1e-300, 1e-30), "dynamics.hamiltonian.potential, window.a"),
+            (_lambda_a(1.0, 1e-320), "dynamics.hamiltonian.potential, window.a"),
         ],
         ids=[
             "times_inf", "j_hop_nan", "j_hop_overflow", "slope_inf", "dt_minus_inf",
@@ -380,7 +447,8 @@ class TestNonFiniteConfig:
             "n_k_unallocatable", "werner_window_huge", "double_delta_window_huge",
             "sigma_zero", "sigma_negative", "sigma_underflow", "sigma_exponent_overflow",
             "sigma_exponent_overflow_wide", "walk_snapshots_default_huge", "walk_snapshots_listed_huge",
-            "spacing_overflow", "slope_overflow",
+            "spacing_overflow", "slope_overflow", "directory_empty",
+            "lambda_a_zero", "lambda_a_zero_small_slope", "lambda_a_subnormal",
         ],
     )
     def test_rejected_with_field_name(self, tmp_path, capsys, edit, field):
@@ -783,17 +851,18 @@ class TestEvolveCommand:
                 tracemalloc.stop()
         assert peaks[1] < 1.5 * peaks[0], peaks
 
-    @pytest.mark.parametrize("eps_boundary", [0.0, 1e-38], ids=["initial", "during_steps"])
-    def test_density_leak_writes_no_snapshot(self, tmp_path, capsys, eps_boundary):
-        # The density route runs to its last time before the first file is
-        # written, so a leak it finds leaves no snapshot behind.
+    @pytest.mark.parametrize("eps_boundary, code", [(0.0, 2), (1e-38, 3)], ids=["initial", "during_steps"])
+    def test_density_leak_writes_no_snapshot(self, tmp_path, capsys, eps_boundary, code):
+        # An initial leak is refused before the first step (exit 2); one found
+        # on the step grid exits 3.  The density route runs to its last time
+        # before the first file is written, so neither leaves a directory.
         doc = continuous_config()
         doc["tolerances"]["eps_boundary"] = eps_boundary
         cfg = write_config(tmp_path, doc)
         out = tmp_path / "out"
-        assert main(["evolve", "--config", cfg, "--out", str(out), "--quiet"]) == 3
+        assert main(["evolve", "--config", cfg, "--out", str(out), "--quiet"]) == code
         assert "boundary population" in capsys.readouterr().err
-        assert not list(out.glob("snapshot_*.csv"))
+        assert not out.exists()
 
     def test_long_closed_form_time(self, tmp_path, capsys):
         # lambda_a t = 1e12: the kernel's phases are taken at lambda_a t mod 4 pi.

@@ -29,7 +29,7 @@ from lattice_wigner import (
     wigner_of_density,
 )
 from lattice_wigner import continuous, wigner
-from lattice_wigner.continuous import _bessel_band_propagate, step_size
+from lattice_wigner.continuous import _bessel_band_propagate, _step_plan, bessel_band_reach
 from lattice_wigner.grids import k_derivative, k_shift
 from lattice_wigner.states import PAULI_X, PAULI_Y, PAULI_Z
 
@@ -78,9 +78,19 @@ class TestHamiltonianSpec:
             with pytest.raises(DomainError, match="not finite"):
                 h.site_potential(LatticeWindow(-3, 3, a=a))
 
+    @pytest.mark.parametrize("a, slope", [(1e-200, 1e-200), (1.0, 1e-320)], ids=["zero", "subnormal"])
+    def test_underflowing_lambda_a_refused(self, a, slope):
+        # lambda a is 0.0, or so small that 8 J / (lambda a) overflows.
+        h = HamiltonianSpec(1.0, Potential.linear(slope))
+        with pytest.raises(DomainError, match="8 J / lambda_a is not finite"):
+            h.lambda_a(LatticeWindow(-3, 3, a=a))
+        with pytest.raises(DomainError, match="8 J / lambda_a is not finite"):
+            bessel_band_reach(1.0, slope * a, 1.0)
+
     def test_nan_norm_estimate_fails_the_stability_cap(self):
+        rho0 = DensityOperator(LatticeWindow(-3, 3), np.eye(14) / 14)
         with pytest.raises(StepSizeError, match="stability cap"):
-            step_size(HamiltonianSpec(math.nan), None, LatticeWindow(-3, 3), 1.0)
+            _step_plan(rho0, HamiltonianSpec(math.nan), None, [1.0], None, 1.0)
 
     def test_dense_matrix_is_hermitian(self):
         window = LatticeWindow(-3, 3)

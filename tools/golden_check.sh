@@ -23,10 +23,9 @@
 # method "rk4" and times [0, 0.5], whose channel does not commute with the
 # sigma_z-coupled potential, so it runs the RK4 density route.  138 files in all.
 # BLAS is pinned to one thread, because the density route's last bits depend
-# on the thread count.  Manifests hold no timing now; revisions that still
-# write the manifest's wall-clock field have it dropped before `diff -r`, so
-# either kind of revision compares against the other.  Exit status: 0 when
-# every file is byte-identical, 1 on any difference.
+# on the thread count.  Every file, manifests included, is compared byte for
+# byte with `diff -r`.  Exit status: 0 when every file is byte-identical, 1 on
+# any difference.
 set -euo pipefail
 
 parent=${1:?usage: tools/golden_check.sh PARENT_REV}
@@ -68,13 +67,6 @@ golden_runs() {  # golden_runs TREE OUT
         name=$(basename "$config" .json)
         validate_run "$tree" "$config" "$out/validate-$name.txt"
     done
-    "$python" - "$out" <<'EOF'
-import json, pathlib, sys
-for path in pathlib.Path(sys.argv[1]).glob("*/manifest.json"):
-    doc = json.loads(path.read_text())
-    doc.pop("wall_clock_seconds", None)
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-EOF
 }
 
 "$python" - "$root/scenarios" "$tmp" <<'EOF'
