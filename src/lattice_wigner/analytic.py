@@ -99,7 +99,7 @@ class CatSpec:
         if self.a_site == self.b_site:
             raise DomainError("cat state requires two distinct sites")
         s1, s2 = self.spin_vectors()
-        if abs(np.vdot(s1, s2)) > NORM_TOL:
+        if not abs(np.vdot(s1, s2)) <= NORM_TOL:
             raise DomainError("spin vectors must be orthogonal")
 
     def spin_vectors(self):
@@ -115,7 +115,7 @@ def _spin_vector(spin) -> np.ndarray:
     vec = np.asarray(spin, dtype=complex)
     if vec.shape != (2,):
         raise DomainError("spin vector must have two components")
-    if abs(np.vdot(vec, vec) - 1.0) > NORM_TOL:
+    if not abs(np.vdot(vec, vec) - 1.0) <= NORM_TOL:  # a NaN component is refused too
         raise DomainError("spin vector must be normalized")
     return vec
 
@@ -314,7 +314,7 @@ def product_wigner(w_l: ScalarWigner, rho_s) -> WignerMatrix:
     if rho_s.shape != (2, 2):
         raise DomainError("spin state must be a 2x2 matrix")
     herm = np.max(np.abs(rho_s - rho_s.conj().T))
-    if herm > HERMITICITY_TOL or abs(np.trace(rho_s) - 1.0) > TRACE_TOL:
+    if not (herm <= HERMITICITY_TOL and abs(np.trace(rho_s) - 1.0) <= TRACE_TOL):  # a NaN is refused too
         raise DomainError("spin state must be Hermitian with unit trace")
     vals = w_l.values[:, :, None, None] * rho_s[None, None, :, :]
     return WignerMatrix(w_l.m_min, w_l.m_max, w_l.kgrid, vals)

@@ -47,7 +47,7 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", required=True, help="path to the scenario JSON")
         cmd.add_argument("--out", default=None, help="output directory (overrides config)")
-        cmd.add_argument("--quiet", action="store_true", help="suppress progress output")
+        cmd.add_argument("--quiet", action="store_true", help="skip the written-file list and validate's ok line")
     return parser
 
 

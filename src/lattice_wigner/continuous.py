@@ -43,7 +43,7 @@ from .errors import (
     StepSizeError,
     WindowError,
 )
-from .grids import TWO_PI, KGrid, k_derivative
+from .grids import TWO_PI, k_derivative
 from .special import bessel_tail_order
 from .states import (
     SPIN_MATRICES,
@@ -122,16 +122,8 @@ class Potential:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    def derivative_coeffs(self, order: int) -> tuple:
-        coeffs = self.coeffs
-        for _ in range(order):
-            coeffs = tuple(p * coeffs[p] for p in range(1, len(coeffs)))
-            if not coeffs:
-                return (0.0,)
-        return coeffs
-
     def derivative_values(self, order: int, x: np.ndarray) -> np.ndarray:
-        return np.polynomial.polynomial.polyval(x, self.derivative_coeffs(order))
+        return np.polynomial.polynomial.polyval(x, np.polynomial.polynomial.polyder(self.coeffs, order))
 
     def values(self, x: np.ndarray) -> np.ndarray:
         return self.derivative_values(0, x)
@@ -199,9 +191,11 @@ class NoiseSpec:
             op = np.asarray(op, dtype=complex)
             if op.shape != (2, 2):
                 raise DomainError("Lindblad operators must act on spin (2x2)")
+            if not np.all(np.isfinite(op)):
+                raise DomainError("Lindblad operator op has non-finite entries")
             gamma = float(gamma)
-            if gamma < 0.0:
-                raise DomainError(f"coupling must be >= 0, got {gamma}")
+            if not gamma >= 0.0:
+                raise DomainError(f"coupling gamma must be >= 0, got {gamma}")
             frozen = op.copy()
             frozen.setflags(write=False)
             ops.append((frozen, gamma))
@@ -508,30 +502,28 @@ def _checked_lambda_a(j_hop: float, lambda_a: float) -> float:
     return lambda_a
 
 
-def bessel_band_reach(j_hop: float, lambda_a: float, t: float) -> int:
-    """Empty m-rows the Bessel band needs on each side of the support at time t.
+def band_reach(w0: WignerMatrix, j_hop: float, lambda_a: float, times: Sequence[float]) -> int:
+    """The most empty m-rows the Bessel band needs on each side of w0's support at any of times.
 
     Beyond the tail order of the largest argument |8J/(lambda a) sin(lambda a
     t / 2)| every band entry J_d is below 1e-15.  Raises DomainError when
-    lambda a t or 8J/(lambda a) is not finite.
+    lambda a t or 8J/(lambda a) is not finite, and WindowError when w0's
+    occupied rows leave fewer empty rows on a side (a field with none passes).
     """
-    delta = lambda_a * float(t)
-    if not math.isfinite(delta):
-        raise DomainError(f"lambda_a * t = {delta} is not finite")
     scale = 8.0 * j_hop / _checked_lambda_a(j_hop, lambda_a)
-    z_max = abs(scale * math.sin(0.5 * math.fmod(delta, _PHASE_PERIOD)))
-    return bessel_tail_order(z_max)
-
-
-def check_slack(w: WignerMatrix, needed: int, what: str) -> None:
-    if w.occupied is None:
-        return
-    slack = min(w.occupied[0], w.n_m - 1 - w.occupied[1])
-    if slack < needed:
-        raise WindowError(
-            f"{what}: kernel needs {needed} empty m-rows on each side, "
-            f"but the occupied block leaves only {slack}"
-        )
+    reach = 0
+    for t in times:
+        delta = lambda_a * float(t)
+        if not math.isfinite(delta):
+            raise DomainError(f"lambda_a * t = {delta} is not finite")
+        reach = max(reach, bessel_tail_order(abs(scale * math.sin(0.5 * math.fmod(delta, _PHASE_PERIOD)))))
+    if w0.occupied is not None:
+        slack = min(w0.occupied[0], w0.n_m - 1 - w0.occupied[1])
+        if slack < reach:
+            raise WindowError(
+                f"kernel needs {reach} empty m-rows on each side, but the occupied block leaves only {slack}"
+            )
+    return reach
 
 
 def _smooth_length(n: int) -> int:
@@ -546,9 +538,7 @@ def _smooth_length(n: int) -> int:
         n += 1
 
 
-def _bessel_band_propagate(
-    w0: WignerMatrix, j_hop: float, lambda_a: float, t: float, spin_signs, what: str
-) -> WignerMatrix:
+def _bessel_band_propagate(w0: WignerMatrix, j_hop: float, lambda_a: float, t: float, spin_signs) -> WignerMatrix:
     """Exact evolution under hopping plus the linear potential s_a lambda x on spin a.
 
     out[m, k, a, b] = dress_ab(m) sum_d J_d(z_ab(k)) (dress W0)(m - d, k + shift_ab, a, b)
@@ -574,10 +564,7 @@ def _bessel_band_propagate(
     its order are those of the plain (m, k, 2, 2) formulation, so every
     output bit is too.
     """
-    if lambda_a == 0.0:
-        raise DomainError("linear propagator requires lambda_a != 0")
-    reach = bessel_band_reach(j_hop, lambda_a, t)
-    check_slack(w0, reach, what)
+    reach = band_reach(w0, j_hop, lambda_a, (t,))
     n_m, n_k = w0.n_m, w0.kgrid.n_k
     delta = math.fmod(lambda_a * float(t), _PHASE_PERIOD)
     signs = np.asarray(spin_signs, dtype=float)
@@ -638,7 +625,7 @@ def linear_potential_propagate(
     FFT pair along m (see _bessel_band_propagate, spin signs (1, 1)).  Raises
     WindowError when the band would push support off the m-grid.
     """
-    return _bessel_band_propagate(w0, j_hop, lambda_a, t, (1.0, 1.0), "linear propagator")
+    return _bessel_band_propagate(w0, j_hop, lambda_a, t, (1.0, 1.0))
 
 
 def spin_linear_propagate(
@@ -651,7 +638,7 @@ def spin_linear_propagate(
     e^{-+i m lambda_a t / 2}, the sign pinned by the J=0 limit, where
     <n,0|rho_t|m-n,1> = e^{-i lambda_a m t} times the initial element.
     """
-    return _bessel_band_propagate(w0, j_hop, lambda_a, t, (1.0, -1.0), "spin-coupled linear propagator")
+    return _bessel_band_propagate(w0, j_hop, lambda_a, t, (1.0, -1.0))
 
 
 def decohere_wigner(w: WignerMatrix, noise: NoiseSpec, t: float) -> WignerMatrix:

@@ -36,14 +36,13 @@ from .continuous import (
     Potential,
     _bessel_band_propagate,
     _step_plan,
-    bessel_band_reach,
-    check_slack,
+    band_reach,
     decohere_wigner,
     lindblad_rk4,
     von_neumann_exact,
 )
 from .errors import (
-    BoundaryLeakError, ConfigError, DomainError, InvariantViolation,
+    BoundaryLeakError, ConfigError, ConvergenceError, DomainError, InvariantViolation,
     LatticeWignerError, StepSizeError, WindowError,
 )
 from .grids import KGrid
@@ -466,11 +465,8 @@ def _preflight(cfg: ScenarioConfig) -> tuple:
                 diags.append(Diagnostic("error", f"dynamics.noise: {message} (use method rk4)"))
             lam_a = _attempt(diags, "dynamics.hamiltonian.potential, window.a", h.lambda_a, cfg.window)
             if lam_a is not None and w0 is not None:
-                reach = _attempt(  # the generator runs, and may raise, inside max
-                    diags, "dynamics.times", max, (bessel_band_reach(h.j_hop, lam_a, t) for t in dyn.times)
-                )
-                if reach is not None:
-                    _attempt(diags, "window", check_slack, w0, reach, "closed-form propagator")
+                where = {DomainError: "dynamics.times", ConvergenceError: "dynamics.times", WindowError: "window"}
+                _attempt(diags, where, band_reach, w0, h.j_hop, lam_a, dyn.times)
         if potential is not None and rho0 is not None and (dyn.dt is not None or dyn.method != "closed_form"):
             eps = math.inf if dyn.method == "closed_form" else cfg.tolerances.eps_boundary  # closed_form: dt alone
             where = {StepSizeError: "dynamics.dt", BoundaryLeakError: "state, tolerances.eps_boundary"}
@@ -508,7 +504,7 @@ def _continuous_snapshots(cfg: ScenarioConfig, dyn: ContinuousDynamics, w0, rho0
     for i, t in enumerate(dyn.times):
         wt = oracle = None
         if lam_a is not None:
-            wt = _bessel_band_propagate(w0, h.j_hop, lam_a, t, h.spin_signs, "closed-form propagator")
+            wt = _bessel_band_propagate(w0, h.j_hop, lam_a, t, h.spin_signs)
             wt = wt if dyn.noise is None else decohere_wigner(wt, dyn.noise, t)
             _running_max(diagnostics, "wigner_boundary_weight", edge_weight(wt))
         if dyn.method != "closed_form":

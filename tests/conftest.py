@@ -25,7 +25,7 @@ from lattice_wigner import (
     gaussian_product_state,
     wigner_of_density,
 )
-from lattice_wigner.continuous import _smooth_length, bessel_band_reach, check_slack
+from lattice_wigner.continuous import _smooth_length, band_reach
 from lattice_wigner.grids import TWO_PI
 from lattice_wigner.negativity import HERMITICITY_TOL
 from lattice_wigner.wigner import INV_TWO_PI, _pair_map
@@ -158,14 +158,11 @@ def probe_fields(rng):
     return {name: WignerMatrix.on_window(window, grid, v) for name, v in fields.items()}
 
 
-def reference_band_propagate(w0, j_hop, lambda_a, t, spin_signs, what):
+def reference_band_propagate(w0, j_hop, lambda_a, t, spin_signs):
     """The Bessel-band kernel on the plain (m, k, 2, 2) layout: each FFT pair
     runs along a strided axis and both phases are gathered to (..., 2, 2)
     grids.  Kept only as the bitwise reference of _bessel_band_propagate."""
-    if lambda_a == 0.0:
-        raise DomainError("linear propagator requires lambda_a != 0")
-    reach = bessel_band_reach(j_hop, lambda_a, t)
-    check_slack(w0, reach, what)
+    reach = band_reach(w0, j_hop, lambda_a, (t,))
     delta = lambda_a * float(t)
     signs = np.asarray(spin_signs, dtype=float)
     shifts, entry = np.unique(0.5 * delta * np.add.outer(signs, signs), return_inverse=True)
@@ -186,6 +183,16 @@ def reference_band_propagate(w0, j_hop, lambda_a, t, spin_signs, what):
     spec *= np.exp(-1j * np.multiply.outer(sin_q, z))[:, :, entry]
     spec = np.fft.ifft(spec, axis=0)[: w0.n_m]
     return w0.with_values(spec.copy() if dress is None else dress * spec)
+
+
+def reference_derivative_values(coeffs, order, x):
+    """The potential's order-th derivative at x through hand-differentiated
+    coefficients.  Kept only as the bitwise reference of Potential.derivative_values."""
+    for _ in range(order):
+        coeffs = tuple(p * coeffs[p] for p in range(1, len(coeffs)))
+        if not coeffs:
+            return np.polynomial.polynomial.polyval(x, (0.0,))
+    return np.polynomial.polynomial.polyval(x, coeffs)
 
 
 def reference_transform_values(op, window, kgrid):

@@ -18,6 +18,7 @@ from lattice_wigner import (
     double_delta_state,
     double_delta_wigner_closed,
     gaussian_lattice_state,
+    gaussian_product_state,
     gaussian_scalar_wigner,
     product_density,
     product_wigner,
@@ -218,6 +219,16 @@ class TestProductWigner:
         via = wigner_of_density(product_density(rho_l, rho_s), grid)
         assert np.max(np.abs(w.values - via.values)) < 1e-13
 
+    @pytest.mark.parametrize(
+        "rho_s",
+        [[[math.nan, 0.0], [0.0, 1.0]], [[1.0, math.nan], [math.nan, 0.0]]],
+        ids=["nan_diagonal", "nan_coherence"],
+    )
+    def test_nan_spin_state_named(self, rho_s):
+        w_l = gaussian_scalar_wigner(0, 0.6, LatticeWindow(-4, 4), KGrid(24))
+        with pytest.raises(DomainError, match="spin state must be Hermitian"):
+            product_wigner(w_l, np.array(rho_s))
+
     def test_invalid_spin_state_rejected(self):
         window = LatticeWindow(-4, 4)
         grid = KGrid(24)
@@ -274,6 +285,20 @@ class TestCat:
         s2 = (1 / math.sqrt(2), -1 / math.sqrt(2))
         cat = cat_state(CatSpec(-2, 3, 1.0, s1, s2), small_window)
         assert np.sum(np.abs(cat.amplitudes) ** 2) == pytest.approx(1.0, abs=1e-14)
+
+    @pytest.mark.parametrize(
+        "spins",
+        [((math.nan, 0.0), (0.0, 1.0)), ((1.0, 0.0), (0.0, math.nan)), ((1.0, 0.0), (complex(0, math.nan), 1.0))],
+        ids=["spin1", "spin2", "complex_nan"],
+    )
+    def test_nan_spin_vector_named(self, spins):
+        with pytest.raises(DomainError, match="spin vector must be normalized"):
+            CatSpec(-2, 3, 1.0, *spins)
+
+    @pytest.mark.parametrize("spin", [[math.nan, 0.0], [1.0, math.nan]])
+    def test_nan_gaussian_spin_named(self, spin):
+        with pytest.raises(DomainError, match="spin vector must be normalized"):
+            gaussian_product_state(0, 2.0, spin, LatticeWindow(-20, 20))
 
     def test_non_orthogonal_spins_rejected(self):
         with pytest.raises(DomainError):

@@ -29,11 +29,17 @@ from lattice_wigner import (
     wigner_of_density,
 )
 from lattice_wigner import continuous, wigner
-from lattice_wigner.continuous import _bessel_band_propagate, _step_plan, bessel_band_reach
+from lattice_wigner.continuous import _bessel_band_propagate, _step_plan, band_reach
 from lattice_wigner.grids import k_derivative, k_shift
 from lattice_wigner.states import PAULI_X, PAULI_Y, PAULI_Z
 
-from conftest import random_density, reference_band_propagate, same_bits, with_negative_zeros
+from conftest import (
+    random_density,
+    reference_band_propagate,
+    reference_derivative_values,
+    same_bits,
+    with_negative_zeros,
+)
 
 
 def gaussian_setup(window=None, grid=None, center=0, sigma=1.5, spin="up"):
@@ -84,8 +90,21 @@ class TestHamiltonianSpec:
         h = HamiltonianSpec(1.0, Potential.linear(slope))
         with pytest.raises(DomainError, match="8 J / lambda_a is not finite"):
             h.lambda_a(LatticeWindow(-3, 3, a=a))
+        _, _, _, w0 = gaussian_setup()
         with pytest.raises(DomainError, match="8 J / lambda_a is not finite"):
-            bessel_band_reach(1.0, slope * a, 1.0)
+            band_reach(w0, 1.0, slope * a, (1.0,))
+
+    @pytest.mark.parametrize("degree", range(7))
+    def test_derivative_values_match_hand_rolled(self, degree):
+        rng = np.random.default_rng(degree)
+        coeffs = tuple(rng.normal(size=degree + 1) * 10.0 ** rng.integers(-3, 3, size=degree + 1))
+        pot = Potential.polynomial(coeffs)
+        x = np.concatenate([rng.normal(size=40) * 20.0, [0.0, -0.0, 0.5, -7.25]])
+        for order in range(degree + 1):
+            got = pot.derivative_values(order, x)
+            assert same_bits(got, reference_derivative_values(coeffs, order, x)), order
+        for order in range(degree + 1, degree + 3):
+            assert not np.any(pot.derivative_values(order, x))
 
     def test_nan_norm_estimate_fails_the_stability_cap(self):
         rho0 = DensityOperator(LatticeWindow(-3, 3), np.eye(14) / 14)
@@ -428,16 +447,16 @@ class TestBandKernelBits:
     def test_matches_reference(self, n_k, spin, j_hop, lambda_a, t):
         _, _, _, w0 = gaussian_setup(LatticeWindow(-30, 30), KGrid(n_k), center=2, sigma=2.0, spin=spin)
         for signs in BOTH_SIGNS:
-            out = _bessel_band_propagate(w0, j_hop, lambda_a, t, signs, "kernel")
-            ref = reference_band_propagate(w0, j_hop, lambda_a, t, signs, "kernel")
+            out = _bessel_band_propagate(w0, j_hop, lambda_a, t, signs)
+            ref = reference_band_propagate(w0, j_hop, lambda_a, t, signs)
             assert same_bits(out.values, ref.values), signs
 
     def test_negative_zero_entries(self):
         _, _, _, w0 = gaussian_setup(LatticeWindow(-20, 20), KGrid(99), spin="up")
         w0 = with_negative_zeros(w0)
         for signs in BOTH_SIGNS:
-            out = _bessel_band_propagate(w0, 0.8, 1.1, 1.9, signs, "kernel")
-            assert same_bits(out.values, reference_band_propagate(w0, 0.8, 1.1, 1.9, signs, "kernel").values)
+            out = _bessel_band_propagate(w0, 0.8, 1.1, 1.9, signs)
+            assert same_bits(out.values, reference_band_propagate(w0, 0.8, 1.1, 1.9, signs).values)
 
     @pytest.mark.parametrize("t", [1e12, 1e15])
     def test_long_time_is_the_reduced_time(self, t):
@@ -446,8 +465,8 @@ class TestBandKernelBits:
         # at t is the field at t mod 4 pi, bit for bit, and stays a state's.
         _, _, _, w0 = gaussian_setup(spin="plus")
         for signs in BOTH_SIGNS:
-            out = _bessel_band_propagate(w0, 1.0, 1.0, t, signs, "kernel")
-            reduced = _bessel_band_propagate(w0, 1.0, 1.0, math.fmod(t, 4.0 * math.pi), signs, "kernel")
+            out = _bessel_band_propagate(w0, 1.0, 1.0, t, signs)
+            reduced = _bessel_band_propagate(w0, 1.0, 1.0, math.fmod(t, 4.0 * math.pi), signs)
             assert same_bits(out.values, reduced.values), signs
             assert abs(normalization_total(out) - 1.0) < 1e-13
             assert hermiticity_defect(out) < 1e-13
@@ -468,10 +487,27 @@ class TestBandKernelBits:
         _, _, _, w0 = gaussian_setup(LatticeWindow(-16, 16), KGrid(72))
         for signs in BOTH_SIGNS:
             with pytest.raises(error) as ours:
-                _bessel_band_propagate(w0, 1.0, lambda_a, 3.0, signs, "kernel")
+                _bessel_band_propagate(w0, 1.0, lambda_a, 3.0, signs)
             with pytest.raises(error) as theirs:
-                reference_band_propagate(w0, 1.0, lambda_a, 3.0, signs, "kernel")
+                reference_band_propagate(w0, 1.0, lambda_a, 3.0, signs)
             assert str(ours.value) == str(theirs.value)
+
+
+class TestBandReach:
+    def test_all_zero_field_passes(self):
+        # No occupied rows, so no slack to fall short of; the reach is still computed.
+        _, _, _, w0 = gaussian_setup(LatticeWindow(-16, 16), KGrid(72))
+        zero = w0.with_values(np.zeros_like(w0.values))
+        assert zero.occupied is None
+        assert band_reach(zero, 1.0, 0.05, (0.0, 3.0)) > 16
+        with pytest.raises(WindowError, match="kernel needs"):
+            band_reach(w0, 1.0, 0.05, (0.0, 3.0))
+
+    @pytest.mark.parametrize("propagate", [linear_potential_propagate, spin_linear_propagate])
+    def test_zero_lambda_a_refused_by_the_one_check(self, propagate):
+        _, _, _, w0 = gaussian_setup()
+        with pytest.raises(DomainError, match=r"^8 J / lambda_a is not finite for J = 1.0 and lambda_a = 0.0$"):
+            propagate(w0, 1.0, 0.0, 1.0)
 
 
 class TestWignerEvolutionRHS:
@@ -613,6 +649,19 @@ class TestLindblad:
     def test_negative_gamma_rejected(self):
         with pytest.raises(DomainError):
             NoiseSpec(((PAULI_Z, -0.1),))
+
+    @pytest.mark.parametrize(
+        "channel, message",
+        [
+            ((PAULI_X, math.nan), "coupling gamma must be >= 0, got nan"),
+            ((np.array([[math.nan, 0.0], [0.0, 1.0]]), 0.2), "op has non-finite entries"),
+            ((np.array([[1.0, math.inf], [0.0, 1.0]]), 0.2), "op has non-finite entries"),
+        ],
+        ids=["nan_gamma", "nan_op", "inf_op"],
+    )
+    def test_non_finite_channel_named(self, channel, message):
+        with pytest.raises(DomainError, match=message):
+            NoiseSpec((channel,))
 
 
 SIGMA_MINUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)

@@ -12,16 +12,20 @@
 # no dynamics.times, a NaN j_hop, method "rk5" and kgrid.n_k 16), and keeps its
 # stdout, stderr and exit status, so the pre-run checks and their error
 # messages are held to the same byte-identity.  Both trees also run
-# `evolve` on four copies written into the temporary directory: fig3 with the
+# `evolve` on five copies written into the temporary directory: fig3 with the
 # real spinor [cos 0.9, sin 0.9] (the committed configs use basis or "plus"
 # spins, so most of their cells repeat, and this copy has few repeated values);
 # fig2 with an odd n_k = 193, spin "plus", a sigma_x channel and method
 # "both", which reaches the Bessel-band kernel's odd-n_k phases, the closed-form
 # spin channel and the density route; fig2 with method "both" at 12 evenly
 # spaced times over [0, 4.7], whose manifest holds the two-path deviation and
-# edge weight maximized over many snapshots; and fig3 with a sigma_x channel,
+# edge weight maximized over many snapshots; fig3 with a sigma_x channel,
 # method "rk4" and times [0, 0.5], whose channel does not commute with the
-# sigma_z-coupled potential, so it runs the RK4 density route.  138 files in all.
+# sigma_z-coupled potential, so it runs the RK4 density route; and fig3 with
+# j_hop 0.8, slope 0.7 and window.a 1.3, whose coupling lambda a = 0.91 is not
+# 1 as in every committed config, so the Bessel-band kernel's scale and its
+# reduction of lambda a t, and the exact density route, run at a non-unit
+# coupling.  147 files in all.
 # BLAS is pinned to one thread, because the density route's last bits depend
 # on the thread count.  Every file, manifests included, is compared byte for
 # byte with `diff -r`.  Exit status: 0 when every file is byte-identical, 1 on
@@ -56,7 +60,7 @@ golden_runs() {  # golden_runs TREE OUT
         (cd "$tmp" && PYTHONPATH="$tree/src" "$python" -m lattice_wigner.cli "$cmd" \
             --config "$tree/scenarios/$name.json" --out "$out/$cmd-$name" --quiet)
     done
-    for name in fig3_spinor fig2_odd_nk_channel fig2_many_both fig3_rk4_sigma_x; do
+    for name in fig3_spinor fig2_odd_nk_channel fig2_many_both fig3_rk4_sigma_x fig3_lambda_a; do
         (cd "$tmp" && PYTHONPATH="$tree/src" "$python" -m lattice_wigner.cli evolve \
             --config "$tmp/$name.json" --out "$out/evolve-$name" --quiet)
     done
@@ -90,6 +94,11 @@ doc["dynamics"]["noise"] = {"lindblad": [{"op": "sigma_x", "gamma": 0.2}]}
 doc["dynamics"]["method"] = "rk4"
 doc["dynamics"]["times"] = [0.0, 0.5]
 (tmp / "fig3_rk4_sigma_x.json").write_text(json.dumps(doc))
+doc = json.loads((scenarios / "fig3_spin_split.json").read_text())
+doc["dynamics"]["hamiltonian"]["j_hop"] = 0.8
+doc["dynamics"]["hamiltonian"]["potential"]["slope"] = 0.7
+doc["window"]["a"] = 1.3
+(tmp / "fig3_lambda_a.json").write_text(json.dumps(doc))
 absent = object()
 for name, path, value in [
     ("window", ["window"], 5),
