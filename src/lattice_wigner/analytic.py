@@ -20,6 +20,7 @@ with a shifted center c, whose terms are all bounded by one (see _gauss_ridge).
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -56,6 +57,8 @@ class DoubleDeltaSpec:
     def __post_init__(self):
         if self.n1 == self.n2:
             raise DomainError("double delta requires two distinct sites")
+        if not cmath.isfinite(self.alpha):
+            raise DomainError(f"alpha must be finite, got {self.alpha!r}")
 
 
 @dataclass(frozen=True)
@@ -98,6 +101,8 @@ class CatSpec:
     def __post_init__(self):
         if self.a_site == self.b_site:
             raise DomainError("cat state requires two distinct sites")
+        if not cmath.isfinite(self.beta):
+            raise DomainError(f"beta must be finite, got {self.beta!r}")
         s1, s2 = self.spin_vectors()
         if not abs(np.vdot(s1, s2)) <= NORM_TOL:
             raise DomainError("spin vectors must be orthogonal")

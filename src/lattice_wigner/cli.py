@@ -9,7 +9,8 @@ Subcommands:
   validate    the checks a run makes before its first step, nothing evolved
 
 Exit codes: 0 success; 2 config error, refused before the first step as validate
-reports it, or an output directory that cannot be made; 3 found while evolving.
+reports it, or an output directory or file that cannot be written; 3 found while
+evolving.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ def _load_config(path: str) -> ScenarioConfig:
             doc = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # syntax, UTF-8, integer digits, nesting depth
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     return parse_config(doc)
 

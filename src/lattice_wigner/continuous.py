@@ -92,6 +92,8 @@ class Potential:
         coeffs = tuple(float(c) for c in self.coeffs)
         if len(coeffs) == 0:
             raise DomainError("potential needs at least one coefficient")
+        if not all(map(math.isfinite, coeffs)):
+            raise DomainError(f"potential coeffs must be finite, got {coeffs!r}")
         if len(coeffs) - 1 > MAX_POTENTIAL_DEGREE:
             raise DomainError(
                 f"potential degree {len(coeffs) - 1} exceeds {MAX_POTENTIAL_DEGREE}"
@@ -360,7 +362,7 @@ def lindblad_rk4(
     times, steps, leak = _step_plan(rho0, h, noise, times, dt, eps_boundary)
 
     rhs = _make_rhs(h, noise, window)
-    mat = rho0.matrix.astype(complex).copy()
+    mat = rho0.matrix
     snapshots = []
     for t, (n_steps, hstep) in zip(times, steps):
         for _ in range(n_steps):
@@ -374,7 +376,7 @@ def lindblad_rk4(
             if edge > eps_boundary:
                 raise _leak_error(edge, eps_boundary, t)
             leak = max(leak, edge)
-        snapshots.append(DensityOperator(window, mat.copy()))
+        snapshots.append(DensityOperator(window, mat))
     return EvolutionResult(tuple(snapshots), leak)
 
 
@@ -443,7 +445,7 @@ def von_neumann_exact(
             if noise is not None:
                 mat = _site_pair_map(noise.channel(t), mat)
             mat = 0.5 * (mat + mat.conj().T)
-        snapshots.append(DensityOperator(window, mat.copy()))
+        snapshots.append(DensityOperator(window, mat))
         t_prev = t
     return EvolutionResult(tuple(snapshots), leak)
 
@@ -609,6 +611,7 @@ def _bessel_band_propagate(w0: WignerMatrix, j_hop: float, lambda_a: float, t: f
         np.copyto(rows, spec[:, :, :n_m])
     else:
         np.multiply(dress.transpose(0, 2, 1), spec[:, :, :n_m], out=rows)
+    del spec, rows  # the field's intake copies out: free the padded grid first
     return w0.with_values(out)
 
 

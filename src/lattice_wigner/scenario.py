@@ -600,7 +600,10 @@ def run(cfg: ScenarioConfig, command: str, out_dir, quiet: bool = False) -> dict
                 out.mkdir(parents=True, exist_ok=True)
             except OSError as exc:
                 raise ConfigError(f"cannot create output directory {out}: {exc.strerror or exc}") from None
-        writer(out / name, *args)
+        try:
+            writer(out / name, *args)
+        except OSError as exc:
+            raise ConfigError(f"cannot write output file {out / name}: {exc.strerror or exc}") from None
         files.append(name)
 
     if command == "state" or dyn is None:
@@ -646,10 +649,10 @@ def run(cfg: ScenarioConfig, command: str, out_dir, quiet: bool = False) -> dict
         "files": sorted(files),
         "diagnostics": diagnostics,
     }
-    write_json(out / "manifest.json", manifest)
+    emit("manifest.json", write_json, manifest)
 
     if not quiet:
-        for name in sorted(files + ["manifest.json"]):
+        for name in sorted(files):
             print(out / name)
     two_path_dev = diagnostics.get("two_path_max_deviation", 0.0)
     if two_path_dev > cfg.tolerances.two_path:

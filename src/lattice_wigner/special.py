@@ -112,27 +112,21 @@ def bessel_jn_sequence(n_max: int, x: float) -> np.ndarray:
 
 
 def bessel_jn(n: int, z: float) -> float:
-    """Bessel function of the first kind J_n(z) for integer n and real z.
-
-    Negative orders and arguments are folded with J_{-n}(z) = (-1)^n J_n(z)
-    and J_n(-z) = (-1)^n J_n(z).
-    """
+    """Bessel function of the first kind J_n(z) for integer n and real z:
+    entry n of the band :func:`bessel_jn_band` of width |n|."""
     if abs(n) > MAX_ORDER:
         raise DomainError(f"|n|={abs(n)} exceeds max_order={MAX_ORDER}")
     if not math.isfinite(z):
         raise DomainError(f"bessel_jn requires finite z, got {z!r}")
-    val = bessel_jn_sequence(abs(n), abs(z))[abs(n)]
-    if n < 0 and n % 2 != 0:
-        val = -val
-    if z < 0.0 and n % 2 != 0:
-        val = -val
-    return float(val)
+    return float(bessel_jn_band(abs(n), z)[n + abs(n)])
 
 
 def bessel_jn_band(d_max: int, z: float) -> np.ndarray:
     """J_d(z) for d = -d_max..d_max, returned with index d + d_max.
 
-    This is the kernel layout used by the Bessel band propagators.
+    Negative orders and arguments are folded here, with J_{-d}(z) =
+    (-1)^d J_d(z) and J_d(-z) = (-1)^d J_d(z); :func:`bessel_jn` reads one
+    entry.  A test oracle: the propagators use the Jacobi-Anger kernel.
     """
     if d_max < 0:
         raise DomainError("d_max must be >= 0")

@@ -11,6 +11,7 @@ flat index 2*(n - n_min) + alpha, which keeps the 2x2 spin blocks contiguous.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,19 +43,22 @@ for _v in SPIN_VECTORS.values():
     _v.setflags(write=False)
 
 
-def _frozen(arr: np.ndarray) -> np.ndarray:
+def _frozen(arr, shape: tuple, what: str) -> np.ndarray:
+    """The one intake rule for state and field arrays: a read-only, complex,
+    C-ordered copy of arr, which never shares the caller's memory; StateError
+    naming `what` when its shape is not `shape` or an entry is not finite."""
     out = np.array(arr, dtype=complex, order="C")
+    if out.shape != shape:
+        raise StateError(f"{what} must have shape {shape}, got {out.shape}")
+    if not np.all(np.isfinite(out.view(float))):
+        raise StateError(f"{what} has non-finite entries")
     out.setflags(write=False)
     return out
 
 
 def _checked_operator(matrix, dim: int) -> np.ndarray:
     """A frozen copy of a state operator's matrix: shape (dim, dim), finite, Hermitian, unit trace."""
-    mat = _frozen(matrix)
-    if mat.shape != (dim, dim):
-        raise StateError(f"matrix must have shape ({dim}, {dim}), got {mat.shape}")
-    if not np.all(np.isfinite(mat.view(float))):
-        raise StateError("matrix contains non-finite entries")
+    mat = _frozen(matrix, (dim, dim), "matrix")
     herm = np.max(np.abs(mat - mat.conj().T))
     if herm > HERMITICITY_TOL:
         raise StateError(f"matrix deviates from Hermiticity by {herm:.3e}")
@@ -82,6 +86,11 @@ class LatticeWindow:
     a: float = 1.0
 
     def __post_init__(self):
+        for name in ("n_min", "n_max"):
+            try:
+                object.__setattr__(self, name, operator.index(getattr(self, name)))
+            except TypeError:
+                raise WindowError(f"{name} must be an integer, got {getattr(self, name)!r}") from None
         if self.n_min > self.n_max:
             raise WindowError(f"n_min={self.n_min} > n_max={self.n_max}")
         if not (self.a > 0.0) or not np.isfinite(self.a):
@@ -120,23 +129,11 @@ class PureState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        amps = _frozen(self.amplitudes)
-        if amps.shape != (self.window.width, 2):
-            raise StateError(
-                f"amplitudes must have shape ({self.window.width}, 2), got {amps.shape}"
-            )
-        if not np.all(np.isfinite(amps.view(float))):
-            raise StateError("amplitudes contain non-finite entries")
+        amps = _frozen(self.amplitudes, (self.window.width, 2), "amplitudes")
         norm2 = float(np.sum(np.abs(amps) ** 2))
         if abs(norm2 - 1.0) > NORM_TOL:
             raise StateError(f"state norm^2 = {norm2!r} deviates from 1 beyond {NORM_TOL}")
         object.__setattr__(self, "amplitudes", amps)
-
-    def site_populations(self) -> np.ndarray:
-        return np.sum(np.abs(self.amplitudes) ** 2, axis=1)
-
-    def boundary_population(self) -> float:
-        return _edge_population(self.site_populations())
 
 
 @dataclass(frozen=True)

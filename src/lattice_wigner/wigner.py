@@ -24,13 +24,14 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DomainError, GridError, StateError
+from .errors import DomainError, GridError
 from .grids import TWO_PI, KGrid
 from .states import (
     DensityOperator,
     LatticeDensity,
     LatticeWindow,
     PureState,
+    _frozen,
     _rotation_map,
     _spin_pair_map,
     density_from_pure,
@@ -55,12 +56,6 @@ def occupied_rows(values: np.ndarray) -> Optional[tuple]:
     return int(occupied[0]), int(occupied[-1])
 
 
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    out = np.ascontiguousarray(arr, dtype=complex)
-    out.setflags(write=False)
-    return out
-
-
 @dataclass(frozen=True)
 class _Field:
     """Finite field on the (m, k) grid: values[i, j] sits at m = m_min + i and
@@ -74,15 +69,10 @@ class _Field:
     spin_shape = ()
 
     def __post_init__(self):
-        vals = _frozen(self.values)
         if self.m_min > self.m_max:
             raise GridError(f"m_min={self.m_min} > m_max={self.m_max}")
         expected = (self.m_max - self.m_min + 1, self.kgrid.n_k) + self.spin_shape
-        if vals.shape != expected:
-            raise GridError(f"values must have shape {expected}, got {vals.shape}")
-        if not np.all(np.isfinite(vals.view(float))):
-            raise StateError("Wigner values contain non-finite entries")
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "values", _frozen(self.values, expected, "Wigner values"))
 
     @classmethod
     def on_window(cls, window: LatticeWindow, kgrid: KGrid, values):

@@ -60,6 +60,11 @@ class TestDoubleDelta:
         with pytest.raises(DomainError):
             DoubleDeltaSpec(3, 3, 1.0)
 
+    @pytest.mark.parametrize("alpha", [complex(math.nan, 0.0), complex(0.0, math.inf), math.nan])
+    def test_non_finite_alpha_named(self, alpha):
+        with pytest.raises(DomainError, match="alpha must be finite"):
+            DoubleDeltaSpec(-2, 3, alpha)
+
     def test_sites_outside_window_rejected(self, small_window):
         with pytest.raises(WindowError):
             double_delta_state(DoubleDeltaSpec(0, 99, 1.0), small_window)
@@ -299,6 +304,11 @@ class TestCat:
     def test_nan_gaussian_spin_named(self, spin):
         with pytest.raises(DomainError, match="spin vector must be normalized"):
             gaussian_product_state(0, 2.0, spin, LatticeWindow(-20, 20))
+
+    @pytest.mark.parametrize("beta", [complex(math.nan, 0.0), complex(0.0, -math.inf)])
+    def test_non_finite_beta_named(self, beta):
+        with pytest.raises(DomainError, match="beta must be finite"):
+            CatSpec(-2, 3, beta)
 
     def test_non_orthogonal_spins_rejected(self):
         with pytest.raises(DomainError):

@@ -200,6 +200,25 @@ class TestValidateCommand:
         path.write_text("{not json")
         assert main(["validate", "--config", str(path)]) == 2
 
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            b"\xff\xfe{}",
+            b"[" * 100_000,
+            b'{"window": {"n_min": ' + b"9" * 5000 + b"}}",
+        ],
+        ids=["not_utf8", "deep_nesting", "long_integer"],
+    )
+    @pytest.mark.parametrize("command", ["validate", "state"])
+    def test_unreadable_json_exits_2(self, tmp_path, capsys, raw, command):
+        # Each raised a traceback (exit 1) from json.load: UnicodeDecodeError,
+        # RecursionError and the integer digit limit's ValueError.
+        path = tmp_path / "broken.json"
+        path.write_bytes(raw)
+        assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"config error: config {path} is not valid JSON: ")
+
     def test_missing_field(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"window": {"n_min": 0, "n_max": 4}})
         assert main(["validate", "--config", str(cfg)]) == 2
@@ -312,6 +331,15 @@ class TestExitCodes:
         assert main(["state", "--config", cfg, "--out", str(out)]) == 2
         (line,) = capsys.readouterr().err.splitlines()
         assert line.startswith(f"config error: cannot create output directory {out}: ")
+
+    @pytest.mark.parametrize("name", ["wigner.csv", "manifest.json"])
+    def test_output_file_not_writable(self, tmp_path, capsys, name):
+        # A directory where the first output file, or the manifest, goes: exit 2, naming the file.
+        (tmp_path / "o" / name).mkdir(parents=True)
+        cfg = write_config(tmp_path, base_config())
+        assert main(["state", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"config error: cannot write output file {tmp_path / 'o' / name}: ")
 
 
 def continuous_config(**dynamics):

@@ -159,6 +159,11 @@ class TestHamiltonianSpec:
         with pytest.raises(DomainError):
             Potential.polynomial([0.0] * 8)
 
+    @pytest.mark.parametrize("coeffs", [[0.0, math.nan], [math.inf], [1.0, 0.0, -math.inf]])
+    def test_non_finite_coeffs_named(self, coeffs):
+        with pytest.raises(DomainError, match="potential coeffs must be finite"):
+            Potential.polynomial(coeffs)
+
     def test_linear_needs_nonzero_slope(self):
         with pytest.raises(DomainError):
             Potential.linear(0.0)

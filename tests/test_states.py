@@ -10,8 +10,10 @@ from lattice_wigner import (
     LatticeDensity,
     LatticeWindow,
     PureState,
+    ScalarWigner,
     StateError,
     TwoGaussianSpec,
+    WignerMatrix,
     WindowError,
     apply_spin_rotation,
     apply_spin_rotation_wigner,
@@ -22,7 +24,9 @@ from lattice_wigner import (
     two_gaussian_state,
     wigner_of_density,
 )
+from lattice_wigner.continuous import band_reach
 from lattice_wigner.states import PAULI_X, SPIN_VECTORS, lattice_density_from_amplitudes
+from lattice_wigner.wigner import occupied_rows
 
 from conftest import random_density, random_su2
 
@@ -48,6 +52,16 @@ class TestWindow:
             LatticeWindow(0, 1, a=0.0)
         with pytest.raises(WindowError):
             LatticeWindow(-1, 1).index(5)
+
+    @pytest.mark.parametrize("bounds", [(0.5, 8), (0, 8.0), (0, "8"), (None, 8)])
+    def test_non_integer_bounds_refused(self, bounds):
+        with pytest.raises(WindowError, match="must be an integer"):
+            LatticeWindow(*bounds)
+
+    def test_numpy_integer_bounds(self):
+        w = LatticeWindow(np.int64(-3), np.int32(4))
+        assert (w.width, w.dim) == (8, 16)
+        assert type(w.n_min) is int and type(w.n_max) is int
 
 
 class TestPureState:
@@ -201,3 +215,67 @@ def test_lattice_density_normalizes():
 def test_spin_vectors_are_normalized():
     for vec in SPIN_VECTORS.values():
         assert abs(np.vdot(vec, vec) - 1.0) < 1e-15
+
+
+def _intake_cases(window=LatticeWindow(-2, 2), grid=KGrid(12)):
+    """(constructor, a valid array, the array's name, its attribute) for every
+    class built on the one intake rule."""
+    amps = np.zeros((window.width, 2), dtype=complex)
+    amps[0, 0] = 1.0
+    rho = density_from_pure(PureState(window, amps))
+    w = wigner_of_density(rho, grid)
+    return {
+        "PureState": (lambda a: PureState(window, a), amps, "amplitudes", "amplitudes"),
+        "DensityOperator": (lambda a: DensityOperator(window, a), rho.matrix, "matrix", "matrix"),
+        "LatticeDensity": (lambda a: LatticeDensity(window, a), spin_trace(rho).matrix, "matrix", "matrix"),
+        "WignerMatrix": (w.with_values, w.values, "Wigner values", "values"),
+        "ScalarWigner": (
+            lambda a: ScalarWigner(w.m_min, w.m_max, grid, a),
+            w.values[:, :, 0, 0],
+            "Wigner values",
+            "values",
+        ),
+    }
+
+
+class TestIntakeRule:
+    """One rule for every state and field array: copy, check shape and finiteness, freeze."""
+
+    @pytest.mark.parametrize("cls", list(_intake_cases()))
+    @pytest.mark.parametrize("defect", ["shape", "nan", "inf"])
+    def test_refusal_names_the_array(self, cls, defect):
+        build, good, what, _ = _intake_cases()[cls]
+        bad = np.array(good)
+        if defect == "shape":
+            bad = bad[:-1]
+        else:
+            bad.reshape(-1)[1] = math.nan if defect == "nan" else math.inf
+        message = "must have shape" if defect == "shape" else "has non-finite entries"
+        with pytest.raises(StateError, match=f"^{what} {message}"):
+            build(bad)
+
+    @pytest.mark.parametrize("cls", list(_intake_cases()))
+    def test_constructor_copies_and_freezes(self, cls):
+        build, good, _, attr = _intake_cases()[cls]
+        base = np.array(good)
+        held = getattr(build(base[:]), attr)
+        assert not np.shares_memory(held, base)
+        assert not held.flags.writeable and held.flags.c_contiguous
+        assert base.flags.writeable
+        kept = held.copy()
+        base[...] = math.nan
+        assert np.array_equal(held, kept)
+
+    def test_field_support_is_its_own(self):
+        # A field from a view of a caller's array keeps its support when the
+        # array is written: band_reach still reads the rows the field occupies.
+        window, grid = LatticeWindow(-20, 20), KGrid(96)
+        amps = np.zeros((window.width, 2), dtype=complex)
+        amps[window.index(0), 0] = 1.0
+        w = wigner_of_density(density_from_pure(PureState(window, amps)), grid)
+        base = np.array(w.values)
+        field = w.with_values(base[:])
+        assert field.occupied == (40, 40)
+        base[0] = base[40]
+        assert field.occupied == occupied_rows(field.values) == (40, 40)
+        assert band_reach(field, 1.0, 1.0, (0.0, 1.0)) <= 40
