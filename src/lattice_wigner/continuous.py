@@ -554,16 +554,12 @@ def _bessel_band_propagate(w0: WignerMatrix, j_hop: float, lambda_a: float, t: f
     grid edge are dropped.  Raises WindowError when the band would push
     support off the m-grid.
 
-    Layout: every FFT runs along the last, contiguous axis, with the spin
-    entry ab = 2a + b leading.  The k-FFT reads the (ab, m, k) view of the
-    C-ordered (m, k, 2, 2) values into an (ab, m, k) array; the k-IFFT runs
-    on it in place.  The one transpose copies it to an (ab, k, m) array; the
-    m-FFT zero-pads that to (ab, k, n_pad), and the m-IFFT runs in place.
-    One copy writes the first n_m rows back in (m, k, 2, 2) order, fused with
-    the output dress.  Both phases are built once per distinct shift (one for
-    spin signs (1, 1), three for (1, -1)) and multiply the entries that share
-    it, so no phase is gathered to a (..., 2, 2) grid.  The arithmetic and
-    its order are those of the plain (m, k, 2, 2) formulation, so every
+    Layout: one zero-padded (ab, m, k) array of shape (4, n_pad, n_k), with
+    ab = 2a + b, holds the field from the first FFT to the last.  The k-FFT
+    pair runs in place on its first n_m rows along the contiguous last axis,
+    the m-FFT pair on all of it along axis 1.  Each phase is built once per
+    distinct shift and multiplies the entries that share it.  The arithmetic
+    and its order are those of the plain (m, k, 2, 2) formulation, so every
     output bit is too.
     """
     reach = band_reach(w0, j_hop, lambda_a, (t,))
@@ -579,39 +575,37 @@ def _bessel_band_propagate(w0: WignerMatrix, j_hop: float, lambda_a: float, t: f
         dress = np.ones((4, n_m, 1), dtype=complex)
         dress[1, :, 0] = np.exp(-0.25j * delta * (signs[0] - signs[1]) * w0.m_values)
         dress[2] = dress[1].conj()
+    n_pad = _smooth_length(n_m + reach)
+    spec = np.zeros((4, n_pad, n_k), dtype=complex)  # a -0.0 pad would flip output zeros
+    head = spec[:, :n_m]
     view = w0.values.reshape(n_m, n_k, 4).transpose(2, 0, 1)  # (ab, m, k)
-    spec = np.empty((4, n_m, n_k), dtype=complex)
-    # Transforms of equal length run in place; the two that change the layout
-    # free the array they replace.
     if dress is None:
-        np.fft.fft(view, axis=2, out=spec)
+        np.fft.fft(view, axis=2, out=head)
     else:
-        np.fft.fft(np.multiply(dress, view, out=spec), axis=2, out=spec)
+        np.fft.fft(np.multiply(dress, view, out=head), axis=2, out=head)
     k_phase = np.exp(1j * np.multiply.outer(shifts, w0.kgrid.modes()))
     for ab in range(4):
-        spec[ab] *= k_phase[entry[ab]]
-    np.fft.ifft(spec, axis=2, out=spec)
-    spec = np.ascontiguousarray(spec.transpose(0, 2, 1))
-    n_pad = _smooth_length(n_m + reach)
-    spec = np.fft.fft(spec, n=n_pad, axis=2)
+        head[ab] *= k_phase[entry[ab]]
+    np.fft.ifft(head, axis=2, out=head)
+    np.fft.fft(spec, axis=1, out=spec)
     scale = -8.0 * (j_hop / lambda_a) * math.sin(0.5 * delta)
     z = scale * np.sin(np.add.outer(w0.kgrid.points, 0.5 * shifts))
     sin_q = np.sin(TWO_PI * np.arange(n_pad) / n_pad)
-    phase = np.empty((n_k, n_pad), dtype=complex)
+    phase = np.empty((n_pad, n_k), dtype=complex)
     for i in range(shifts.size):
-        np.multiply(-1j, np.multiply.outer(z[:, i], sin_q), out=phase)
+        np.multiply(-1j, np.multiply.outer(sin_q, z[:, i]), out=phase)
         np.exp(phase, out=phase)
         for ab in np.flatnonzero(entry == i):
             spec[ab] *= phase
     del phase  # the output copy below is the peak: the padded grid plus the output
-    np.fft.ifft(spec, axis=2, out=spec)
+    np.fft.ifft(spec, axis=1, out=spec)
     out = np.empty((n_m, n_k, 2, 2), dtype=complex)
-    rows = out.reshape(n_m, n_k, 4).transpose(2, 1, 0)  # (ab, k, m) view
+    rows = out.reshape(n_m, n_k, 4).transpose(2, 0, 1)  # (ab, m, k) view
     if dress is None:
-        np.copyto(rows, spec[:, :, :n_m])
+        np.copyto(rows, head)
     else:
-        np.multiply(dress.transpose(0, 2, 1), spec[:, :, :n_m], out=rows)
-    del spec, rows  # the field's intake copies out: free the padded grid first
+        np.multiply(dress, head, out=rows)
+    del spec, head, rows  # the field's intake copies out: free the padded grid first
     return w0.with_values(out)
 
 

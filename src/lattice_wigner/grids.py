@@ -11,6 +11,7 @@ exact evaluation at shifted arguments k + delta.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -32,8 +33,13 @@ class KGrid:
     points: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not isinstance(self.n_k, int) or self.n_k < 2:
+        try:
+            n_k = operator.index(self.n_k)  # numpy integers become Python ints
+        except TypeError:
+            n_k = None
+        if n_k is None or n_k < 2:
             raise GridError(f"n_k must be an integer >= 2, got {self.n_k!r}")
+        object.__setattr__(self, "n_k", n_k)
         pts = -np.pi + TWO_PI * np.arange(self.n_k) / self.n_k
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)

@@ -56,6 +56,17 @@ def _frozen(arr, shape: tuple, what: str) -> np.ndarray:
     return out
 
 
+def _integer_bounds(obj, names, error) -> None:
+    """Store each named field of a frozen dataclass as a Python int (numpy
+    integers included); raise `error` naming the first that is not an integer."""
+    for name in names:
+        value = getattr(obj, name)
+        try:
+            object.__setattr__(obj, name, operator.index(value))
+        except TypeError:
+            raise error(f"{name} must be an integer, got {value!r}") from None
+
+
 def _checked_operator(matrix, dim: int) -> np.ndarray:
     """A frozen copy of a state operator's matrix: shape (dim, dim), finite, Hermitian, unit trace."""
     mat = _frozen(matrix, (dim, dim), "matrix")
@@ -86,11 +97,7 @@ class LatticeWindow:
     a: float = 1.0
 
     def __post_init__(self):
-        for name in ("n_min", "n_max"):
-            try:
-                object.__setattr__(self, name, operator.index(getattr(self, name)))
-            except TypeError:
-                raise WindowError(f"{name} must be an integer, got {getattr(self, name)!r}") from None
+        _integer_bounds(self, ("n_min", "n_max"), WindowError)
         if self.n_min > self.n_max:
             raise WindowError(f"n_min={self.n_min} > n_max={self.n_max}")
         if not (self.a > 0.0) or not np.isfinite(self.a):

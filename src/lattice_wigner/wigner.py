@@ -32,6 +32,7 @@ from .states import (
     LatticeWindow,
     PureState,
     _frozen,
+    _integer_bounds,
     _rotation_map,
     _spin_pair_map,
     density_from_pure,
@@ -69,6 +70,7 @@ class _Field:
     spin_shape = ()
 
     def __post_init__(self):
+        _integer_bounds(self, ("m_min", "m_max"), GridError)
         if self.m_min > self.m_max:
             raise GridError(f"m_min={self.m_min} > m_max={self.m_max}")
         expected = (self.m_max - self.m_min + 1, self.kgrid.n_k) + self.spin_shape

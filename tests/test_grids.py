@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -14,10 +16,15 @@ def test_points_layout():
 
 
 def test_bad_grid_rejected():
-    with pytest.raises(GridError):
-        KGrid(1)
-    with pytest.raises(GridError):
-        KGrid(0)
+    for n_k in (1, 0, 16.0, "16", np.int64(1)):
+        with pytest.raises(GridError, match=f"^n_k must be an integer >= 2, got {re.escape(repr(n_k))}$"):
+            KGrid(n_k)
+
+
+def test_numpy_integer_n_k():
+    g = KGrid(np.int64(16))
+    assert type(g.n_k) is int
+    assert g == KGrid(16) and repr(g) == repr(KGrid(16)) and hash(g) == hash(KGrid(16))
 
 
 def test_constant_integrates_to_two_pi():

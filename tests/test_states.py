@@ -6,6 +6,7 @@ import pytest
 from lattice_wigner import (
     DensityOperator,
     DomainError,
+    GridError,
     KGrid,
     LatticeDensity,
     LatticeWindow,
@@ -265,6 +266,14 @@ class TestIntakeRule:
         kept = held.copy()
         base[...] = math.nan
         assert np.array_equal(held, kept)
+
+    @pytest.mark.parametrize("cls", [WignerMatrix, ScalarWigner])
+    def test_field_bounds_are_integers(self, cls):
+        values = np.zeros((3, 8) + cls.spin_shape)
+        with pytest.raises(GridError, match=r"^m_min must be an integer, got 0.5$"):
+            cls(0.5, 2.5, KGrid(8), values)
+        field = cls(np.int64(0), np.int32(2), KGrid(8), values)
+        assert type(field.m_min) is int and type(field.m_max) is int and field.n_m == 3
 
     def test_field_support_is_its_own(self):
         # A field from a view of a caller's array keeps its support when the

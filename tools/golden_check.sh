@@ -25,7 +25,11 @@
 # j_hop 0.8, slope 0.7 and window.a 1.3, whose coupling lambda a = 0.91 is not
 # 1 as in every committed config, so the Bessel-band kernel's scale and its
 # reduction of lambda a t, and the exact density route, run at a non-unit
-# coupling.  147 files in all.
+# coupling; and fig2 at the size of the benchmark's Bloch sweep, the window
+# [-60, 60] with n_k = 256 (a pure power of two; the committed runs reach the
+# Bessel-band kernel only at n_k 192 and 193), the spinor [0.6, 0.8i], a
+# sigma_z-coupled potential, method "both" and times [0, 3.1].  154 files in
+# all.
 # BLAS is pinned to one thread, because the density route's last bits depend
 # on the thread count.  Every file, manifests included, is compared byte for
 # byte with `diff -r`.  Exit status: 0 when every file is byte-identical, 1 on
@@ -60,7 +64,8 @@ golden_runs() {  # golden_runs TREE OUT
         (cd "$tmp" && PYTHONPATH="$tree/src" "$python" -m lattice_wigner.cli "$cmd" \
             --config "$tree/scenarios/$name.json" --out "$out/$cmd-$name" --quiet)
     done
-    for name in fig3_spinor fig2_odd_nk_channel fig2_many_both fig3_rk4_sigma_x fig3_lambda_a; do
+    for name in fig3_spinor fig2_odd_nk_channel fig2_many_both fig3_rk4_sigma_x fig3_lambda_a \
+        fig2_w121; do
         (cd "$tmp" && PYTHONPATH="$tree/src" "$python" -m lattice_wigner.cli evolve \
             --config "$tmp/$name.json" --out "$out/evolve-$name" --quiet)
     done
@@ -99,6 +104,14 @@ doc["dynamics"]["hamiltonian"]["j_hop"] = 0.8
 doc["dynamics"]["hamiltonian"]["potential"]["slope"] = 0.7
 doc["window"]["a"] = 1.3
 (tmp / "fig3_lambda_a.json").write_text(json.dumps(doc))
+doc = json.loads((scenarios / "fig2_bloch.json").read_text())
+doc["window"].update(n_min=-60, n_max=60)
+doc["kgrid"]["n_k"] = 256
+doc["state"]["params"]["spin"] = [0.6, [0, 0.8]]
+doc["dynamics"]["hamiltonian"]["spin_coupled"] = True
+doc["dynamics"]["method"] = "both"
+doc["dynamics"]["times"] = [0.0, 3.1]
+(tmp / "fig2_w121.json").write_text(json.dumps(doc))
 absent = object()
 for name, path, value in [
     ("window", ["window"], 5),
