@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Optional
 
@@ -117,21 +118,22 @@ class ScenarioConfig:
 # ---------------------------------------------------------------------------
 # Parsing
 # ---------------------------------------------------------------------------
+# Each block of a config is a table, key -> (converter, default or REQUIRED), in
+# the order in which the block's unknown-key message lists its keys and in which
+# they are converted. A converter takes (value, path) and returns the value, or
+# raises ConfigError naming the path. One walker, _fields, reads every table; the
+# rules that tie one key to another run after it, when the block is built.
+
+REQUIRED = object()  # the default of a key that must be present
+
+#: Most snapshots a run writes: each is a Wigner CSV and a side-table CSV.
+_MAX_SNAPSHOTS = 10_000
+
 
 def _object(doc, where: str) -> dict:
     """doc, once it is a JSON object (the parsers rely on it)."""
     if not isinstance(doc, dict):
         raise ConfigError(f"{where} must be a JSON object, got {doc!r}")
-    return doc
-
-
-def _known(doc, where: str, keys: str) -> dict:
-    """doc, once it is a JSON object and each of its keys is one of the
-    space-separated keys: a misspelt key would fall back to its default
-    unseen, and could switch off a gate."""
-    unknown = sorted(_object(doc, where).keys() - set(keys.split()))
-    if unknown:
-        raise ConfigError(f"{where}.{unknown[0]} is not a key of {where}: {', '.join(keys.split())}")
     return doc
 
 
@@ -141,10 +143,71 @@ def _need(doc: dict, key: str, where: str):
     return doc[key]
 
 
-def _as_int(value, where: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{where} must be an integer, got {value!r}")
+def _fields(doc, where: str, table: dict) -> dict:
+    """doc's values by key, converted in the table's order: a key outside the
+    table is refused (a misspelt key would fall back to its default unseen, and
+    could switch off a gate), an absent key takes its default, and null stands
+    for absent where the default is null. The keys of the whole config
+    ("config") are paths of their own."""
+    unknown = sorted(_object(doc, where).keys() - table.keys())
+    if unknown:
+        raise ConfigError(f"{where}.{unknown[0]} is not a key of {where}: {', '.join(table)}")
+    values = {}
+    for key, (convert, default) in table.items():
+        value = _need(doc, key, where) if default is REQUIRED else doc.get(key, default)
+        path = key if where == "config" else f"{where}.{key}"
+        values[key] = None if value is None and default is None else convert(value, path)
+    return values
+
+
+class _Block:
+    """A JSON object, read through its table and built with build(**values),
+    its "kind" left out; a domain refusal of the built value names the block."""
+
+    def __init__(self, table: dict, build=dict):
+        self.table, self.build = table, build
+
+    def __call__(self, doc, where: str):
+        values = _fields(doc, where, self.table)
+        values.pop("kind", None)
+        try:
+            return self.build(**values)
+        except ConfigError:
+            raise
+        except LatticeWignerError as exc:
+            raise ConfigError(f"{where}: {exc}") from exc
+
+
+class _Kinds:
+    """A JSON object whose "kind", read first, picks its block (lead: the words
+    of the kind's message before the kinds)."""
+
+    def __init__(self, lead: str, blocks: dict):
+        self.lead, self.blocks = lead, blocks
+
+    def __call__(self, doc, where: str):
+        kind = _need(_object(doc, where), "kind", where)
+        if not isinstance(kind, str) or kind not in self.blocks:
+            raise ConfigError(f"{where}.kind must be {self.lead}{'/'.join(self.blocks)}, got {kind!r}")
+        return self.blocks[kind](doc, where)
+
+
+def _same(value, where: str):
     return value
+
+
+def _must(test, phrase: str):
+    """The converter that passes on a value for which test holds, and refuses any other."""
+
+    def convert(value, where: str):
+        if not test(value):
+            raise ConfigError(f"{where} must be {phrase}, got {value!r}")
+        return value
+
+    return convert
+
+
+_as_int = _must(lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer")
 
 
 def _as_number(value, where: str, nonnegative: bool = False) -> float:
@@ -160,6 +223,9 @@ def _as_number(value, where: str, nonnegative: bool = False) -> float:
     if nonnegative and number < 0.0:
         raise ConfigError(f"{where} must be >= 0, got {value!r}")
     return number
+
+
+_as_nonnegative = partial(_as_number, nonnegative=True)
 
 
 def _as_complex(value, where: str) -> complex:
@@ -179,188 +245,144 @@ def _as_spin(value, where: str) -> tuple:
     return tuple(_as_complex(c, where) for c in value)
 
 
-_POTENTIAL_KEYS = {"none": "kind", "linear": "kind slope", "polynomial": "kind coeffs"}
-
-
-def _parse_potential(doc, where: str) -> Optional[Potential]:
-    if doc is None:
-        return None
-    kind = _need(_object(doc, where), "kind", where)
-    if not isinstance(kind, str) or kind not in _POTENTIAL_KEYS:
-        raise ConfigError(f"{where}.kind must be one of none/linear/polynomial, got {kind!r}")
-    _known(doc, where, _POTENTIAL_KEYS[kind])
-    try:
-        if kind == "linear":
-            return Potential.linear(_as_number(_need(doc, "slope", where), f"{where}.slope"))
-        if kind == "polynomial":
-            coeffs = _need(doc, "coeffs", where)
-            if not isinstance(coeffs, list) or not coeffs:
-                raise ConfigError(f"{where}.coeffs must be a non-empty list")
-            return Potential.polynomial([_as_number(c, f"{where}.coeffs") for c in coeffs])
-    except DomainError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
-    return None
-
-
-def _parse_op_matrix(op, where: str) -> np.ndarray:
-    """A custom spin operator: two rows of two complex entries (see _as_complex)."""
-    if not isinstance(op, list) or len(op) != 2 or any(
-        not isinstance(row, list) or len(row) != 2 for row in op
+def _as_spin_op(value, where: str) -> np.ndarray:
+    """A Lindblad operator: a name from SPIN_MATRICES, or two rows of two complex entries (see _as_complex)."""
+    if isinstance(value, str):
+        if value not in SPIN_MATRICES:
+            raise ConfigError(f"{where} unknown: {value!r}; named operators: " + ", ".join(sorted(SPIN_MATRICES)))
+        return SPIN_MATRICES[value]
+    if not isinstance(value, list) or len(value) != 2 or any(
+        not isinstance(row, list) or len(row) != 2 for row in value
     ):
-        raise ConfigError(f"{where} must be a name or 2x2 [re,im] rows, got {op!r}")
-    return np.array([[_as_complex(x, where) for x in row] for row in op])
+        raise ConfigError(f"{where} must be a name or 2x2 [re,im] rows, got {value!r}")
+    return np.array([[_as_complex(x, where) for x in row] for row in value])
 
 
-def _parse_noise(doc, where: str) -> Optional[NoiseSpec]:
-    if doc is None:
-        return None
-    entries = _known(doc, where, "lindblad").get("lindblad")
-    if not isinstance(entries, list):
-        raise ConfigError(f"{where}.lindblad must be a list")
-    terms = []
-    for i, entry in enumerate(entries):
-        here = f"{where}.lindblad[{i}]"
-        _known(entry, here, "op gamma")
-        gamma = _as_number(_need(entry, "gamma", here), f"{here}.gamma", nonnegative=True)
-        op = _need(entry, "op", here)
-        if isinstance(op, str):
-            if op not in SPIN_MATRICES:
-                raise ConfigError(
-                    f"{here}.op unknown: {op!r}; named operators: "
-                    + ", ".join(sorted(SPIN_MATRICES))
-                )
-            terms.append((SPIN_MATRICES[op], gamma))
-        else:
-            terms.append((_parse_op_matrix(op, f"{here}.op"), gamma))
+def _as_grid(value, where: str) -> KGrid:
+    n_k = _as_int(value, where)
     try:
-        return NoiseSpec(tuple(terms)) if terms else None
-    except DomainError as exc:
+        return KGrid(n_k)
+    except (ValueError, MemoryError) as exc:  # GridError, or numpy refusing an n_k too large
         raise ConfigError(f"{where}: {exc}") from exc
 
 
-#: Most snapshots a run writes: each is a Wigner CSV and a side-table CSV.
-_MAX_SNAPSHOTS = 10_000
-
-
-def _parse_continuous(doc: dict, where: str) -> ContinuousDynamics:
-    _known(doc, where, "kind hamiltonian noise method times dt")
-    hdoc = _known(_need(doc, "hamiltonian", where), f"{where}.hamiltonian", "j_hop potential spin_coupled")
-    j_hop = _as_number(_need(hdoc, "j_hop", f"{where}.hamiltonian"), f"{where}.hamiltonian.j_hop")
-    potential = _parse_potential(hdoc.get("potential"), f"{where}.hamiltonian.potential")
-    spin_coupled = hdoc.get("spin_coupled", False)
-    if not isinstance(spin_coupled, bool):
-        raise ConfigError(
-            f"{where}.hamiltonian.spin_coupled must be true or false, got {spin_coupled!r}"
-        )
-    method = doc.get("method", "closed_form")
-    if method not in ("closed_form", "rk4", "both"):
-        raise ConfigError(f"{where}.method must be closed_form/rk4/both, got {method!r}")
-    times_doc = _need(doc, "times", where)
-    if not isinstance(times_doc, list) or not times_doc:
-        raise ConfigError(f"{where}.times must be a non-empty list")
-    if len(times_doc) > _MAX_SNAPSHOTS:
-        raise ConfigError(f"{where}.times lists {len(times_doc)} snapshots, more than {_MAX_SNAPSHOTS}")
-    times = tuple(_as_number(t, f"{where}.times", nonnegative=True) for t in times_doc)
-    if any(b < a for a, b in zip(times, times[1:])):
-        raise ConfigError(f"{where}.times must be sorted ascending")
-    dt = doc.get("dt")
-    if dt is not None:
-        dt = _as_number(dt, f"{where}.dt")
-    noise = _parse_noise(doc.get("noise"), f"{where}.noise")
-    return ContinuousDynamics(HamiltonianSpec(j_hop, potential, spin_coupled), noise, method, times, dt)
-
-
-def _parse_walk(doc: dict, where: str) -> WalkDynamics:
-    _known(doc, where, "kind theta steps mode noise snapshot_steps")
-    theta = _as_number(_need(doc, "theta", where), f"{where}.theta")
-    steps = _as_int(_need(doc, "steps", where), f"{where}.steps")
+def _as_steps(value, where: str) -> int:
+    steps = _as_int(value, where)
     if not 0 <= steps <= _MAX_STEPS:
-        raise ConfigError(f"{where}.steps must lie in [0, {_MAX_STEPS}], got {steps}")
-    mode = doc.get("mode", "walk")
-    if mode not in ("walk", "noise_only"):
-        raise ConfigError(f"{where}.mode must be 'walk' or 'noise_only', got {mode!r}")
-    noise = None
-    ndoc = doc.get("noise")
-    if ndoc is not None:
-        _known(ndoc, f"{where}.noise", "p basis")
-        p = _as_number(_need(ndoc, "p", f"{where}.noise"), f"{where}.noise.p")
-        basis = ndoc.get("basis", "spin")
-        try:
-            noise = ProjectiveNoiseSpec(p, basis)
-        except LatticeWignerError as exc:
-            raise ConfigError(f"{where}.noise: {exc}") from exc
+        raise ConfigError(f"{where} must lie in [0, {_MAX_STEPS}], got {steps}")
+    return steps
+
+
+def _filled(value, where: str) -> list:
+    if not isinstance(value, list) or not value:
+        raise ConfigError(f"{where} must be a non-empty list")
+    return value
+
+
+def _capped(value: list, where: str) -> list:
+    if len(value) > _MAX_SNAPSHOTS:
+        raise ConfigError(f"{where} lists {len(value)} snapshots, more than {_MAX_SNAPSHOTS}")
+    return value
+
+
+def _as_times(value, where: str) -> tuple:
+    times = tuple(_as_nonnegative(t, where) for t in _capped(_filled(value, where), where))
+    if any(b < a for a, b in zip(times, times[1:])):
+        raise ConfigError(f"{where} must be sorted ascending")
+    return times
+
+
+def _as_snapshot_steps(value, where: str) -> tuple:
+    steps = _must(lambda v: isinstance(v, list), "a list")(value, where)
+    return tuple(_as_int(s, where) for s in _capped(steps, where))
+
+
+def _as_coeffs(value, where: str) -> tuple:
+    return tuple(_as_number(c, where) for c in _filled(value, where))
+
+
+def _as_lindblad(value, where: str) -> tuple:
+    """Each entry of a Lindblad list, entry i read at path[i]. The key's default,
+    (), is refused as well: a noise block needs its list."""
+    if not isinstance(value, list):
+        raise ConfigError(f"{where} must be a list")
+    return tuple(_LINDBLAD_ENTRY(entry, f"{where}[{i}]") for i, entry in enumerate(value))
+
+
+def _walk(theta, steps, mode, noise, snapshot_steps) -> WalkDynamics:
+    """The walk block's rules across its keys, after its table."""
     if mode == "noise_only" and noise is None:
-        raise ConfigError(f"{where}: noise_only mode requires a noise block")
-    snaps = doc.get("snapshot_steps")
-    if snaps is None:
+        raise ConfigError("dynamics: noise_only mode requires a noise block")
+    if snapshot_steps is None:
         if steps + 1 > _MAX_SNAPSHOTS:
             raise ConfigError(
-                f"{where}.steps={steps} with no snapshot_steps writes {steps + 1} snapshots, "
-                f"more than {_MAX_SNAPSHOTS}; list the wanted ones in {where}.snapshot_steps"
+                f"dynamics.steps={steps} with no snapshot_steps writes {steps + 1} snapshots, "
+                f"more than {_MAX_SNAPSHOTS}; list the wanted ones in dynamics.snapshot_steps"
             )
         snapshot_steps = tuple(range(steps + 1))
-    elif not isinstance(snaps, list):
-        raise ConfigError(f"{where}.snapshot_steps must be a list, got {snaps!r}")
-    elif len(snaps) > _MAX_SNAPSHOTS:
-        raise ConfigError(f"{where}.snapshot_steps lists {len(snaps)} snapshots, more than {_MAX_SNAPSHOTS}")
-    else:
-        snapshot_steps = tuple(_as_int(s, f"{where}.snapshot_steps") for s in snaps)
-        if any(s < 0 or s > steps for s in snapshot_steps):
-            raise ConfigError(f"{where}.snapshot_steps must lie in [0, steps]")
-        if any(b <= a for a, b in zip(snapshot_steps, snapshot_steps[1:])):
-            raise ConfigError(f"{where}.snapshot_steps must be strictly ascending")
+    elif any(s < 0 or s > steps for s in snapshot_steps):
+        raise ConfigError("dynamics.snapshot_steps must lie in [0, steps]")
+    elif any(b <= a for a, b in zip(snapshot_steps, snapshot_steps[1:])):
+        raise ConfigError("dynamics.snapshot_steps must be strictly ascending")
     try:
         coin = CoinSpec(theta)
     except LatticeWignerError as exc:
-        raise ConfigError(f"{where}.theta: {exc}") from exc
+        raise ConfigError(f"dynamics.theta: {exc}") from exc
     return WalkDynamics(coin, steps, noise, mode, snapshot_steps)
 
 
+_KIND = (_same, REQUIRED)  # read by _Kinds before the block's other keys
+_NO_KIND = _Block({"kind": _KIND}, lambda: None)
+_POTENTIAL = _Kinds("one of ", {
+    "none": _NO_KIND,
+    "linear": _Block({"kind": _KIND, "slope": (_as_number, REQUIRED)}, Potential.linear),
+    "polynomial": _Block({"kind": _KIND, "coeffs": (_as_coeffs, REQUIRED)}, Potential.polynomial),
+})
+_HAMILTONIAN = _Block({
+    "j_hop": (_as_number, REQUIRED),
+    "potential": (_POTENTIAL, None),
+    "spin_coupled": (_must(lambda v: isinstance(v, bool), "true or false"), False),
+}, HamiltonianSpec)
+_LINDBLAD_ENTRY = _Block(
+    {"op": (_as_spin_op, REQUIRED), "gamma": (_as_nonnegative, REQUIRED)}, lambda op, gamma: (op, gamma)
+)
+_NOISE = _Block({"lindblad": (_as_lindblad, ())}, lambda lindblad: NoiseSpec(lindblad) if lindblad else None)
+_CONTINUOUS = _Block({
+    "kind": _KIND,
+    "hamiltonian": (_HAMILTONIAN, REQUIRED),
+    "noise": (_NOISE, None),
+    "method": (_must(lambda v: v in ("closed_form", "rk4", "both"), "closed_form/rk4/both"), "closed_form"),
+    "times": (_as_times, REQUIRED),
+    "dt": (_as_number, None),
+}, ContinuousDynamics)
+_WALK = _Block({
+    "kind": _KIND,
+    "theta": (_as_number, REQUIRED),
+    "steps": (_as_steps, REQUIRED),
+    "mode": (_must(lambda v: v in ("walk", "noise_only"), "'walk' or 'noise_only'"), "walk"),
+    "noise": (_Block({"p": (_as_number, REQUIRED), "basis": (_same, "spin")}, ProjectiveNoiseSpec), None),
+    "snapshot_steps": (_as_snapshot_steps, None),
+}, _walk)
+#: The whole config; build_state reads the params of the named state from
+#: _STATES, so that validate reports a bad param as a diagnostic.
+_CONFIG = {
+    "window": (_Block({"n_min": (_as_int, REQUIRED), "n_max": (_as_int, REQUIRED), "a": (_as_number, 1.0)},
+                      LatticeWindow), REQUIRED),
+    "kgrid": (_Block({"n_k": (_as_grid, REQUIRED)}, lambda n_k: n_k), REQUIRED),
+    # (name, params): params a copy, so that no config holds the default {} itself
+    "state": (_Block({"name": (_same, REQUIRED), "params": (_object, {})}, lambda name, params: (name, dict(params))),
+              REQUIRED),
+    "dynamics": (_Kinds("", {"none": _NO_KIND, "continuous": _CONTINUOUS, "walk": _WALK}), None),
+    "outputs": (_Block({"directory": (_must(lambda v: isinstance(v, str) and v != "", "a non-empty string"), None)},
+                       lambda directory: directory), None),
+    "tolerances": (_Block({"eps_boundary": (_as_nonnegative, DEFAULT_EPS_BOUNDARY),
+                           "two_path": (_as_nonnegative, 1e-10)}, Tolerances), {}),
+}
+
+
 def parse_config(doc: dict) -> ScenarioConfig:
-    _known(doc, "config", "window kgrid state dynamics outputs tolerances")
-    wdoc = _known(_need(doc, "window", "config"), "window", "n_min n_max a")
-    n_min = _as_int(_need(wdoc, "n_min", "window"), "window.n_min")
-    n_max = _as_int(_need(wdoc, "n_max", "window"), "window.n_max")
-    spacing = _as_number(wdoc.get("a", 1.0), "window.a")
-    try:
-        window = LatticeWindow(n_min, n_max, spacing)
-    except WindowError as exc:
-        raise ConfigError(f"window: {exc}") from exc
-    kdoc = _known(_need(doc, "kgrid", "config"), "kgrid", "n_k")
-    n_k = _as_int(_need(kdoc, "n_k", "kgrid"), "kgrid.n_k")
-    try:
-        kgrid = KGrid(n_k)
-    except (ValueError, MemoryError) as exc:  # GridError, or numpy refusing an n_k too large
-        raise ConfigError(f"kgrid.n_k: {exc}") from exc
-    sdoc = _known(_need(doc, "state", "config"), "state", "name params")
-    name = _need(sdoc, "name", "state")
-    params = _object(sdoc.get("params", {}), "state.params")
-
-    dyn_doc = doc.get("dynamics")
-    dynamics = None
-    if dyn_doc is not None:
-        kind = _need(_object(dyn_doc, "dynamics"), "kind", "dynamics")
-        if kind == "none":
-            _known(dyn_doc, "dynamics", "kind")
-        elif kind == "continuous":
-            dynamics = _parse_continuous(dyn_doc, "dynamics")
-        elif kind == "walk":
-            dynamics = _parse_walk(dyn_doc, "dynamics")
-        else:
-            raise ConfigError(f"dynamics.kind must be none/continuous/walk, got {kind!r}")
-
-    odoc = doc.get("outputs")
-    out_dir = None if odoc is None else _known(odoc, "outputs", "directory").get("directory")
-    if out_dir is not None and (not isinstance(out_dir, str) or not out_dir):
-        raise ConfigError(f"outputs.directory must be a non-empty string, got {out_dir!r}")
-    tdoc = _known(doc.get("tolerances", {}), "tolerances", "eps_boundary two_path")
-    tolerances = Tolerances(
-        eps_boundary=_as_number(
-            tdoc.get("eps_boundary", DEFAULT_EPS_BOUNDARY), "tolerances.eps_boundary", nonnegative=True
-        ),
-        two_path=_as_number(tdoc.get("two_path", 1e-10), "tolerances.two_path", nonnegative=True),
-    )
-    return ScenarioConfig(window, kgrid, name, params, dynamics, out_dir, tolerances, doc)
+    v = _fields(doc, "config", _CONFIG)
+    return ScenarioConfig(v["window"], v["kgrid"], *v["state"], v["dynamics"], v["outputs"], v["tolerances"], doc)
 
 
 # ---------------------------------------------------------------------------
@@ -368,29 +390,29 @@ def parse_config(doc: dict) -> ScenarioConfig:
 # ---------------------------------------------------------------------------
 
 # Each named state: its builder, called with the window and the converted
-# params by key, and per param its converter and JSON default (None: required).
+# params by key, and the params' table.
 _STATES = {
     "double_delta": (
         lambda window, **p: double_delta_state(DoubleDeltaSpec(**p), window),
-        {"n1": (_as_int, None), "n2": (_as_int, None), "alpha": (_as_complex, 1.0)},
+        {"n1": (_as_int, REQUIRED), "n2": (_as_int, REQUIRED), "alpha": (_as_complex, 1.0)},
     ),
     "two_gaussian": (
         lambda window, **p: two_gaussian_state(TwoGaussianSpec(**p), window),
-        {"a_center": (_as_int, None), "b_center": (_as_int, None), "sigma": (_as_number, None)},
+        {"a_center": (_as_int, REQUIRED), "b_center": (_as_int, REQUIRED), "sigma": (_as_number, REQUIRED)},
     ),
     "product_gaussian": (
         gaussian_product_state,
-        {"center": (_as_int, None), "sigma": (_as_number, None), "spin": (_as_spin, "up")},
+        {"center": (_as_int, REQUIRED), "sigma": (_as_number, REQUIRED), "spin": (_as_spin, "up")},
     ),
     "werner": (
         lambda window, **p: werner_density(WernerSpec(**p), window),
-        {"a_site": (_as_int, None), "b_site": (_as_int, None), "z": (_as_number, None)},
+        {"a_site": (_as_int, REQUIRED), "b_site": (_as_int, REQUIRED), "z": (_as_number, REQUIRED)},
     ),
     "cat": (
         lambda window, **p: cat_state(CatSpec(**p), window),
         {
-            "a_site": (_as_int, None),
-            "b_site": (_as_int, None),
+            "a_site": (_as_int, REQUIRED),
+            "b_site": (_as_int, REQUIRED),
             "beta": (_as_complex, 1.0),
             "spin1": (_as_spin, [1.0, 0.0]),
             "spin2": (_as_spin, [0.0, 1.0]),
@@ -409,13 +431,8 @@ def build_state(name: str, params: dict, window: LatticeWindow):
     if not isinstance(name, str) or name not in _STATES:
         known = ", ".join(sorted(_STATES))
         raise DomainError(f"unknown state {name!r}; known states: {known}")
-    builder, schema = _STATES[name]
-    _known(params, "state.params", " ".join(schema))
-    values = {}
-    for key, (convert, default) in schema.items():
-        value = _need(params, key, "state.params") if default is None else params.get(key, default)
-        values[key] = convert(value, f"state.params.{key}")
-    return builder(window=window, **values)
+    builder, table = _STATES[name]
+    return builder(window=window, **_fields(params, "state.params", table))
 
 
 # ---------------------------------------------------------------------------

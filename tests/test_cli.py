@@ -666,6 +666,34 @@ class TestUnknownKeys:
         assert not (tmp_path / "o").exists()
 
 
+# Two faults in one block: the first in the table's key order (the order its
+# unknown-key message lists) is named, and the rules across keys come last.
+TWO_FAULTS = [
+    (
+        lambda doc: doc["dynamics"].update(method="rk5", noise=5),
+        "dynamics.noise must be a JSON object, got 5",
+    ),
+    (
+        lambda doc: doc["dynamics"]["noise"]["lindblad"][0].update(op="sigma_q", gamma=-1.0),
+        "dynamics.noise.lindblad[0].op unknown: 'sigma_q'; named operators: identity, sigma_x, sigma_y, sigma_z",
+    ),
+    (
+        _set(("dynamics",), {"kind": "walk", "theta": 0.0, "steps": 2, "mode": "noise_only", "snapshot_steps": 1}),
+        "dynamics.snapshot_steps must be a list, got 1",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "edit, message", TWO_FAULTS, ids=["noise_and_method", "op_and_gamma", "noise_only_and_snapshots"]
+)
+def test_two_faults_name_the_first_in_table_order(tmp_path, capsys, edit, message):
+    doc = continuous_config()
+    edit(doc)
+    assert main(["validate", "--config", write_config(tmp_path, doc)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
 def test_polynomial_with_zero_constant_is_linear(tmp_path):
     runs = []
     for name, potential in (

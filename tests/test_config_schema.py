@@ -1,0 +1,114 @@
+"""The config schema: README's defaults paragraph and a seeded mutation sweep
+both read the parser's own table (scenario._CONFIG and scenario._STATES)."""
+
+import importlib.util
+import json
+import re
+from pathlib import Path
+
+import pytest
+
+from lattice_wigner.errors import ConfigError
+from lattice_wigner.scenario import _CONFIG, _POTENTIAL, _STATES, REQUIRED, parse_config
+
+REPO = Path(__file__).resolve().parents[1]
+
+_spec = importlib.util.spec_from_file_location("config_sweep", REPO / "tools" / "config_sweep.py")
+config_sweep = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(config_sweep)
+
+
+def readme_defaults() -> dict:
+    """README's "Defaults of the optional keys" list: the text after each key
+    name, by name; `a` and `b` v gives both names the value v."""
+    readme = " ".join((REPO / "README.md").read_text().split())
+    listing = re.split(r"\.\s", readme.split("Defaults of the optional keys: ", 1)[1], maxsplit=1)[0]
+    defaults, waiting = {}, []
+    for part in filter(None, re.split(r";\s*|,\s*|\s+and\s+", listing)):
+        name, text = re.fullmatch(r"[^`]*`([\w.]+)`\s*(.*)", part).groups()
+        waiting.append(name)
+        if text:
+            defaults.update((each, text) for each in waiting)
+            waiting = []
+    assert not waiting, f"README names {waiting} without a default"
+    return defaults
+
+
+def readme_value(text: str):
+    """The JSON value a README default starts with: `name` is a string, none is null."""
+    token = text.split()[0]
+    if token.startswith("`"):
+        return token.strip("`")
+    return None if token == "none" else json.loads(token)
+
+
+def schema() -> list:
+    """(dotted name, converter, default) of every key of every block, kind and
+    named state; a list entry's keys are named without the index."""
+    return [
+        (".".join(str(p) for p in path if isinstance(p, str)), convert, default)
+        for path, convert, default in config_sweep.leaves()
+    ]
+
+
+def names_it(readme_name: str, name: str) -> bool:
+    """Whether README's short name (a dotted suffix) names the key."""
+    return name.split(".")[-len(readme_name.split(".")):] == readme_name.split(".")
+
+
+def converts(convert, value, default, where):
+    """(whether the key takes value, its converted value), as the parser reads
+    it: null stands for an absent key whose default is null."""
+    if value is None and default is None:
+        return True, None
+    try:
+        return True, convert(value, where)
+    except ConfigError:
+        return False, None
+
+
+def test_readme_defaults_match_the_table():
+    documented = readme_defaults()
+    keys = schema()
+    for readme_name in documented:
+        assert any(names_it(readme_name, name) for name, _, _ in keys), f"README names no key: {readme_name}"
+    checked = 0
+    for name, convert, default in keys:
+        # A default the converter refuses (noise.lindblad's) leaves the key required in effect.
+        taken, value = (False, None) if default is REQUIRED else converts(convert, default, default, name)
+        if not taken:
+            continue
+        said = [text for readme_name, text in documented.items() if names_it(readme_name, name)]
+        assert said, f"README gives no default for {name}"
+        for text in said:
+            assert converts(convert, readme_value(text), default, name) == (True, value), (name, text)
+        checked += 1
+    assert checked >= 20
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_seeded_mutation_sweep(seed):
+    # Two seeded samples hold a tenth of tools/config_sweep.py's mutations; 1-2 s each.
+    checked, _, broken = config_sweep.sweep(sample=240, seed=seed, log=lambda line: None)
+    assert checked == 240
+    assert broken == []
+
+
+def test_sweep_reaches_every_kind_and_state():
+    reached = set()
+    for base in config_sweep.BASES.values():
+        dynamics = base.get("dynamics", {"kind": "none"})
+        reached |= {base["state"]["name"], ("dynamics", dynamics["kind"])}
+        if "hamiltonian" in dynamics:
+            reached.add(("potential", dynamics["hamiltonian"]["potential"]["kind"]))
+    dynamics_kinds = _CONFIG["dynamics"][0].blocks
+    wanted = set(_STATES) | {("dynamics", k) for k in dynamics_kinds}
+    wanted |= {("potential", k) for k in _POTENTIAL.blocks}
+    assert reached >= wanted
+
+
+def test_absent_params_are_not_shared():
+    # An absent state.params takes the table's default {}; each config gets its own.
+    doc = {"window": {"n_min": -3, "n_max": 3}, "kgrid": {"n_k": 16}, "state": {"name": "werner"}}
+    parse_config(doc).state_params["z"] = 0.5
+    assert parse_config(doc).state_params == {}

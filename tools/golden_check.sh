@@ -7,9 +7,13 @@
 # The revision is exported with `git archive` into a temporary directory.  Each
 # tree's src/ then runs the seven golden commands on its own scenarios/*.json:
 # the five scenario runs plus `negativity` on fig1 and walk_hadamard.  It also
-# runs `validate` on the five scenarios and on eight malformed copies of fig2
-# (non-object window, potential and tolerances, the unknown key dynamics.methd,
-# no dynamics.times, a NaN j_hop, method "rk5" and kgrid.n_k 16), and keeps its
+# runs `validate` on the five scenarios and on thirteen malformed copies, each
+# with one fault: eight of fig2 (non-object window, potential and tolerances,
+# the unknown key dynamics.methd, no dynamics.times, a NaN j_hop, method "rk5"
+# and kgrid.n_k 16), and five that reach the blocks those never do: a walk
+# mode "wlak" and a walk noise.basis "spn" in walk_hadamard, a Lindblad entry
+# without gamma and a polynomial potential with coeffs [] in fig2, and a cat
+# state with the unknown param "phase" in cat_projective. It keeps their
 # stdout, stderr and exit status, so the pre-run checks and their error
 # messages are held to the same byte-identity.  Both trees also run
 # `evolve` on five copies written into the temporary directory: fig3 with the
@@ -28,7 +32,7 @@
 # coupling; and fig2 at the size of the benchmark's Bloch sweep, the window
 # [-60, 60] with n_k = 256 (a pure power of two; the committed runs reach the
 # Bessel-band kernel only at n_k 192 and 193), the spinor [0.6, 0.8i], a
-# sigma_z-coupled potential, method "both" and times [0, 3.1].  154 files in
+# sigma_z-coupled potential, method "both" and times [0, 3.1].  159 files in
 # all.
 # BLAS is pinned to one thread, because the density route's last bits depend
 # on the thread count.  Every file, manifests included, is compared byte for
@@ -113,17 +117,22 @@ doc["dynamics"]["method"] = "both"
 doc["dynamics"]["times"] = [0.0, 3.1]
 (tmp / "fig2_w121.json").write_text(json.dumps(doc))
 absent = object()
-for name, path, value in [
-    ("window", ["window"], 5),
-    ("potential", ["dynamics", "hamiltonian", "potential"], "linear"),
-    ("tolerances", ["tolerances"], []),
-    ("unknown_key", ["dynamics", "methd"], "rk4"),
-    ("no_times", ["dynamics", "times"], absent),
-    ("j_hop_nan", ["dynamics", "hamiltonian", "j_hop"], math.nan),
-    ("method_rk5", ["dynamics", "method"], "rk5"),
-    ("n_k_16", ["kgrid", "n_k"], 16),
+for name, scenario, path, value in [
+    ("window", "fig2_bloch", ["window"], 5),
+    ("potential", "fig2_bloch", ["dynamics", "hamiltonian", "potential"], "linear"),
+    ("tolerances", "fig2_bloch", ["tolerances"], []),
+    ("unknown_key", "fig2_bloch", ["dynamics", "methd"], "rk4"),
+    ("no_times", "fig2_bloch", ["dynamics", "times"], absent),
+    ("j_hop_nan", "fig2_bloch", ["dynamics", "hamiltonian", "j_hop"], math.nan),
+    ("method_rk5", "fig2_bloch", ["dynamics", "method"], "rk5"),
+    ("n_k_16", "fig2_bloch", ["kgrid", "n_k"], 16),
+    ("walk_mode", "walk_hadamard", ["dynamics", "mode"], "wlak"),
+    ("walk_basis", "walk_hadamard", ["dynamics", "noise", "basis"], "spn"),
+    ("lindblad_no_gamma", "fig2_bloch", ["dynamics", "noise"], {"lindblad": [{"op": "sigma_z"}]}),
+    ("coeffs_empty", "fig2_bloch", ["dynamics", "hamiltonian", "potential"], {"kind": "polynomial", "coeffs": []}),
+    ("cat_param", "cat_projective", ["state"], {"name": "cat", "params": {"a_site": -2, "b_site": 3, "phase": 0.5}}),
 ]:
-    doc = json.loads((scenarios / "fig2_bloch.json").read_text())
+    doc = json.loads((scenarios / f"{scenario}.json").read_text())
     *parents, leaf = path
     block = doc
     for key in parents:
