@@ -52,6 +52,7 @@ from .states import (
     _edge_population,
     _site_pair_map,
     _spin_pair_map,
+    _spin_populations,
 )
 from .wigner import WignerMatrix
 
@@ -372,7 +373,7 @@ def lindblad_rk4(
             k4 = rhs(mat + hstep * k3)
             mat = mat + (hstep / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             mat = 0.5 * (mat + mat.conj().T)
-            edge = _edge_population(np.real(np.diagonal(mat)).reshape(window.width, 2).sum(axis=1))
+            edge = _edge_population(_spin_populations(mat).sum(axis=1))
             if edge > eps_boundary:
                 raise _leak_error(edge, eps_boundary, t)
             leak = max(leak, edge)
@@ -385,47 +386,43 @@ def lindblad_rk4(
 _MONITOR_CHUNK = 32
 
 
-def von_neumann_exact(
-    rho0: DensityOperator,
-    h: HamiltonianSpec,
-    noise: Optional[NoiseSpec],
-    times: Sequence[float],
-    dt: Optional[float] = None,
-    eps_boundary: float = DEFAULT_EPS_BOUNDARY,
-) -> EvolutionResult:
-    """Exact evolution rho(t) = e^{tD}[U(t) rho0 U(t)^+] with U(t) = V e^{-iEt} V^+,
-    with one snapshot at each of the ascending times.
-
-    One eigendecomposition H = V E V^+ of the dense window Hamiltonian makes
-    every snapshot exact up to rounding, with no step-size error; the channels
-    must commute with H (DomainError otherwise).  The truncation monitor is
-    as loud as :func:`lindblad_rk4`'s: the population of the outermost window
-    sites is checked on the same step grid (same dt rule and StepSizeError
-    checks) and raises the same BoundaryLeakError.  A spin channel leaves every
-    site's population alone, so with rho~ = V^+ rho0 V an edge population at
-    time t is sum_ij a_i rho~_ij a_j^* over the edge rows a = V_edge e^{-iEt}.
-    """
+def von_neumann_exact(rho0: DensityOperator, h: HamiltonianSpec, noise: Optional[NoiseSpec], times: Sequence[float],
+                      dt: Optional[float] = None, eps_boundary: float = DEFAULT_EPS_BOUNDARY) -> EvolutionResult:
+    """Exact evolution rho(t) = e^{tD}[U(t) rho0 U(t)^+], U(t) = V e^{-iEt} V^+ from one
+    eigendecomposition of the dense window Hamiltonian, at each of the ascending times;
+    the channels must commute with H (DomainError otherwise).  The truncation monitor
+    is as loud as lindblad_rk4's: same step grid, StepSizeError and BoundaryLeakError."""
     if noise is not None and not noise.commutes_with(h):
         raise DomainError("the spin channels do not commute with the Hamiltonian; use lindblad_rk4")
-    window = rho0.window
+    leak, snapshots = _density_route(rho0, h, noise, times, dt, eps_boundary)
+    return EvolutionResult(tuple(snapshots), leak)
+
+
+def _density_route(rho0: DensityOperator, h: HamiltonianSpec, noise, times, dt, eps_boundary):
+    """(leak, snapshots): the worst boundary population and an iterator of one density
+    per time.  lindblad_rk4 runs when the channels do not commute with H and keeps its
+    list.  Otherwise every monitor time is checked first, so a leak raises before any
+    snapshot is made, and each snapshot is built as it is read.  A spin channel moves no
+    site population, so with rho~ = V^+ rho0 V the edge population at time t is
+    sum_ij a_i rho~_ij a_j^* over the edge rows a = V_edge e^{-iEt}."""
+    if noise is not None and not noise.commutes_with(h):
+        result = lindblad_rk4(rho0, h, noise, times, dt, eps_boundary)
+        return result.boundary_leak, iter(result.snapshots)
     times, steps, leak = _step_plan(rho0, h, noise, times, dt, eps_boundary)
     # Real hopping and potential make H real symmetric: the real solver is exact
     # here, faster, and maps less LAPACK code than the complex one.
-    energies, vecs = np.linalg.eigh(h.dense_matrix(window).real)
+    energies, vecs = np.linalg.eigh(h.dense_matrix(rho0.window).real)
     rho_eig = vecs.T @ rho0.matrix @ vecs
 
     # Both spin components of the outermost sites, counted as _edge_population
     # counts them: a width-1 window has one such site.
-    edge_rows = vecs[[0, 1, -2, -1]] if window.width > 1 else vecs[[0, 1]]
+    edge_rows = vecs[[0, 1, -2, -1]] if rho0.window.width > 1 else vecs[[0, 1]]
     n_edge = len(edge_rows)
     # Two buffers serve every chunk (a short last chunk uses their leading rows):
     # the edge rows, then their conjugate; the rows times rho~, then the product.
     rows_buf = np.empty((n_edge * _MONITOR_CHUNK, energies.size), dtype=complex)
     prod_buf = np.empty_like(rows_buf)
-    mat = rho0.matrix
-    snapshots = []
-    t_prev = 0.0
-    for t, (n_steps, hstep) in zip(times, steps):
+    for t_prev, t, (n_steps, hstep) in zip([0.0, *times], times, steps):
         for lo in range(0, n_steps, _MONITOR_CHUNK):
             chunk = t_prev + hstep * np.arange(lo + 1, min(lo + _MONITOR_CHUNK, n_steps) + 1)
             phases = np.exp(-1j * np.multiply.outer(chunk, energies))
@@ -433,21 +430,24 @@ def von_neumann_exact(
             np.multiply(phases[:, None, :], edge_rows, out=rows.reshape(chunk.size, n_edge, energies.size))
             prod = np.matmul(rows, rho_eig, out=prod_buf[: n_edge * chunk.size])
             prod *= np.conjugate(rows, out=rows)
-            pops = np.real(np.sum(prod, axis=1))
-            edges = pops.reshape(chunk.size, n_edge).sum(axis=1)
+            edges = np.real(np.sum(prod, axis=1)).reshape(chunk.size, n_edge).sum(axis=1)
             over = np.nonzero(edges > eps_boundary)[0]
             if over.size:
                 raise _leak_error(float(edges[over[0]]), eps_boundary, t)
             leak = max(leak, float(edges.max()))
-        if n_steps:
-            vt = vecs * np.exp(-1j * energies * t)
-            mat = vt @ rho_eig @ vt.conj().T
-            if noise is not None:
-                mat = _site_pair_map(noise.channel(t), mat)
-            mat = 0.5 * (mat + mat.conj().T)
-        snapshots.append(DensityOperator(window, mat))
-        t_prev = t
-    return EvolutionResult(tuple(snapshots), leak)
+
+    def snapshots():
+        mat = rho0.matrix
+        for t, (n_steps, _) in zip(times, steps):
+            if n_steps:  # a time that adds no steps keeps the previous matrix
+                vt = vecs * np.exp(-1j * energies * t)
+                mat = vt @ rho_eig @ vt.conj().T
+                if noise is not None:
+                    mat = _site_pair_map(noise.channel(t), mat)
+                mat = 0.5 * (mat + mat.conj().T)
+            yield DensityOperator(rho0.window, mat)
+
+    return leak, snapshots()
 
 
 # ---------------------------------------------------------------------------

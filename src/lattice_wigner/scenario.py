@@ -36,11 +36,10 @@ from .continuous import (
     NoiseSpec,
     Potential,
     _bessel_band_propagate,
+    _density_route,
     _step_plan,
     band_reach,
     decohere_wigner,
-    lindblad_rk4,
-    von_neumann_exact,
 )
 from .errors import (
     BoundaryLeakError, ConfigError, ConvergenceError, DomainError, InvariantViolation,
@@ -55,6 +54,7 @@ from .states import (
     DensityOperator,
     LatticeWindow,
     PureState,
+    _spin_populations,
     density_from_pure,
 )
 from .walk import CoinSpec, ProjectiveNoiseSpec, _require_walkable, walk_snapshots
@@ -508,24 +508,22 @@ def validate_config(cfg: ScenarioConfig) -> list:
 
 def _continuous_snapshots(cfg: ScenarioConfig, dyn: ContinuousDynamics, w0, rho0, diagnostics: dict):
     """(t, field, side-table name, side table) per snapshot time.  The density
-    route (exact eigh propagation and channel flow, RK4 for channels that do not
-    commute with H) runs first, so its leak monitor refuses a run before any file
-    is written; then each time's fields are made, compared and dropped in turn.
-    Edge weight and two-path deviation go into diagnostics as running maxima."""
+    route's leak monitor runs first, so it refuses a run before any file is written;
+    then each time's density and fields are made, compared and dropped in turn.  Edge
+    weight and two-path deviation go into diagnostics as running maxima."""
     h = dyn.hamiltonian
     if dyn.method != "closed_form":
-        evolve = von_neumann_exact if dyn.noise is None or dyn.noise.commutes_with(h) else lindblad_rk4
-        result = evolve(rho0, h, dyn.noise, dyn.times, dyn.dt, cfg.tolerances.eps_boundary)
-        _running_max(diagnostics, "boundary_leak", result.boundary_leak)
+        leak, densities = _density_route(rho0, h, dyn.noise, dyn.times, dyn.dt, cfg.tolerances.eps_boundary)
+        _running_max(diagnostics, "boundary_leak", leak)
     lam_a = h.lambda_a(cfg.window) if dyn.method != "rk4" else None
-    for i, t in enumerate(dyn.times):
+    for t in dyn.times:
         wt = oracle = None
         if lam_a is not None:
             wt = _bessel_band_propagate(w0, h.j_hop, lam_a, t, h.spin_signs)
             wt = wt if dyn.noise is None else decohere_wigner(wt, dyn.noise, t)
             _running_max(diagnostics, "wigner_boundary_weight", edge_weight(wt))
         if dyn.method != "closed_form":
-            oracle = wigner_of_density(result.snapshots[i], cfg.kgrid)
+            oracle = wigner_of_density(next(densities), cfg.kgrid)
         if dyn.method == "both":
             deviation = float(np.max(np.abs(wt.values - oracle.values)))
             _running_max(diagnostics, "two_path_max_deviation", deviation)
@@ -577,11 +575,8 @@ def _walk_snapshots(cfg: ScenarioConfig, dyn: WalkDynamics, rho0: DensityOperato
     include_walk = dyn.mode == "walk"
     for step, rho in walk_snapshots(rho0, dyn.coin, dyn.steps, dyn.noise, include_walk, dyn.snapshot_steps):
         _running_max(diagnostics, "boundary_leak", rho.boundary_population())
-        pops = np.real(np.diagonal(rho.matrix)).reshape(rho.window.width, 2)
-        table = (
-            ("n", "p_spin0", "p_spin1", "p_total"),
-            [cfg.window.sites, pops[:, 0], pops[:, 1], pops[:, 0] + pops[:, 1]],
-        )
+        pops = _spin_populations(rho.matrix)
+        table = ("n", "p_spin0", "p_spin1", "p_total"), [cfg.window.sites, *pops.T, pops[:, 0] + pops[:, 1]]
         yield step, wigner_of_density(rho, cfg.kgrid), "site_distribution", table
 
 

@@ -79,6 +79,11 @@ def _checked_operator(matrix, dim: int) -> np.ndarray:
     return mat
 
 
+def _spin_populations(matrix: np.ndarray) -> np.ndarray:
+    """[site, spin] populations: the real diagonal of a composite-space matrix."""
+    return np.real(np.diagonal(matrix)).reshape(-1, 2)
+
+
 def _edge_population(pops: np.ndarray) -> float:
     """Population of the two outermost sites (or the one site of a width-1 window)."""
     return float(pops[0] + pops[-1]) if len(pops) > 1 else float(pops[0])
@@ -164,8 +169,7 @@ class DensityOperator:
         return self.matrix.reshape(w, 2, w, 2)
 
     def site_populations(self) -> np.ndarray:
-        diag = np.real(np.diagonal(self.matrix))
-        return diag.reshape(self.window.width, 2).sum(axis=1)
+        return _spin_populations(self.matrix).sum(axis=1)
 
     def boundary_population(self) -> float:
         return _edge_population(self.site_populations())

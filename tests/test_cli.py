@@ -888,24 +888,39 @@ class TestEvolveCommand:
         assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
 
     def test_snapshots_stream(self, tmp_path):
-        # Eight times the snapshot times must not cost eight times the memory:
-        # each time's closed-form and oracle fields are made, compared, written
-        # and dropped before the next time's.  The window is narrow and the
-        # hopping weak, so the grids stay small and the writer stays quick.
-        peaks = []
-        for count in (4, 32):
-            doc = continuous_config(times=[0.5 * i / (count - 1) for i in range(count)])
-            doc.update(window={"n_min": -5, "n_max": 5}, kgrid={"n_k": 48})
-            doc["state"] = {"name": "double_delta", "params": {"n1": 0, "n2": 1}}
-            doc["dynamics"]["hamiltonian"]["j_hop"] = 0.02
-            cfg = write_config(tmp_path, doc, f"times_{count}.json")
-            tracemalloc.start()
-            try:
-                assert main(["evolve", "--config", cfg, "--out", str(tmp_path / str(count)), "--quiet"]) == 0
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-        assert peaks[1] < 1.5 * peaks[0], peaks
+        # More snapshot times must not cost more memory in step: each time's
+        # density, closed-form and oracle fields are made, compared, written
+        # and dropped before the next time's.
+        def peaks(doc, name, counts):
+            found = []
+            for count in counts:
+                doc["dynamics"]["times"] = [0.5 * i / (count - 1) for i in range(count)]
+                cfg = write_config(tmp_path, doc, f"{name}_{count}.json")
+                out = str(tmp_path / f"{name}_{count}")
+                tracemalloc.start()
+                try:
+                    assert main(["evolve", "--config", cfg, "--out", out, "--quiet"]) == 0
+                    found.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+            return found
+
+        # Eight times the times: the window is narrow and the hopping weak, so
+        # the grids stay small and the writer stays quick.
+        doc = continuous_config()
+        doc.update(window={"n_min": -5, "n_max": 5}, kgrid={"n_k": 48})
+        doc["state"] = {"name": "double_delta", "params": {"n1": 0, "n2": 1}}
+        doc["dynamics"]["hamiltonian"]["j_hop"] = 0.02
+        small = peaks(doc, "narrow", (4, 32))
+        assert small[1] < 1.5 * small[0], small
+        # Six times the times at W = 41, where a kept density trajectory (one
+        # 2W x 2W matrix per time) would outweigh the run's Wigner grids.
+        doc = json.loads((SCENARIOS / "fig2_bloch.json").read_text())
+        doc.update(window={"n_min": -20, "n_max": 20}, kgrid={"n_k": 84})
+        doc["state"]["params"].update(center=0, sigma=1.5)
+        doc["dynamics"]["method"] = "both"
+        dense = peaks(doc, "fig2", (4, 24))
+        assert dense[1] < 1.1 * dense[0], dense
 
     @pytest.mark.parametrize("eps_boundary, code", [(0.0, 2), (1e-38, 3)], ids=["initial", "during_steps"])
     def test_density_leak_writes_no_snapshot(self, tmp_path, capsys, eps_boundary, code):

@@ -30,7 +30,7 @@ from lattice_wigner import (
     wigner_of_density,
 )
 from lattice_wigner import continuous, wigner
-from lattice_wigner.continuous import _bessel_band_propagate, _step_plan, band_reach
+from lattice_wigner.continuous import _bessel_band_propagate, _density_route, _step_plan, band_reach
 from lattice_wigner.grids import k_derivative, k_shift
 from lattice_wigner.states import PAULI_X, PAULI_Y, PAULI_Z
 
@@ -283,6 +283,50 @@ class TestVonNeumannExact:
             closed = propagate(w0, 1.0, 1.0, t)
             oracle = wigner_of_density(snap, grid)
             assert np.max(np.abs(closed.values - oracle.values)) <= 1e-12
+
+
+class TestDensityRoute:
+    H_SPLIT = HamiltonianSpec(1.0, Potential.linear(1.0), spin_coupled=True)
+
+    @pytest.mark.parametrize(
+        "op, evolve", [(PAULI_Z, von_neumann_exact), (PAULI_X, lindblad_rk4)], ids=["commutes", "does_not"]
+    )
+    def test_picks_the_route(self, op, evolve):
+        # sigma_z commutes with a sigma_z-coupled H, sigma_x does not.
+        _, _, rho0, _ = gaussian_setup(LatticeWindow(-12, 12), KGrid(52), spin="plus")
+        noise = NoiseSpec(((op, 0.2),))
+        times = [0.0, 0.3, 0.6]
+        leak, snapshots = _density_route(rho0, self.H_SPLIT, noise, times, 0.01, 1e-8)
+        want = evolve(rho0, self.H_SPLIT, noise, times, 0.01, 1e-8)
+        assert leak == want.boundary_leak
+        got = list(snapshots)
+        assert len(got) == len(times)
+        for a, b in zip(got, want.snapshots):
+            assert same_bits(a.matrix, b.matrix)
+
+    def test_snapshots_made_when_read(self, monkeypatch):
+        made = []
+        monkeypatch.setattr(continuous, "DensityOperator", lambda window, mat: made.append(mat) or mat)
+        _, _, rho0, _ = gaussian_setup(LatticeWindow(-12, 12), KGrid(52))
+        _, snapshots = _density_route(rho0, HamiltonianSpec(1.0), None, [0.5, 1.0], None, 1e-8)
+        assert made == []
+        next(snapshots)
+        assert len(made) == 1
+
+    def test_leak_raises_before_the_first_snapshot(self):
+        rho0 = density_from_pure(gaussian_product_state(0, 1.3, "up", LatticeWindow(-8, 8)))
+        with pytest.raises(BoundaryLeakError, match="during step towards t=6.0"):
+            _density_route(rho0, HamiltonianSpec(1.0), None, [0.5, 6.0], None, 1e-8)
+
+    def test_time_without_steps_keeps_the_previous_density(self):
+        # t = 0 first is rho0 itself; a repeated time repeats its density, so
+        # the channel acts once per snapshot time, not once per listing.
+        _, _, rho0, _ = gaussian_setup(LatticeWindow(-12, 12), KGrid(52), spin="plus")
+        noise = NoiseSpec(((PAULI_X, 0.2),))
+        _, snapshots = _density_route(rho0, HamiltonianSpec(1.0), noise, [0.0, 0.0, 0.5, 0.5], None, 1e-8)
+        first, again, later, repeat = (s.matrix for s in snapshots)
+        assert same_bits(first, rho0.matrix) and same_bits(again, rho0.matrix)
+        assert same_bits(repeat, later) and not np.array_equal(later, rho0.matrix)
 
 
 class TestStepPlan:

@@ -16,7 +16,7 @@
 # state with the unknown param "phase" in cat_projective. It keeps their
 # stdout, stderr and exit status, so the pre-run checks and their error
 # messages are held to the same byte-identity.  Both trees also run
-# `evolve` on five copies written into the temporary directory: fig3 with the
+# `evolve` on seven copies written into the temporary directory: fig3 with the
 # real spinor [cos 0.9, sin 0.9] (the committed configs use basis or "plus"
 # spins, so most of their cells repeat, and this copy has few repeated values);
 # fig2 with an odd n_k = 193, spin "plus", a sigma_x channel and method
@@ -29,11 +29,14 @@
 # j_hop 0.8, slope 0.7 and window.a 1.3, whose coupling lambda a = 0.91 is not
 # 1 as in every committed config, so the Bessel-band kernel's scale and its
 # reduction of lambda a t, and the exact density route, run at a non-unit
-# coupling; and fig2 at the size of the benchmark's Bloch sweep, the window
+# coupling; fig2 at the size of the benchmark's Bloch sweep, the window
 # [-60, 60] with n_k = 256 (a pure power of two; the committed runs reach the
 # Bessel-band kernel only at n_k 192 and 193), the spinor [0.6, 0.8i], a
-# sigma_z-coupled potential, method "both" and times [0, 3.1].  159 files in
-# all.
+# sigma_z-coupled potential, method "both" and times [0, 3.1]; and fig2 with
+# method "both", a sigma_x channel and the times [0, 0, 1.6, 1.6, 4.7], which
+# pins that a time adding no steps keeps the previous density (t = 0 first and
+# a repeated time) and that the channel acts once per snapshot time.  172 files
+# in all.
 # BLAS is pinned to one thread, because the density route's last bits depend
 # on the thread count.  Every file, manifests included, is compared byte for
 # byte with `diff -r`.  Exit status: 0 when every file is byte-identical, 1 on
@@ -69,7 +72,7 @@ golden_runs() {  # golden_runs TREE OUT
             --config "$tree/scenarios/$name.json" --out "$out/$cmd-$name" --quiet)
     done
     for name in fig3_spinor fig2_odd_nk_channel fig2_many_both fig3_rk4_sigma_x fig3_lambda_a \
-        fig2_w121; do
+        fig2_w121 fig2_repeat_times; do
         (cd "$tmp" && PYTHONPATH="$tree/src" "$python" -m lattice_wigner.cli evolve \
             --config "$tmp/$name.json" --out "$out/evolve-$name" --quiet)
     done
@@ -116,6 +119,11 @@ doc["dynamics"]["hamiltonian"]["spin_coupled"] = True
 doc["dynamics"]["method"] = "both"
 doc["dynamics"]["times"] = [0.0, 3.1]
 (tmp / "fig2_w121.json").write_text(json.dumps(doc))
+doc = json.loads((scenarios / "fig2_bloch.json").read_text())
+doc["dynamics"]["method"] = "both"
+doc["dynamics"]["noise"] = {"lindblad": [{"op": "sigma_x", "gamma": 0.2}]}
+doc["dynamics"]["times"] = [0.0, 0.0, 1.6, 1.6, 4.7]
+(tmp / "fig2_repeat_times.json").write_text(json.dumps(doc))
 absent = object()
 for name, scenario, path, value in [
     ("window", "fig2_bloch", ["window"], 5),

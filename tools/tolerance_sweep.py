@@ -1,14 +1,15 @@
 #!/usr/bin/env python3
-"""Worst deviations of acceptance criteria 2a, 2b, 3a, 8a-8c and 9a over a
-seeded sweep of their inputs; tests/test_acceptance.py bounds each criterion
-by 100 times the worst value printed here.
+"""Worst deviations of acceptance criteria 1c, 2a, 2b, 3a, 5a, 5b, 8a-8c, 9a
+and 9c over a seeded sweep of their inputs; tests/test_acceptance.py bounds
+each criterion by 100 times the worst value printed here.  About 100 s, most
+of it the RK4 runs of 5a and 5b.
 
     PYTHONPATH=src python3 tools/tolerance_sweep.py [--seed S] [--cases N]
 
 Each criterion measures what its acceptance test measures, on N random inputs
 of the same kind (positions, widths, amplitudes, spins, couplings, grid sizes)
 that stay inside the window, so that truncation plays no part and what is left
-is rounding.
+is rounding (for 5a and 5b, with RK4's step error at dt = 0.002).
 """
 
 from __future__ import annotations
@@ -21,9 +22,10 @@ from pathlib import Path
 import numpy as np
 
 import lattice_wigner as lw
+from lattice_wigner.states import PAULI_X, PAULI_Z
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
-from conftest import bessel_quadrature_oracle, random_su2  # noqa: E402
+from conftest import bessel_quadrature_oracle, random_density, random_su2  # noqa: E402
 
 
 def _max_abs(a, b) -> float:
@@ -37,6 +39,15 @@ def _sites(rng, lo: int, hi: int) -> tuple:
 
 def _complex(rng, scale: float) -> complex:
     return complex(scale * rng.random() * np.exp(2j * np.pi * rng.random()))
+
+
+def criterion_1c(rng) -> float:
+    n = int(rng.integers(6, 17))
+    window = lw.LatticeWindow(-n, n)
+    grid = lw.KGrid(window.width * 2 + 1 + int(rng.integers(0, 32)))
+    rho, sigma = random_density(window, rng), random_density(window, rng)
+    pairing = lw.trace_product(lw.wigner_of_density(rho, grid), lw.wigner_of_density(sigma, grid))
+    return abs(pairing - complex(np.trace(rho.matrix @ sigma.matrix)))
 
 
 def criterion_2a(rng) -> float:
@@ -64,6 +75,35 @@ def criterion_3a(rng) -> float:
     w0 = lw.wigner_of_density(lw.density_from_pure(psi), grid)
     j_hop, slope = float(rng.uniform(0.25, 1.5)), float(rng.uniform(0.5, 2.0))
     return _max_abs(lw.linear_potential_propagate(w0, j_hop, slope, 2.0 * math.pi / slope), w0)
+
+
+def _lindblad_run(rng, op, times, spins=((1.0, 0.0), (0.0, 1.0))):
+    """A random cat with the given spins on the window [-14, 14], its initial
+    field and one field per time under lindblad_rk4 with no hopping, dt 0.002."""
+    grid = lw.KGrid(64)
+    spec = lw.CatSpec(*_sites(rng, -6, 6), _complex(rng, 3.0), *spins)
+    rho0 = lw.density_from_pure(lw.cat_state(spec, lw.LatticeWindow(-14, 14)))
+    gamma = float(rng.uniform(0.1, 0.5))
+    res = lw.lindblad_rk4(rho0, lw.HamiltonianSpec(0.0), lw.NoiseSpec(((op, gamma),)), times, dt=0.002)
+    return gamma, lw.wigner_of_density(rho0, grid), [lw.wigner_of_density(s, grid) for s in res.snapshots]
+
+
+def criterion_5a(rng) -> float:
+    times = list(np.linspace(0.0, float(rng.uniform(1.0, 5.0)), 6)[1:])
+    gamma, w0, fields = _lindblad_run(rng, PAULI_Z, times)
+    mask = np.abs(w0.values[:, :, 0, 1]) > 1e-3
+    return max(float(np.max(np.abs(wt.values[:, :, 0, 1][mask] / w0.values[:, :, 0, 1][mask]
+                                   - math.exp(-2 * gamma * t)))) for t, wt in zip(times, fields))
+
+
+def criterion_5b(rng) -> float:
+    t = float(rng.uniform(0.5, 4.0))
+    spins = random_su2(rng)
+    gamma, w0, (wt,) = _lindblad_run(rng, PAULI_X, [t], (tuple(spins[:, 0]), tuple(spins[:, 1])))
+    f = math.exp(-2 * gamma * t)
+    w00, w11 = w0.values[:, :, 0, 0], w0.values[:, :, 1, 1]
+    return max(float(np.max(np.abs(wt.values[:, :, 0, 0] - 0.5 * (1 + f) * w00 - 0.5 * (1 - f) * w11))),
+               float(np.max(np.abs(wt.values[:, :, 1, 1] - 0.5 * (1 - f) * w00 - 0.5 * (1 + f) * w11))))
 
 
 def _random_cat(rng):
@@ -96,9 +136,18 @@ def criterion_9a(rng) -> float:
     return max(abs(lw.bessel_jn(n, z) - bessel_quadrature_oracle(n, z)) for n in range(-20, 21))
 
 
+def criterion_9c(rng) -> float:
+    # As in the acceptance test, the tail runs 20 orders past 2z, where the rest
+    # is below rounding; a max(20, 2z) tail leaves up to 1e-10 out for z in (8, 10.5).
+    z = float(rng.uniform(0.05, 30.0))
+    n_max = int(2 * z) + 20
+    return abs(sum(lw.bessel_jn(n, z) ** 2 for n in range(-n_max, n_max + 1)) - 1.0)
+
+
 CRITERIA = {
-    "2a": criterion_2a, "2b": criterion_2b, "3a": criterion_3a,
-    "8a": criterion_8a, "8b": criterion_8b, "8c": criterion_8c, "9a": criterion_9a,
+    "1c": criterion_1c, "2a": criterion_2a, "2b": criterion_2b, "3a": criterion_3a,
+    "5a": criterion_5a, "5b": criterion_5b, "8a": criterion_8a, "8b": criterion_8b,
+    "8c": criterion_8c, "9a": criterion_9a, "9c": criterion_9c,
 }
 
 
