@@ -386,25 +386,46 @@ def lindblad_rk4(
 _MONITOR_CHUNK = 32
 
 
-def von_neumann_exact(rho0: DensityOperator, h: HamiltonianSpec, noise: Optional[NoiseSpec], times: Sequence[float],
-                      dt: Optional[float] = None, eps_boundary: float = DEFAULT_EPS_BOUNDARY) -> EvolutionResult:
-    """Exact evolution rho(t) = e^{tD}[U(t) rho0 U(t)^+], U(t) = V e^{-iEt} V^+ from one
-    eigendecomposition of the dense window Hamiltonian, at each of the ascending times;
-    the channels must commute with H (DomainError otherwise).  The truncation monitor
-    is as loud as lindblad_rk4's: same step grid, StepSizeError and BoundaryLeakError."""
+def von_neumann_exact(
+    rho0: DensityOperator,
+    h: HamiltonianSpec,
+    noise: Optional[NoiseSpec],
+    times: Sequence[float],
+    dt: Optional[float] = None,
+    eps_boundary: float = DEFAULT_EPS_BOUNDARY,
+) -> EvolutionResult:
+    """Exact evolution rho(t) = e^{tD}[U(t) rho0 U(t)^+] with U(t) = V e^{-iEt} V^+,
+    with one snapshot at each of the ascending times.
+
+    One eigendecomposition H = V E V^+ of the dense window Hamiltonian makes
+    every snapshot exact up to rounding, with no step-size error; the channels
+    must commute with H (DomainError otherwise).  The truncation monitor is
+    as loud as :func:`lindblad_rk4`'s: the population of the outermost window
+    sites is checked on the same step grid (same dt rule and StepSizeError
+    checks) and raises the same BoundaryLeakError.  A spin channel leaves every
+    site's population alone, so with rho~ = V^+ rho0 V an edge population at
+    time t is sum_ij a_i rho~_ij a_j^* over the edge rows a = V_edge e^{-iEt}.
+    """
     if noise is not None and not noise.commutes_with(h):
         raise DomainError("the spin channels do not commute with the Hamiltonian; use lindblad_rk4")
     leak, snapshots = _density_route(rho0, h, noise, times, dt, eps_boundary)
     return EvolutionResult(tuple(snapshots), leak)
 
 
-def _density_route(rho0: DensityOperator, h: HamiltonianSpec, noise, times, dt, eps_boundary):
-    """(leak, snapshots): the worst boundary population and an iterator of one density
-    per time.  lindblad_rk4 runs when the channels do not commute with H and keeps its
-    list.  Otherwise every monitor time is checked first, so a leak raises before any
-    snapshot is made, and each snapshot is built as it is read.  A spin channel moves no
-    site population, so with rho~ = V^+ rho0 V the edge population at time t is
-    sum_ij a_i rho~_ij a_j^* over the edge rows a = V_edge e^{-iEt}."""
+def _density_route(
+    rho0: DensityOperator,
+    h: HamiltonianSpec,
+    noise: Optional[NoiseSpec],
+    times: Sequence[float],
+    dt: Optional[float],
+    eps_boundary: float,
+):
+    """(leak, snapshots): the worst boundary population and an iterator of one
+    density per time.  lindblad_rk4 runs when the channels do not commute with H
+    and keeps its list.  Otherwise the exact route of :func:`von_neumann_exact`
+    checks every monitor time first, so a leak raises before any snapshot is
+    made, and then builds each snapshot as it is read.
+    """
     if noise is not None and not noise.commutes_with(h):
         result = lindblad_rk4(rho0, h, noise, times, dt, eps_boundary)
         return result.boundary_leak, iter(result.snapshots)
@@ -430,7 +451,8 @@ def _density_route(rho0: DensityOperator, h: HamiltonianSpec, noise, times, dt, 
             np.multiply(phases[:, None, :], edge_rows, out=rows.reshape(chunk.size, n_edge, energies.size))
             prod = np.matmul(rows, rho_eig, out=prod_buf[: n_edge * chunk.size])
             prod *= np.conjugate(rows, out=rows)
-            edges = np.real(np.sum(prod, axis=1)).reshape(chunk.size, n_edge).sum(axis=1)
+            pops = np.real(np.sum(prod, axis=1))
+            edges = pops.reshape(chunk.size, n_edge).sum(axis=1)
             over = np.nonzero(edges > eps_boundary)[0]
             if over.size:
                 raise _leak_error(float(edges[over[0]]), eps_boundary, t)

@@ -576,7 +576,10 @@ def _walk_snapshots(cfg: ScenarioConfig, dyn: WalkDynamics, rho0: DensityOperato
     for step, rho in walk_snapshots(rho0, dyn.coin, dyn.steps, dyn.noise, include_walk, dyn.snapshot_steps):
         _running_max(diagnostics, "boundary_leak", rho.boundary_population())
         pops = _spin_populations(rho.matrix)
-        table = ("n", "p_spin0", "p_spin1", "p_total"), [cfg.window.sites, *pops.T, pops[:, 0] + pops[:, 1]]
+        table = (
+            ("n", "p_spin0", "p_spin1", "p_total"),
+            [cfg.window.sites, pops[:, 0], pops[:, 1], pops[:, 0] + pops[:, 1]],
+        )
         yield step, wigner_of_density(rho, cfg.kgrid), "site_distribution", table
 
 

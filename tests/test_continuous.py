@@ -16,6 +16,7 @@ from lattice_wigner import (
     StepSizeError,
     WignerMatrix,
     WindowError,
+    decohere_wigner,
     density_from_pure,
     gaussian_product_state,
     hermiticity_defect,
@@ -288,21 +289,31 @@ class TestVonNeumannExact:
 class TestDensityRoute:
     H_SPLIT = HamiltonianSpec(1.0, Potential.linear(1.0), spin_coupled=True)
 
-    @pytest.mark.parametrize(
-        "op, evolve", [(PAULI_Z, von_neumann_exact), (PAULI_X, lindblad_rk4)], ids=["commutes", "does_not"]
-    )
-    def test_picks_the_route(self, op, evolve):
-        # sigma_z commutes with a sigma_z-coupled H, sigma_x does not.
-        _, _, rho0, _ = gaussian_setup(LatticeWindow(-12, 12), KGrid(52), spin="plus")
+    TIMES = [0.0, 0.3, 0.6]
+
+    def route_and_rk4(self, op):
+        _, grid, rho0, w0 = gaussian_setup(LatticeWindow(-20, 20), KGrid(96), spin="plus")
         noise = NoiseSpec(((op, 0.2),))
-        times = [0.0, 0.3, 0.6]
-        leak, snapshots = _density_route(rho0, self.H_SPLIT, noise, times, 0.01, 1e-8)
-        want = evolve(rho0, self.H_SPLIT, noise, times, 0.01, 1e-8)
-        assert leak == want.boundary_leak
-        got = list(snapshots)
-        assert len(got) == len(times)
-        for a, b in zip(got, want.snapshots):
+        leak, snapshots = _density_route(rho0, self.H_SPLIT, noise, self.TIMES, 0.01, 1e-8)
+        rk4 = lindblad_rk4(rho0, self.H_SPLIT, noise, self.TIMES, 0.01, 1e-8)
+        return grid, w0, noise, leak, list(snapshots), rk4
+
+    def test_noncommuting_channel_runs_rk4(self):
+        # sigma_x does not commute with a sigma_z-coupled H: RK4's own bits.
+        _, _, _, leak, got, rk4 = self.route_and_rk4(PAULI_X)
+        assert leak == rk4.boundary_leak
+        assert len(got) == len(self.TIMES)
+        for a, b in zip(got, rk4.snapshots):
             assert same_bits(a.matrix, b.matrix)
+
+    def test_commuting_channel_runs_exact(self):
+        # sigma_z commutes with it: not RK4's bits, but the closed form to rounding.
+        grid, w0, noise, _, got, rk4 = self.route_and_rk4(PAULI_Z)
+        assert len(got) == len(self.TIMES)
+        assert not same_bits(got[-1].matrix, rk4.snapshots[-1].matrix)
+        for t, snap in zip(self.TIMES, got):
+            closed = decohere_wigner(spin_linear_propagate(w0, 1.0, 1.0, t), noise, t)
+            assert np.max(np.abs(closed.values - wigner_of_density(snap, grid).values)) <= 1e-12
 
     def test_snapshots_made_when_read(self, monkeypatch):
         made = []
