@@ -20,7 +20,6 @@ with a shifted center c, whose terms are all bounded by one (see _gauss_ridge).
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -30,14 +29,14 @@ from .errors import DomainError, WindowError
 from .grids import TWO_PI, KGrid
 from .special import theta3
 from .states import (
-    HERMITICITY_TOL,
     NORM_TOL,
-    TRACE_TOL,
     DensityOperator,
     LatticeDensity,
     LatticeWindow,
     PureState,
     SPIN_VECTORS,
+    _checked_operator,
+    _frozen,
     lattice_density_from_amplitudes,
 )
 from .wigner import ScalarWigner, WignerMatrix
@@ -57,8 +56,7 @@ class DoubleDeltaSpec:
     def __post_init__(self):
         if self.n1 == self.n2:
             raise DomainError("double delta requires two distinct sites")
-        if not cmath.isfinite(self.alpha):
-            raise DomainError(f"alpha must be finite, got {self.alpha!r}")
+        _require_amplitude("alpha", self.alpha)
 
 
 @dataclass(frozen=True)
@@ -101,8 +99,7 @@ class CatSpec:
     def __post_init__(self):
         if self.a_site == self.b_site:
             raise DomainError("cat state requires two distinct sites")
-        if not cmath.isfinite(self.beta):
-            raise DomainError(f"beta must be finite, got {self.beta!r}")
+        _require_amplitude("beta", self.beta)
         s1, s2 = self.spin_vectors()
         if not abs(np.vdot(s1, s2)) <= NORM_TOL:
             raise DomainError("spin vectors must be orthogonal")
@@ -111,16 +108,21 @@ class CatSpec:
         return _spin_vector(self.spin1), _spin_vector(self.spin2)
 
 
+def _require_amplitude(name: str, x) -> None:
+    """A finite x whose |x|^2 is finite too: the two-site states divide by 1 + |x|^2."""
+    size = math.hypot(x.real, x.imag)  # inf, where abs(x) ** 2 raises OverflowError
+    if not math.isfinite(size * size):
+        raise DomainError(f"{name} must be finite, with |{name}|^2 finite too, got {x!r}")
+
+
 def _spin_vector(spin) -> np.ndarray:
     """A pure spin state: a SPIN_VECTORS name, or two complex components of unit norm."""
     if isinstance(spin, str):
         if spin not in SPIN_VECTORS:
             raise DomainError(f"unknown spin vector name {spin!r}")
         return SPIN_VECTORS[spin]
-    vec = np.asarray(spin, dtype=complex)
-    if vec.shape != (2,):
-        raise DomainError("spin vector must have two components")
-    if not abs(np.vdot(vec, vec) - 1.0) <= NORM_TOL:  # a NaN component is refused too
+    vec = _frozen(spin, (2,), "spin vector", DomainError)
+    if abs(np.vdot(vec, vec) - 1.0) > NORM_TOL:
         raise DomainError("spin vector must be normalized")
     return vec
 
@@ -315,20 +317,14 @@ def gaussian_scalar_wigner(
 
 def product_wigner(w_l: ScalarWigner, rho_s) -> WignerMatrix:
     """Wigner matrix of rho_L (x) rho_S: entrywise product W_L * <a|rho_S|b>."""
-    rho_s = np.asarray(rho_s, dtype=complex)
-    if rho_s.shape != (2, 2):
-        raise DomainError("spin state must be a 2x2 matrix")
-    herm = np.max(np.abs(rho_s - rho_s.conj().T))
-    if not (herm <= HERMITICITY_TOL and abs(np.trace(rho_s) - 1.0) <= TRACE_TOL):  # a NaN is refused too
-        raise DomainError("spin state must be Hermitian with unit trace")
+    rho_s = _checked_operator(rho_s, 2, "spin state")
     vals = w_l.values[:, :, None, None] * rho_s[None, None, :, :]
     return WignerMatrix(w_l.m_min, w_l.m_max, w_l.kgrid, vals)
 
 
 def product_density(rho_l: LatticeDensity, rho_s) -> DensityOperator:
     """Dense rho_L (x) rho_S on the composite space."""
-    rho_s = np.asarray(rho_s, dtype=complex)
-    return DensityOperator(rho_l.window, np.kron(rho_l.matrix, rho_s))
+    return DensityOperator(rho_l.window, np.kron(rho_l.matrix, _checked_operator(rho_s, 2, "spin state")))
 
 
 def werner_density(spec: WernerSpec, window: LatticeWindow) -> DensityOperator:

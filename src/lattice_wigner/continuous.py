@@ -50,6 +50,7 @@ from .states import (
     DensityOperator,
     LatticeWindow,
     _edge_population,
+    _frozen,
     _site_pair_map,
     _spin_pair_map,
     _spin_populations,
@@ -191,17 +192,11 @@ class NoiseSpec:
         ops = []
         for entry in self.lindblad_ops:
             op, gamma = entry
-            op = np.asarray(op, dtype=complex)
-            if op.shape != (2, 2):
-                raise DomainError("Lindblad operators must act on spin (2x2)")
-            if not np.all(np.isfinite(op)):
-                raise DomainError("Lindblad operator op has non-finite entries")
+            op = _frozen(op, (2, 2), "Lindblad operator op", DomainError)
             gamma = float(gamma)
             if not gamma >= 0.0:
                 raise DomainError(f"coupling gamma must be >= 0, got {gamma}")
-            frozen = op.copy()
-            frozen.setflags(write=False)
-            ops.append((frozen, gamma))
+            ops.append((op, gamma))
         object.__setattr__(self, "lindblad_ops", tuple(ops))
         with np.errstate(all="ignore"):
             finite = bool(np.all(np.isfinite(self.dissipator())))

@@ -43,15 +43,15 @@ for _v in SPIN_VECTORS.values():
     _v.setflags(write=False)
 
 
-def _frozen(arr, shape: tuple, what: str) -> np.ndarray:
-    """The one intake rule for state and field arrays: a read-only, complex,
-    C-ordered copy of arr, which never shares the caller's memory; StateError
-    naming `what` when its shape is not `shape` or an entry is not finite."""
+def _frozen(arr, shape: tuple, what: str, error=StateError) -> np.ndarray:
+    """The one intake rule for every array the package takes in: a read-only,
+    complex, C-ordered copy of arr, which never shares the caller's memory;
+    `error` naming `what` when its shape is not `shape` or an entry is not finite."""
     out = np.array(arr, dtype=complex, order="C")
     if out.shape != shape:
-        raise StateError(f"{what} must have shape {shape}, got {out.shape}")
+        raise error(f"{what} must have shape {shape}, got {out.shape}")
     if not np.all(np.isfinite(out.view(float))):
-        raise StateError(f"{what} has non-finite entries")
+        raise error(f"{what} has non-finite entries")
     out.setflags(write=False)
     return out
 
@@ -67,12 +67,12 @@ def _integer_bounds(obj, names, error) -> None:
             raise error(f"{name} must be an integer, got {value!r}") from None
 
 
-def _checked_operator(matrix, dim: int) -> np.ndarray:
+def _checked_operator(matrix, dim: int, what: str = "matrix") -> np.ndarray:
     """A frozen copy of a state operator's matrix: shape (dim, dim), finite, Hermitian, unit trace."""
-    mat = _frozen(matrix, (dim, dim), "matrix")
+    mat = _frozen(matrix, (dim, dim), what)
     herm = np.max(np.abs(mat - mat.conj().T))
     if herm > HERMITICITY_TOL:
-        raise StateError(f"matrix deviates from Hermiticity by {herm:.3e}")
+        raise StateError(f"{what} deviates from Hermiticity by {herm:.3e}")
     tr = complex(np.trace(mat))
     if abs(tr - 1.0) > TRACE_TOL:
         raise StateError(f"trace {tr!r} deviates from 1 beyond {TRACE_TOL}")
@@ -205,9 +205,7 @@ def density_from_pure(psi: PureState) -> DensityOperator:
 
 def lattice_density_from_amplitudes(window: LatticeWindow, amplitudes) -> LatticeDensity:
     """|phi><phi| on the lattice factor from (unnormalized) site amplitudes."""
-    v = np.asarray(amplitudes, dtype=complex).reshape(-1)
-    if v.shape != (window.width,):
-        raise StateError(f"expected {window.width} site amplitudes, got {v.shape}")
+    v = _frozen(amplitudes, (window.width,), "site amplitudes")
     norm2 = float(np.sum(np.abs(v) ** 2))
     if norm2 <= 0.0:
         raise StateError("zero amplitude vector")
@@ -237,11 +235,9 @@ def _site_pair_map(m4: np.ndarray, rho: np.ndarray) -> np.ndarray:
 
 def _rotation_map(u) -> np.ndarray:
     """u (x) u*, the pair map of X -> u X u^+, for a 2x2 unitary u (DomainError otherwise)."""
-    u = np.asarray(u, dtype=complex)
-    if u.shape != (2, 2):
-        raise DomainError(f"spin rotation must be 2x2, got shape {u.shape}")
+    u = _frozen(u, (2, 2), "spin rotation", DomainError)
     defect = np.max(np.abs(u @ u.conj().T - ID2))
-    if not defect <= UNITARITY_TOL:  # a NaN defect is refused too
+    if defect > UNITARITY_TOL:
         raise DomainError(f"matrix deviates from unitarity by {defect:.3e}")
     return np.kron(u, u.conj())
 

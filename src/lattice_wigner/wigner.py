@@ -180,10 +180,7 @@ def wigner_of_operator(op, window: LatticeWindow, kgrid: KGrid) -> WignerMatrix:
     Same kernel as the state transform, without state invariants: the result
     need not be normalized, have real diagonals, or be Hermitian as a field.
     """
-    op = np.asarray(op, dtype=complex)
-    d = window.dim
-    if op.shape != (d, d):
-        raise DomainError(f"operator must have shape ({d}, {d}), got {op.shape}")
+    op = _frozen(op, (window.dim, window.dim), "operator", DomainError)
     w = window.width
     return _transform_blocks(op.reshape(w, 2, w, 2), window, kgrid)
 

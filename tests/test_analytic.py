@@ -9,6 +9,7 @@ from lattice_wigner import (
     DoubleDeltaSpec,
     KGrid,
     LatticeWindow,
+    StateError,
     TwoGaussianSpec,
     WernerSpec,
     WindowError,
@@ -231,14 +232,14 @@ class TestProductWigner:
     )
     def test_nan_spin_state_named(self, rho_s):
         w_l = gaussian_scalar_wigner(0, 0.6, LatticeWindow(-4, 4), KGrid(24))
-        with pytest.raises(DomainError, match="spin state must be Hermitian"):
+        with pytest.raises(StateError, match="^spin state has non-finite entries$"):
             product_wigner(w_l, np.array(rho_s))
 
     def test_invalid_spin_state_rejected(self):
         window = LatticeWindow(-4, 4)
         grid = KGrid(24)
         w_l = gaussian_scalar_wigner(0, 0.6, window, grid)
-        with pytest.raises(DomainError):
+        with pytest.raises(StateError, match="^spin state deviates from Hermiticity"):
             product_wigner(w_l, np.array([[1.0, 0.5], [0.0, 0.0]]))
 
 
@@ -297,18 +298,25 @@ class TestCat:
         ids=["spin1", "spin2", "complex_nan"],
     )
     def test_nan_spin_vector_named(self, spins):
-        with pytest.raises(DomainError, match="spin vector must be normalized"):
+        with pytest.raises(DomainError, match="^spin vector has non-finite entries$"):
             CatSpec(-2, 3, 1.0, *spins)
 
     @pytest.mark.parametrize("spin", [[math.nan, 0.0], [1.0, math.nan]])
     def test_nan_gaussian_spin_named(self, spin):
-        with pytest.raises(DomainError, match="spin vector must be normalized"):
+        with pytest.raises(DomainError, match="^spin vector has non-finite entries$"):
             gaussian_product_state(0, 2.0, spin, LatticeWindow(-20, 20))
 
-    @pytest.mark.parametrize("beta", [complex(math.nan, 0.0), complex(0.0, -math.inf)])
+    @pytest.mark.parametrize(
+        "beta", [complex(math.nan, 0.0), complex(0.0, -math.inf), 1e200, complex(1.7e308, 1.7e308)]
+    )
     def test_non_finite_beta_named(self, beta):
         with pytest.raises(DomainError, match="beta must be finite"):
             CatSpec(-2, 3, beta)
+
+    def test_largest_beta_builds(self, small_window):
+        # |beta|^2 = 1e308 is still finite, so the state normalizes.
+        cat = cat_state(CatSpec(-2, 3, 1e154), small_window)
+        assert np.sum(np.abs(cat.amplitudes) ** 2) == pytest.approx(1.0, abs=1e-14)
 
     def test_non_orthogonal_spins_rejected(self):
         with pytest.raises(DomainError):

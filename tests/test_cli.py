@@ -465,6 +465,10 @@ class TestNonFiniteConfig:
             (_lambda_a(1e-200, 1e-200), "dynamics.hamiltonian.potential, window.a"),
             (_lambda_a(1e-300, 1e-30), "dynamics.hamiltonian.potential, window.a"),
             (_lambda_a(1.0, 1e-320), "dynamics.hamiltonian.potential, window.a"),
+            # Finite amplitudes whose |x|^2 overflows: the state divides by 1 + |x|^2.
+            (_set(("state",), {"name": "double_delta", "params": {"n1": -2, "n2": 3, "alpha": 1e308}}), "alpha"),
+            (_set(("state",), {"name": "double_delta", "params": {"n1": -2, "n2": 3, "alpha": [1e200, 0]}}), "alpha"),
+            (_set(("state",), {"name": "cat", "params": {"a_site": -2, "b_site": 3, "beta": 1e200}}), "beta"),
         ],
         ids=[
             "times_inf", "j_hop_nan", "j_hop_overflow", "slope_inf", "dt_minus_inf",
@@ -477,6 +481,7 @@ class TestNonFiniteConfig:
             "sigma_exponent_overflow_wide", "walk_snapshots_default_huge", "walk_snapshots_listed_huge",
             "spacing_overflow", "slope_overflow", "directory_empty",
             "lambda_a_zero", "lambda_a_zero_small_slope", "lambda_a_subnormal",
+            "alpha_square_overflow", "alpha_complex_square_overflow", "beta_square_overflow",
         ],
     )
     def test_rejected_with_field_name(self, tmp_path, capsys, edit, field):

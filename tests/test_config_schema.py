@@ -88,19 +88,25 @@ def test_readme_defaults_match_the_table():
 
 @pytest.mark.parametrize("seed", [1, 2])
 def test_seeded_mutation_sweep(seed):
-    # Two seeded samples hold a tenth of tools/config_sweep.py's mutations; 1-2 s each.
+    # Two seeded samples hold a tenth of tools/config_sweep.py's mutations; 2-3 s each.
     checked, _, broken = config_sweep.sweep(sample=240, seed=seed, log=lambda line: None)
     assert checked == 240
     assert broken == []
 
 
-def test_sweep_reaches_every_kind_and_state():
+def test_sweep_reaches_every_kind_and_state(tmp_path):
+    # Each base also validates clean and runs, so its mutations test more than a refusal.
     reached = set()
-    for base in config_sweep.BASES.values():
+    for name, base in config_sweep.BASES.items():
         dynamics = base.get("dynamics", {"kind": "none"})
         reached |= {base["state"]["name"], ("dynamics", dynamics["kind"])}
         if "hamiltonian" in dynamics:
             reached.add(("potential", dynamics["hamiltonian"]["potential"]["kind"]))
+        config = tmp_path / f"{name}.json"
+        config.write_text(json.dumps(base))
+        assert config_sweep._call(["validate", "--config", str(config)]) == (0, "ok: no diagnostics\n", "", []), name
+        run = [config_sweep._command(base), "--config", str(config), "--out", str(tmp_path / name), "--quiet"]
+        assert config_sweep._call(run) == (0, "", "", []), name
     dynamics_kinds = _CONFIG["dynamics"][0].blocks
     wanted = set(_STATES) | {("dynamics", k) for k in dynamics_kinds}
     wanted |= {("potential", k) for k in _POTENTIAL.blocks}

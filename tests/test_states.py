@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from lattice_wigner import (
+    CatSpec,
     DensityOperator,
     DomainError,
     GridError,
     KGrid,
     LatticeDensity,
     LatticeWindow,
+    NoiseSpec,
     PureState,
     ScalarWigner,
     StateError,
@@ -21,12 +23,15 @@ from lattice_wigner import (
     density_from_pure,
     gaussian_lattice_state,
     product_density,
+    product_wigner,
+    scalar_wigner_of_lattice,
     spin_trace,
     two_gaussian_state,
     wigner_of_density,
+    wigner_of_operator,
 )
 from lattice_wigner.continuous import band_reach
-from lattice_wigner.states import PAULI_X, SPIN_VECTORS, lattice_density_from_amplitudes
+from lattice_wigner.states import ID2, PAULI_X, SPIN_VECTORS, lattice_density_from_amplitudes
 from lattice_wigner.wigner import occupied_rows
 
 from conftest import random_density, random_su2
@@ -219,47 +224,77 @@ def test_spin_vectors_are_normalized():
 
 
 def _intake_cases(window=LatticeWindow(-2, 2), grid=KGrid(12)):
-    """(constructor, a valid array, the array's name, its attribute) for every
-    class built on the one intake rule."""
+    """(constructor, a valid array, the array's name, the class of its refusal,
+    the copy the result holds or None) for every caller of the one intake rule."""
     amps = np.zeros((window.width, 2), dtype=complex)
     amps[0, 0] = 1.0
     rho = density_from_pure(PureState(window, amps))
     w = wigner_of_density(rho, grid)
+    w_l = scalar_wigner_of_lattice(spin_trace(rho), grid)
+    rho_s = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
     return {
-        "PureState": (lambda a: PureState(window, a), amps, "amplitudes", "amplitudes"),
-        "DensityOperator": (lambda a: DensityOperator(window, a), rho.matrix, "matrix", "matrix"),
-        "LatticeDensity": (lambda a: LatticeDensity(window, a), spin_trace(rho).matrix, "matrix", "matrix"),
-        "WignerMatrix": (w.with_values, w.values, "Wigner values", "values"),
+        "PureState": (lambda a: PureState(window, a), amps, "amplitudes", StateError, lambda s: s.amplitudes),
+        "DensityOperator": (
+            lambda a: DensityOperator(window, a), rho.matrix, "matrix", StateError, lambda s: s.matrix
+        ),
+        "LatticeDensity": (
+            lambda a: LatticeDensity(window, a), spin_trace(rho).matrix, "matrix", StateError, lambda s: s.matrix
+        ),
+        "WignerMatrix": (w.with_values, w.values, "Wigner values", StateError, lambda f: f.values),
         "ScalarWigner": (
             lambda a: ScalarWigner(w.m_min, w.m_max, grid, a),
             w.values[:, :, 0, 0],
             "Wigner values",
-            "values",
+            StateError,
+            lambda f: f.values,
+        ),
+        "NoiseSpec": (
+            lambda a: NoiseSpec(((a, 0.1),)),
+            PAULI_X,
+            "Lindblad operator op",
+            DomainError,
+            lambda n: n.lindblad_ops[0][0],
+        ),
+        "apply_spin_rotation": (lambda a: apply_spin_rotation(rho, a), ID2, "spin rotation", DomainError, None),
+        "CatSpec": (lambda a: CatSpec(-1, 1, 1.0, a, (0.0, 1.0)), (1.0, 0.0), "spin vector", DomainError, None),
+        "wigner_of_operator": (
+            lambda a: wigner_of_operator(a, window, grid), rho.matrix, "operator", DomainError, None
+        ),
+        "lattice_density_from_amplitudes": (
+            lambda a: lattice_density_from_amplitudes(window, a), amps[:, 0], "site amplitudes", StateError, None
+        ),
+        "product_wigner": (lambda a: product_wigner(w_l, a), rho_s, "spin state", StateError, None),
+        "product_density": (
+            lambda a: product_density(spin_trace(rho), a), rho_s, "spin state", StateError, None
         ),
     }
 
 
 class TestIntakeRule:
-    """One rule for every state and field array: copy, check shape and finiteness, freeze."""
+    """One rule for every array the package takes in: copy, check shape and finiteness, freeze."""
 
     @pytest.mark.parametrize("cls", list(_intake_cases()))
-    @pytest.mark.parametrize("defect", ["shape", "nan", "inf"])
+    @pytest.mark.parametrize("defect", ["shape", "extra_axis", "nan", "inf"])
     def test_refusal_names_the_array(self, cls, defect):
-        build, good, what, _ = _intake_cases()[cls]
+        # extra_axis holds the right entries in another shape, such as (W, 1)
+        # site amplitudes: refused, not reshaped.
+        build, good, what, error, _ = _intake_cases()[cls]
         bad = np.array(good)
         if defect == "shape":
             bad = bad[:-1]
+        elif defect == "extra_axis":
+            bad = bad[..., None]
         else:
             bad.reshape(-1)[1] = math.nan if defect == "nan" else math.inf
-        message = "must have shape" if defect == "shape" else "has non-finite entries"
-        with pytest.raises(StateError, match=f"^{what} {message}"):
+        message = "has non-finite entries" if defect in ("nan", "inf") else "must have shape"
+        with pytest.raises(error, match=f"^{what} {message}"):
             build(bad)
 
-    @pytest.mark.parametrize("cls", list(_intake_cases()))
+    @pytest.mark.parametrize("cls", [name for name, case in _intake_cases().items() if case[-1] is not None])
     def test_constructor_copies_and_freezes(self, cls):
-        build, good, _, attr = _intake_cases()[cls]
+        build, good, _, _, holder = _intake_cases()[cls]
         base = np.array(good)
-        held = getattr(build(base[:]), attr)
+        held = holder(build(base[:]))
         assert not np.shares_memory(held, base)
         assert not held.flags.writeable and held.flags.c_contiguous
         assert base.flags.writeable

@@ -4,7 +4,8 @@ base config, set to each value of a fixed list, through `validate` and the run.
 
     PYTHONPATH=src python3 tools/config_sweep.py [--sample N] [--seed S]
 
-The base configs are small (21-25 sites) and between them hold every named
+The base configs are small (21-41 sites), each validates clean and runs, and
+between them they hold every named
 state, every `kind` of `dynamics` and `potential`, a polynomial potential, a
 custom Lindblad op and a site-basis walk noise. For each base, the sweep walks
 the keys of `scenario._CONFIG` and `scenario._STATES` that the base reaches
@@ -98,19 +99,19 @@ SIGMA_MINUS = [[[0.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
 
 BASES = {
     "double_delta_static": _base("double_delta", {"n1": -2, "n2": 3, "alpha": [0.0, 1.0]}, {"kind": "none"}),
-    "two_gaussian_static": _base("two_gaussian", {"a_center": 4, "b_center": -4, "sigma": 1.5}),
+    "two_gaussian_static": _base("two_gaussian", {"a_center": 4, "b_center": -4, "sigma": 1.0}),
     "product_gaussian_both": _base(
         "product_gaussian",
-        {"center": 0, "sigma": 1.5, "spin": "plus"},
+        {"center": 0, "sigma": 1.0, "spin": "plus"},
         _continuous({"kind": "linear", "slope": 1.0}, "both", [0.0, 0.5], dt=0.01,
                     noise={"lindblad": [{"op": "sigma_z", "gamma": 0.1}]}),
-        n=12, n_k=52,
+        n=14, n_k=64,
     ),
     "product_gaussian_closed_form": _base(
         "product_gaussian",
-        {"center": 1, "sigma": 2.0, "spin": [0.6, [0.0, 0.8]]},
+        {"center": 1, "sigma": 1.0, "spin": [0.6, [0.0, 0.8]]},
         _continuous({"kind": "linear", "slope": 1.0}, "closed_form", [0.0, 1.6], spin_coupled=True),
-        n=12, n_k=52,
+        n=20, n_k=96,
     ),
     "werner_polynomial_both": _base(
         "werner",
@@ -120,7 +121,7 @@ BASES = {
     ),
     "cat_custom_op_rk4": _base(
         "cat",
-        {"a_site": -1, "b_site": 2, "beta": [0.5, 0.5], "spin1": "plus", "spin2": [0, 1]},
+        {"a_site": -1, "b_site": 2, "beta": [0.5, 0.5], "spin1": "plus", "spin2": "minus"},
         _continuous({"kind": "polynomial", "coeffs": [0, 0.2, 0.05]}, "rk4", [0.0, 0.2], j_hop=0.5, dt=0.01,
                     noise={"lindblad": [{"op": SIGMA_MINUS, "gamma": 0.2}]}),
     ),

@@ -16,7 +16,7 @@
 # state with the unknown param "phase" in cat_projective. It keeps their
 # stdout, stderr and exit status, so the pre-run checks and their error
 # messages are held to the same byte-identity.  Both trees also run
-# `evolve` on seven copies written into the temporary directory: fig3 with the
+# `evolve` on eight copies written into the temporary directory: fig3 with the
 # real spinor [cos 0.9, sin 0.9] (the committed configs use basis or "plus"
 # spins, so most of their cells repeat, and this copy has few repeated values);
 # fig2 with an odd n_k = 193, spin "plus", a sigma_x channel and method
@@ -35,8 +35,11 @@
 # sigma_z-coupled potential, method "both" and times [0, 3.1]; and fig2 with
 # method "both", a sigma_x channel and the times [0, 0, 1.6, 1.6, 4.7], which
 # pins that a time adding no steps keeps the previous density (t = 0 first and
-# a repeated time) and that the channel acts once per snapshot time.  172 files
-# in all.
+# a repeated time) and that the channel acts once per snapshot time; and fig2
+# with method "both" and the custom Lindblad op
+# [[0.3+0.1i, 0.5-0.2i], [-0.4+0.3i, 0.2+0.6i]] at gamma 0.2, the one run whose
+# config numbers reach NoiseSpec's intake (it commutes with the spin-scalar H,
+# so the exact density route and the closed form both run).  183 files in all.
 # BLAS is pinned to one thread, because the density route's last bits depend
 # on the thread count.  Every file, manifests included, is compared byte for
 # byte with `diff -r`.  Exit status: 0 when every file is byte-identical, 1 on
@@ -72,7 +75,7 @@ golden_runs() {  # golden_runs TREE OUT
             --config "$tree/scenarios/$name.json" --out "$out/$cmd-$name" --quiet)
     done
     for name in fig3_spinor fig2_odd_nk_channel fig2_many_both fig3_rk4_sigma_x fig3_lambda_a \
-        fig2_w121 fig2_repeat_times; do
+        fig2_w121 fig2_repeat_times fig2_custom_op; do
         (cd "$tmp" && PYTHONPATH="$tree/src" "$python" -m lattice_wigner.cli evolve \
             --config "$tmp/$name.json" --out "$out/evolve-$name" --quiet)
     done
@@ -124,6 +127,11 @@ doc["dynamics"]["method"] = "both"
 doc["dynamics"]["noise"] = {"lindblad": [{"op": "sigma_x", "gamma": 0.2}]}
 doc["dynamics"]["times"] = [0.0, 0.0, 1.6, 1.6, 4.7]
 (tmp / "fig2_repeat_times.json").write_text(json.dumps(doc))
+doc = json.loads((scenarios / "fig2_bloch.json").read_text())
+doc["dynamics"]["method"] = "both"
+op = [[[0.3, 0.1], [0.5, -0.2]], [[-0.4, 0.3], [0.2, 0.6]]]
+doc["dynamics"]["noise"] = {"lindblad": [{"op": op, "gamma": 0.2}]}
+(tmp / "fig2_custom_op.json").write_text(json.dumps(doc))
 absent = object()
 for name, scenario, path, value in [
     ("window", "fig2_bloch", ["window"], 5),
