@@ -103,6 +103,9 @@ class CatSpec:
         s1, s2 = self.spin_vectors()
         if not abs(np.vdot(s1, s2)) <= NORM_TOL:
             raise DomainError("spin vectors must be orthogonal")
+        # Checked copies the caller cannot change; tuples keep == and hash.
+        object.__setattr__(self, "spin1", tuple(map(complex, s1)))
+        object.__setattr__(self, "spin2", tuple(map(complex, s2)))
 
     def spin_vectors(self):
         return _spin_vector(self.spin1), _spin_vector(self.spin2)

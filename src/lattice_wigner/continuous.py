@@ -142,6 +142,10 @@ class HamiltonianSpec:
     potential: Optional[Potential] = None
     spin_coupled: bool = False
 
+    def __post_init__(self):
+        if not math.isfinite(self.j_hop):
+            raise DomainError(f"j_hop must be finite, got {self.j_hop!r}")
+
     @property
     def spin_signs(self) -> tuple:
         """(s_0, s_1): spin a feels s_a V, so the potential is V (x) diag(s)."""
@@ -291,7 +295,8 @@ def _step_plan(
     Checks the snapshot times (non-empty, >= 0, ascending; the last, t_end, is
     where the run ends); then that the step dt (None: the default rule) times
     the norm estimate (plus 2 gamma_total with noise) is within the stability
-    cap and t_end / dt within _MAX_STEPS (StepSizeError; a NaN estimate fails);
+    cap and t_end / dt within _MAX_STEPS (StepSizeError; a NaN estimate fails,
+    and a non-finite one leaves no default step);
     then refuses an initial state already past eps_boundary.  Returns (times,
     steps, leak): steps[i] = (n_steps, hstep) is the fixed step grid up to
     times[i], and leak is the initial boundary population.
@@ -307,14 +312,18 @@ def _step_plan(
     norm_est = h.norm_estimate(rho0.window)
     if noise is not None:
         norm_est += 2.0 * noise.gamma_total
-    if dt is None:
+    default = dt is None
+    if default:
+        if not math.isfinite(norm_est):
+            raise StepSizeError(f"the norm estimate is not finite ({norm_est}), so there is no default dt")
         dt = _DEFAULT_STEP_FRACTION / norm_est if norm_est > 0.0 else t_end or 1.0
     if dt <= 0.0:
         raise StepSizeError(f"dt must be positive, got {dt}")
     if not dt * norm_est <= _STABILITY_CAP:
         raise StepSizeError(f"dt={dt} times norm estimate {norm_est:.3g} exceeds stability cap {_STABILITY_CAP}")
     if t_end / dt > _MAX_STEPS:
-        raise StepSizeError(f"dt={dt} makes {t_end / dt:.3g} steps up to t={t_end}, more than {_MAX_STEPS}")
+        step = f"default dt={dt} ({_DEFAULT_STEP_FRACTION} / norm estimate {norm_est:.3g})" if default else f"dt={dt}"
+        raise StepSizeError(f"{step} makes {t_end / dt:.3g} steps up to t={t_end}, more than {_MAX_STEPS}")
     leak = rho0.boundary_population()
     if leak > eps_boundary:
         raise BoundaryLeakError(

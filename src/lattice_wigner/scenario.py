@@ -486,7 +486,10 @@ def _preflight(cfg: ScenarioConfig) -> tuple:
                 _attempt(diags, where, band_reach, w0, h.j_hop, lam_a, dyn.times)
         if potential is not None and rho0 is not None and (dyn.dt is not None or dyn.method != "closed_form"):
             eps = math.inf if dyn.method == "closed_form" else cfg.tolerances.eps_boundary  # closed_form: dt alone
-            where = {StepSizeError: "dynamics.dt", BoundaryLeakError: "state, tolerances.eps_boundary"}
+            # Without dt the step is the default one, from the norm estimate: name its inputs.
+            estimate = "dynamics.hamiltonian, window.a" + (", dynamics.noise" if dyn.noise is not None else "")
+            step = "dynamics.dt" if dyn.dt is not None else estimate
+            where = {StepSizeError: step, BoundaryLeakError: "state, tolerances.eps_boundary"}
             _attempt(diags, where, _step_plan, rho0, h, dyn.noise, dyn.times, dyn.dt, eps)
     elif isinstance(dyn, WalkDynamics) and dyn.mode == "walk" and rho0 is not None:
         if dyn.steps:

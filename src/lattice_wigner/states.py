@@ -75,7 +75,7 @@ def _checked_operator(matrix, dim: int, what: str = "matrix") -> np.ndarray:
         raise StateError(f"{what} deviates from Hermiticity by {herm:.3e}")
     tr = complex(np.trace(mat))
     if abs(tr - 1.0) > TRACE_TOL:
-        raise StateError(f"trace {tr!r} deviates from 1 beyond {TRACE_TOL}")
+        raise StateError(f"{what} trace {tr!r} deviates from 1 beyond {TRACE_TOL}")
     return mat
 
 
@@ -238,7 +238,7 @@ def _rotation_map(u) -> np.ndarray:
     u = _frozen(u, (2, 2), "spin rotation", DomainError)
     defect = np.max(np.abs(u @ u.conj().T - ID2))
     if defect > UNITARITY_TOL:
-        raise DomainError(f"matrix deviates from unitarity by {defect:.3e}")
+        raise DomainError(f"spin rotation deviates from unitarity by {defect:.3e}")
     return np.kron(u, u.conj())
 
 

@@ -322,6 +322,18 @@ class TestCat:
         with pytest.raises(DomainError):
             CatSpec(0, 1, 1.0, (1.0, 0.0), (1 / math.sqrt(2), 1 / math.sqrt(2)))
 
+    def test_spins_are_held_copies(self):
+        # Writing the caller's arrays after construction changes neither spin,
+        # so the two stay orthogonal; the spec stays comparable and hashable.
+        s1, s2 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+        spec = CatSpec(-1, 1, 1.0, s1, s2)
+        s1[:] = [0.0, 1.0]
+        s2[:] = [math.nan, 0.0]
+        cat = cat_state(spec, LatticeWindow(-3, 3))
+        want = cat_state(CatSpec(-1, 1, 1.0), LatticeWindow(-3, 3))
+        assert np.array_equal(cat.amplitudes, want.amplitudes)
+        assert spec == CatSpec(-1, 1, 1.0) and hash(spec) == hash(CatSpec(-1, 1, 1.0))
+
 
 class TestRegistry:
     def test_known_names(self, rng):

@@ -388,6 +388,17 @@ def _lambda_a(a, slope):
     return edit
 
 
+def _default_step(**hamiltonian):
+    """The RK4 route without dt or noise: its step is 0.05 over the generator's norm estimate."""
+    def edit(doc):
+        dyn = doc["dynamics"]
+        del dyn["dt"], dyn["noise"]
+        dyn["method"] = "rk4"
+        dyn["hamiltonian"].update(hamiltonian)
+
+    return edit
+
+
 class TestNonFiniteConfig:
     @pytest.mark.parametrize(
         "edit, field",
@@ -469,6 +480,15 @@ class TestNonFiniteConfig:
             (_set(("state",), {"name": "double_delta", "params": {"n1": -2, "n2": 3, "alpha": 1e308}}), "alpha"),
             (_set(("state",), {"name": "double_delta", "params": {"n1": -2, "n2": 3, "alpha": [1e200, 0]}}), "alpha"),
             (_set(("state",), {"name": "cat", "params": {"a_site": -2, "b_site": 3, "beta": 1e200}}), "beta"),
+            # Without dt the step comes from the norm estimate: the refusal names its inputs, not dt.
+            (
+                _default_step(j_hop=1e308),
+                "dynamics.hamiltonian, window.a: the norm estimate is not finite (inf), so there is no default dt",
+            ),
+            (
+                _default_step(potential={"kind": "polynomial", "coeffs": [0, 0, 1e300]}),
+                "dynamics.hamiltonian, window.a: default dt=1.25e-304 (0.05 / norm estimate 4e+302) makes",
+            ),
         ],
         ids=[
             "times_inf", "j_hop_nan", "j_hop_overflow", "slope_inf", "dt_minus_inf",
@@ -482,6 +502,7 @@ class TestNonFiniteConfig:
             "spacing_overflow", "slope_overflow", "directory_empty",
             "lambda_a_zero", "lambda_a_zero_small_slope", "lambda_a_subnormal",
             "alpha_square_overflow", "alpha_complex_square_overflow", "beta_square_overflow",
+            "default_step_norm_inf", "default_step_too_many",
         ],
     )
     def test_rejected_with_field_name(self, tmp_path, capsys, edit, field):

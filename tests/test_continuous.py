@@ -108,10 +108,20 @@ class TestHamiltonianSpec:
         for order in range(degree + 1, degree + 3):
             assert not np.any(pot.derivative_values(order, x))
 
-    def test_nan_norm_estimate_fails_the_stability_cap(self):
+    @pytest.mark.parametrize("j_hop", [math.nan, math.inf, -math.inf])
+    def test_non_finite_j_hop_refused(self, j_hop):
+        # Refused when built, before a step rule or the Wigner generator sees it.
+        with pytest.raises(DomainError, match=f"^j_hop must be finite, got {j_hop!r}$"):
+            HamiltonianSpec(j_hop)
+
+    @pytest.mark.parametrize(
+        "dt, message", [(0.1, "stability cap"), (None, "^the norm estimate is not finite")], ids=["dt", "default"]
+    )
+    def test_infinite_norm_estimate_refused(self, dt, message):
+        # 2 |J| overflows to inf: no step is stable, and there is no default step.
         rho0 = DensityOperator(LatticeWindow(-3, 3), np.eye(14) / 14)
-        with pytest.raises(StepSizeError, match="stability cap"):
-            _step_plan(rho0, HamiltonianSpec(math.nan), None, [1.0], None, 1.0)
+        with pytest.raises(StepSizeError, match=message):
+            _step_plan(rho0, HamiltonianSpec(1e308), None, [1.0], dt, 1.0)
 
     def test_dense_matrix_is_hermitian(self):
         window = LatticeWindow(-3, 3)

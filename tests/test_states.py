@@ -270,23 +270,39 @@ def _intake_cases(window=LatticeWindow(-2, 2), grid=KGrid(12)):
     }
 
 
+# (defect, holder): the intake defects for every holder, then the operator
+# checks after intake for the holders that make them (twice a valid array
+# has trace 2 and is not unitary).
+_DEFECTS = [(defect, cls) for defect in ("shape", "extra_axis", "nan", "inf") for cls in _intake_cases()] + [
+    ("trace", cls) for cls in ("DensityOperator", "LatticeDensity", "product_wigner", "product_density")
+] + [("unitarity", "apply_spin_rotation")]
+
+
 class TestIntakeRule:
     """One rule for every array the package takes in: copy, check shape and finiteness, freeze."""
 
-    @pytest.mark.parametrize("cls", list(_intake_cases()))
-    @pytest.mark.parametrize("defect", ["shape", "extra_axis", "nan", "inf"])
+    @pytest.mark.parametrize("defect, cls", _DEFECTS, ids=[f"{defect}-{cls}" for defect, cls in _DEFECTS])
     def test_refusal_names_the_array(self, cls, defect):
         # extra_axis holds the right entries in another shape, such as (W, 1)
         # site amplitudes: refused, not reshaped.
         build, good, what, error, _ = _intake_cases()[cls]
         bad = np.array(good)
+        message = {
+            "shape": "must have shape",
+            "extra_axis": "must have shape",
+            "nan": "has non-finite entries",
+            "inf": "has non-finite entries",
+            "trace": r"trace \(2\+0j\) deviates from 1",
+            "unitarity": "deviates from unitarity",
+        }[defect]
         if defect == "shape":
             bad = bad[:-1]
         elif defect == "extra_axis":
             bad = bad[..., None]
+        elif defect in ("trace", "unitarity"):
+            bad = 2 * bad
         else:
             bad.reshape(-1)[1] = math.nan if defect == "nan" else math.inf
-        message = "has non-finite entries" if defect in ("nan", "inf") else "must have shape"
         with pytest.raises(error, match=f"^{what} {message}"):
             build(bad)
 
