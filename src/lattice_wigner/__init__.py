@@ -18,6 +18,7 @@ from .errors import (
     InvariantViolation,
     LatticeWignerError,
     StateError,
+    StepCountError,
     StepSizeError,
     WindowError,
 )

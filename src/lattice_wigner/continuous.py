@@ -40,6 +40,7 @@ import numpy as np
 from .errors import (
     BoundaryLeakError,
     DomainError,
+    StepCountError,
     StepSizeError,
     WindowError,
 )
@@ -295,8 +296,8 @@ def _step_plan(
     Checks the snapshot times (non-empty, >= 0, ascending; the last, t_end, is
     where the run ends); then that the step dt (None: the default rule) times
     the norm estimate (plus 2 gamma_total with noise) is within the stability
-    cap and t_end / dt within _MAX_STEPS (StepSizeError; a NaN estimate fails,
-    and a non-finite one leaves no default step);
+    cap (StepSizeError; a NaN estimate fails, and a non-finite one leaves no
+    default step) and t_end / dt within _MAX_STEPS (StepCountError);
     then refuses an initial state already past eps_boundary.  Returns (times,
     steps, leak): steps[i] = (n_steps, hstep) is the fixed step grid up to
     times[i], and leak is the initial boundary population.
@@ -323,7 +324,7 @@ def _step_plan(
         raise StepSizeError(f"dt={dt} times norm estimate {norm_est:.3g} exceeds stability cap {_STABILITY_CAP}")
     if t_end / dt > _MAX_STEPS:
         step = f"default dt={dt} ({_DEFAULT_STEP_FRACTION} / norm estimate {norm_est:.3g})" if default else f"dt={dt}"
-        raise StepSizeError(f"{step} makes {t_end / dt:.3g} steps up to t={t_end}, more than {_MAX_STEPS}")
+        raise StepCountError(f"{step} makes {t_end / dt:.3g} steps up to t={t_end}, more than {_MAX_STEPS}")
     leak = rho0.boundary_population()
     if leak > eps_boundary:
         raise BoundaryLeakError(

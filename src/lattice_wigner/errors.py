@@ -33,6 +33,10 @@ class StepSizeError(LatticeWignerError, ValueError):
     """An integrator step size violates the stability heuristic."""
 
 
+class StepCountError(StepSizeError):
+    """The step grid up to the last snapshot time holds more steps than the cap."""
+
+
 class ConfigError(LatticeWignerError, ValueError):
     """A scenario configuration is malformed or internally inconsistent."""
 

@@ -43,7 +43,7 @@ from .continuous import (
 )
 from .errors import (
     BoundaryLeakError, ConfigError, ConvergenceError, DomainError, InvariantViolation,
-    LatticeWignerError, StepSizeError, WindowError,
+    LatticeWignerError, StepCountError, StepSizeError, WindowError,
 )
 from .grids import KGrid
 from .negativity import matrix_negativity
@@ -489,7 +489,9 @@ def _preflight(cfg: ScenarioConfig) -> tuple:
             # Without dt the step is the default one, from the norm estimate: name its inputs.
             estimate = "dynamics.hamiltonian, window.a" + (", dynamics.noise" if dyn.noise is not None else "")
             step = "dynamics.dt" if dyn.dt is not None else estimate
-            where = {StepSizeError: step, BoundaryLeakError: "state, tolerances.eps_boundary"}
+            # The last time sets the step count as much as the step does.
+            where = {StepSizeError: step, StepCountError: f"dynamics.times, {step}",
+                     BoundaryLeakError: "state, tolerances.eps_boundary"}
             _attempt(diags, where, _step_plan, rho0, h, dyn.noise, dyn.times, dyn.dt, eps)
     elif isinstance(dyn, WalkDynamics) and dyn.mode == "walk" and rho0 is not None:
         if dyn.steps:

@@ -10,7 +10,7 @@ import pytest
 from lattice_wigner import KGrid, LatticeWindow, TwoGaussianSpec, WignerMatrix, two_gaussian_state
 from lattice_wigner.cli import main
 from lattice_wigner import wigner_of_pure
-from lattice_wigner.output import _BLOCK_ROWS, SPIN_HEADER, spin_columns, write_csv
+from lattice_wigner.output import _BLOCK_ROWS, SPIN_HEADER, _float_records, spin_columns, write_csv
 from lattice_wigner.scenario import Tolerances, _grid_table, parse_config
 
 REPO = Path(__file__).resolve().parents[1]
@@ -169,6 +169,98 @@ class TestWriterOracle:
     def test_header_only(self, tmp_path):
         self.assert_same_bytes(tmp_path, ("n", "x"), [np.array([], dtype=int), np.array([])])
 
+    def test_every_value_distinct(self, tmp_path):
+        # No value repeats, within a block or across the 3.5 blocks, so every
+        # cell goes through the float kernel once.
+        rows = 3 * _BLOCK_ROWS + _BLOCK_ROWS // 2
+        rng = np.random.default_rng(13)
+        bits = np.unique(rng.integers(0, 2**64, size=9 * rows + 100, dtype=np.uint64))[: 9 * rows]
+        floats = rng.permutation(bits).view(np.float64).reshape(9, rows)
+        header = ("n", "x") + SPIN_HEADER
+        self.assert_same_bytes(tmp_path, header, [np.arange(rows), *floats])
+
+    def test_memory_bounded_by_the_block(self, tmp_path):
+        # Ten times the rows must not cost more memory: each block of rows is
+        # formatted, written and dropped before the next.
+        def peak(rows):
+            columns = [np.arange(rows), *np.random.default_rng(rows).normal(size=(10, rows))]
+            tracemalloc.start()
+            try:
+                write_csv(tmp_path / f"{rows}.csv", [f"c{i}" for i in range(11)], columns)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(10_000), peak(100_000)
+        assert large < 1.2 * small, (small, large)
+
+
+def _float_bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
+
+
+def _around(value: float, ulps: int) -> np.ndarray:
+    """The doubles within ulps units in the last place of value, value included."""
+    return _float_bits(value) + np.arange(-ulps, ulps + 1).astype(np.uint64)
+
+
+class TestFloatKernel:
+    """The float kernel's bytes against repr(), value by value."""
+
+    @staticmethod
+    def assert_repr(bits):
+        bits = np.asarray(bits, dtype=np.uint64)
+        lines = np.empty((len(bits), 25), dtype=np.uint8)
+        lines[:, 24] = ord("\n")
+        for start in range(0, len(bits), 1 << 16):
+            lines[start : start + (1 << 16), :24] = _float_records(bits[start : start + (1 << 16)])
+        got = lines.reshape(-1)
+        got = got[got != 0].tobytes()
+        want = ("\n".join(map(repr, bits.view(np.float64).tolist())) + "\n").encode()
+        if got != want:
+            pairs = zip(got.split(b"\n"), want.split(b"\n"), bits.tolist())
+            got_line, want_line, pattern = next((g, w, b) for g, w, b in pairs if g != w)
+            pytest.fail(f"bits {pattern:#018x}: kernel {got_line!r}, repr {want_line!r}")
+
+    def test_powers_of_two(self):
+        powers = np.ldexp(1.0, np.arange(-1074, 1024))
+        self.assert_repr(_float_bits(np.concatenate([powers, -powers])))
+
+    def test_subnormals(self):
+        low = np.arange(1, 2**16 + 1, dtype=np.uint64)
+        high = np.arange(2**52 - 2**12, 2**52, dtype=np.uint64)
+        self.assert_repr(np.concatenate([low, high]))
+
+    def test_first_and_last_significand_of_each_exponent(self):
+        exponents = np.arange(1, 2047, dtype=np.uint64) << np.uint64(52)
+        self.assert_repr(np.concatenate([exponents, exponents | np.uint64(2**52 - 1)]))
+
+    def test_integers_near_2_53(self):
+        self.assert_repr(_float_bits(np.arange(2**53 - 10**5, 2**53 + 10**5 + 1).astype(np.float64)))
+
+    def test_ulps_around_notation_and_exactness_limits(self):
+        # 1e-5 / 1e-4 and 1e15 / 1e16 bound fixed notation; 1e22 is the last
+        # power of ten a double holds exactly, 1e23 the first it does not.
+        self.assert_repr(np.concatenate([_around(v, 2000) for v in (1e-5, 1e-4, 1e15, 1e16, 1e22, 1e23)]))
+
+    def test_short_decimals(self):
+        rng = np.random.default_rng(17)
+        values = [
+            float(f"{x * 10.0**exponent:.{places}e}")
+            for exponent in range(-6, 19)
+            for places in range(18)
+            for x in rng.uniform(1, 10, size=8)
+        ]
+        self.assert_repr(_float_bits(values + [-v for v in values]))
+
+    def test_random_bit_patterns(self):
+        self.assert_repr(np.random.default_rng(19).integers(0, 2**64, size=10**6, dtype=np.uint64))
+
+    def test_zeros_and_non_finite(self):
+        # repr() prints every NaN payload, of either sign, as nan.
+        nans = [0x7FF0000000000001, 0x7FF8000000000000, 0x7FFFFFFFFFFFFFFF, 0xFFF8000000000000, 0xFFF0000000000001]
+        self.assert_repr([0, 1 << 63, 0x7FF0000000000000, 0xFFF0000000000000, *nans])
+
 
 class TestValidateCommand:
     def test_clean_config(self, tmp_path, capsys):
@@ -309,6 +401,29 @@ class TestExitCodes:
         assert main([command, "--config", cfg, "--out", str(out), "--quiet"]) == 2
         assert capsys.readouterr().err == f"config error: {'; '.join(errors)}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "dt, names",
+        [
+            (0.01, "dynamics.times, dynamics.dt"),
+            (None, "dynamics.times, dynamics.hamiltonian, window.a"),
+            (0.0, "dynamics.dt"),
+            (-0.01, "dynamics.dt"),
+        ],
+        ids=["dt", "default_dt", "dt_zero", "dt_negative"],
+    )
+    def test_step_refusal_names_its_inputs(self, tmp_path, capsys, dt, names):
+        # The step count up to the last time is set by the time as much as by
+        # the step; a step that is not positive is the step's fault alone.
+        doc = json.loads((SCENARIOS / "fig2_bloch.json").read_text())
+        doc["dynamics"].update(method="rk4", times=[0.0, 1e5])
+        if dt is not None:
+            doc["dynamics"]["dt"] = dt
+        cfg = write_config(tmp_path, doc)
+        assert main(["validate", "--config", cfg]) == 2
+        assert f"error: {names}: " in capsys.readouterr().out
+        assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "out"), "--quiet"]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {names}: ")
 
     def test_no_output_directory(self, tmp_path):
         doc = base_config()

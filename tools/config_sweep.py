@@ -11,9 +11,11 @@ custom Lindblad op and a site-basis walk noise. For each base, the sweep walks
 the keys of `scenario._CONFIG` and `scenario._STATES` that the base reaches
 (its blocks, kinds, state params and Lindblad entries). It sets each key to
 each of VALUES, to nothing (the key removed) and to the values on each side of
-its documented cap; a `kind` also takes every kind, and `state.name` every
-state name. Each mutated config runs in process, `validate` first and then the command its `dynamics.kind`
-calls for (`state`, `evolve` or `walk`), and must keep four rules:
+its documented cap (`times` also to a last time past the density route's step
+cap); a `kind` also takes every kind, and `state.name` every state name. Each
+mutated config runs in process, `validate` first and then the command its
+`dynamics.kind` calls for (`state`, `evolve` or `walk`), and must keep four
+rules:
 
   - no command exits 1 (a traceback);
   - no command emits a RuntimeWarning;
@@ -68,8 +70,8 @@ def _cap_values(key: str) -> list:
     """The values on each side of a key's documented cap."""
     if key == "steps":
         return [_MAX_STEPS - 1, _MAX_STEPS + 1]
-    if key == "times":
-        return [[1e-3 * i for i in range(n)] for n in (_MAX_SNAPSHOTS - 1, _MAX_SNAPSHOTS + 1)]
+    if key == "times":  # the snapshot cap, then a last time past the density route's step cap
+        return [[1e-3 * i for i in range(n)] for n in (_MAX_SNAPSHOTS - 1, _MAX_SNAPSHOTS + 1)] + [[0.0, 1e5]]
     if key == "snapshot_steps":
         return [list(range(n)) for n in (_MAX_SNAPSHOTS - 1, _MAX_SNAPSHOTS + 1)]
     return []
