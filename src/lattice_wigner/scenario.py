@@ -363,32 +363,6 @@ _WALK = _Block({
     "noise": (_Block({"p": (_as_number, REQUIRED), "basis": (_same, "spin")}, ProjectiveNoiseSpec), None),
     "snapshot_steps": (_as_snapshot_steps, None),
 }, _walk)
-#: The whole config; build_state reads the params of the named state from
-#: _STATES, so that validate reports a bad param as a diagnostic.
-_CONFIG = {
-    "window": (_Block({"n_min": (_as_int, REQUIRED), "n_max": (_as_int, REQUIRED), "a": (_as_number, 1.0)},
-                      LatticeWindow), REQUIRED),
-    "kgrid": (_Block({"n_k": (_as_grid, REQUIRED)}, lambda n_k: n_k), REQUIRED),
-    # (name, params): params a copy, so that no config holds the default {} itself
-    "state": (_Block({"name": (_same, REQUIRED), "params": (_object, {})}, lambda name, params: (name, dict(params))),
-              REQUIRED),
-    "dynamics": (_Kinds("", {"none": _NO_KIND, "continuous": _CONTINUOUS, "walk": _WALK}), None),
-    "outputs": (_Block({"directory": (_must(lambda v: isinstance(v, str) and v != "", "a non-empty string"), None)},
-                       lambda directory: directory), None),
-    "tolerances": (_Block({"eps_boundary": (_as_nonnegative, DEFAULT_EPS_BOUNDARY),
-                           "two_path": (_as_nonnegative, 1e-10)}, Tolerances), {}),
-}
-
-
-def parse_config(doc: dict) -> ScenarioConfig:
-    v = _fields(doc, "config", _CONFIG)
-    return ScenarioConfig(v["window"], v["kgrid"], *v["state"], v["dynamics"], v["outputs"], v["tolerances"], doc)
-
-
-# ---------------------------------------------------------------------------
-# Named states
-# ---------------------------------------------------------------------------
-
 # Each named state: its builder, called with the window and the converted
 # params by key, and the params' table.
 _STATES = {
@@ -419,7 +393,32 @@ _STATES = {
         },
     ),
 }
+#: The whole config; build_state reads the params of the named state from
+#: _STATES, so that validate reports a bad param as a diagnostic.
+_CONFIG = {
+    "window": (_Block({"n_min": (_as_int, REQUIRED), "n_max": (_as_int, REQUIRED), "a": (_as_number, 1.0)},
+                      LatticeWindow), REQUIRED),
+    "kgrid": (_Block({"n_k": (_as_grid, REQUIRED)}, lambda n_k: n_k), REQUIRED),
+    # (name, params): params a copy, so that no config holds the default {} itself
+    "state": (_Block({"name": (_must(lambda v: isinstance(v, str) and v in _STATES, "one of " + ", ".join(_STATES)),
+                                REQUIRED),
+                       "params": (_object, {})}, lambda name, params: (name, dict(params))), REQUIRED),
+    "dynamics": (_Kinds("", {"none": _NO_KIND, "continuous": _CONTINUOUS, "walk": _WALK}), None),
+    "outputs": (_Block({"directory": (_must(lambda v: isinstance(v, str) and v != "", "a non-empty string"), None)},
+                       lambda directory: directory), None),
+    "tolerances": (_Block({"eps_boundary": (_as_nonnegative, DEFAULT_EPS_BOUNDARY),
+                           "two_path": (_as_nonnegative, 1e-10)}, Tolerances), {}),
+}
 
+
+def parse_config(doc: dict) -> ScenarioConfig:
+    v = _fields(doc, "config", _CONFIG)
+    return ScenarioConfig(v["window"], v["kgrid"], *v["state"], v["dynamics"], v["outputs"], v["tolerances"], doc)
+
+
+# ---------------------------------------------------------------------------
+# Named states
+# ---------------------------------------------------------------------------
 
 def build_state(name: str, params: dict, window: LatticeWindow):
     """Build a named state from its JSON params; returns a PureState or a DensityOperator.

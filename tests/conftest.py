@@ -9,7 +9,9 @@ formulas of rewritten kernels, kept verbatim so the rewrites can be checked
 bit for bit.
 """
 
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +31,13 @@ from lattice_wigner.continuous import _smooth_length, band_reach
 from lattice_wigner.grids import TWO_PI
 from lattice_wigner.negativity import HERMITICITY_TOL
 from lattice_wigner.wigner import INV_TWO_PI, _pair_map
+
+# tools/config_sweep.py: its verdict is the one check that validate and the run agree.
+_spec = importlib.util.spec_from_file_location(
+    "config_sweep", Path(__file__).resolve().parents[1] / "tools" / "config_sweep.py"
+)
+config_sweep = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(config_sweep)
 
 
 def naive_wigner_values(matrix, window, kgrid):

@@ -1,12 +1,12 @@
 import json
 import math
 import tracemalloc
-import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from conftest import config_sweep
 from lattice_wigner import KGrid, LatticeWindow, TwoGaussianSpec, WignerMatrix, two_gaussian_state
 from lattice_wigner.cli import main
 from lattice_wigner import wigner_of_pure
@@ -15,6 +15,15 @@ from lattice_wigner.scenario import Tolerances, _grid_table, parse_config
 
 REPO = Path(__file__).resolve().parents[1]
 SCENARIOS = REPO / "scenarios"
+OK = (0, "ok: no diagnostics\n", 0, "")  # a verdict: validate and the run both pass, saying nothing else
+verdict = config_sweep.verdict  # validate and the run on one config, held to the same rules as the sweep's
+
+
+def refused(tmp_path, doc):
+    """What validate prints of a config that it and the run both refuse (see verdict)."""
+    status, said, _, _ = verdict(doc, tmp_path)
+    assert status == 2, said
+    return said
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -268,29 +277,16 @@ class TestValidateCommand:
         assert main(["validate", "--config", cfg]) == 0
         assert "no diagnostics" in capsys.readouterr().out
 
-    def test_grid_too_coarse_names_bound(self, tmp_path, capsys):
-        doc = base_config()
-        doc["kgrid"] = {"n_k": 16}
-        cfg = write_config(tmp_path, doc)
-        assert main(["validate", "--config", cfg]) == 2
-        out = capsys.readouterr().out
-        assert "2W+1" in out and "43" in out
+    def test_grid_too_coarse_names_bound(self, tmp_path):
+        said = refused(tmp_path, base_config(kgrid={"n_k": 16}))
+        assert "2W+1" in said and "43" in said
 
-    def test_gaussian_outside_window_is_an_error(self, tmp_path, capsys):
-        doc = base_config()
-        doc["state"] = {
-            "name": "product_gaussian",
-            "params": {"center": 8, "sigma": 2.0, "spin": "up"},
-        }
-        cfg = write_config(tmp_path, doc)
-        assert main(["validate", "--config", cfg]) == 2
-        assert "error: state: window [-10, 10] does not contain center 8" in capsys.readouterr().out
-        assert main(["state", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    def test_gaussian_outside_window_is_an_error(self, tmp_path):
+        doc = base_config(state={"name": "product_gaussian", "params": {"center": 8, "sigma": 2.0, "spin": "up"}})
+        assert "error: state: window [-10, 10] does not contain center 8" in refused(tmp_path, doc)
 
-    def test_malformed_json(self, tmp_path, capsys):
-        path = tmp_path / "broken.json"
-        path.write_text("{not json")
-        assert main(["validate", "--config", str(path)]) == 2
+    def test_malformed_json(self, tmp_path):
+        refused(tmp_path, b"{not json")
 
     @pytest.mark.parametrize(
         "raw",
@@ -302,22 +298,17 @@ class TestValidateCommand:
         ids=["not_utf8", "deep_nesting", "long_integer"],
     )
     @pytest.mark.parametrize("command", ["validate", "state"])
-    def test_unreadable_json_exits_2(self, tmp_path, capsys, raw, command):
+    def test_unreadable_json_exits_2(self, tmp_path, raw, command):
         # Each raised a traceback (exit 1) from json.load: UnicodeDecodeError,
-        # RecursionError and the integer digit limit's ValueError.
-        path = tmp_path / "broken.json"
-        path.write_bytes(raw)
-        assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
-        (line,) = capsys.readouterr().err.splitlines()
-        assert line.startswith(f"config error: config {path} is not valid JSON: ")
+        # RecursionError and the integer digit limit's ValueError. Each command
+        # id runs both validate and state, as every verdict does.
+        (line,) = refused(tmp_path, raw).splitlines()
+        assert line.startswith(f"config error: config {tmp_path / 'config.json'} is not valid JSON: ")
 
-    def test_missing_field(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, {"window": {"n_min": 0, "n_max": 4}})
-        assert main(["validate", "--config", str(cfg)]) == 2
-        err = capsys.readouterr().err
-        assert "kgrid" in err
+    def test_missing_field(self, tmp_path):
+        assert "kgrid" in refused(tmp_path, {"window": {"n_min": 0, "n_max": 4}})
 
-    def test_closed_form_needs_linear(self, tmp_path, capsys):
+    def test_closed_form_needs_linear(self, tmp_path):
         doc = base_config()
         doc["dynamics"] = {
             "kind": "continuous",
@@ -325,9 +316,7 @@ class TestValidateCommand:
             "method": "closed_form",
             "times": [0.0, 1.0],
         }
-        cfg = write_config(tmp_path, doc)
-        assert main(["validate", "--config", cfg]) == 2
-        assert "linear" in capsys.readouterr().out
+        assert "linear" in refused(tmp_path, doc)
 
 
 class TestExitCodes:
@@ -339,12 +328,20 @@ class TestExitCodes:
             "method": "closed_form",
             "times": [1.0, 0.5],
         }
-        cfg = write_config(tmp_path, doc)
-        assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        refused(tmp_path, doc)
 
-    def test_command_dynamics_mismatch(self, tmp_path):
+    def test_command_dynamics_mismatch(self, tmp_path, capsys):
+        # validate never sees the command, so the run alone refuses it, writing nothing.
         cfg = write_config(tmp_path, base_config())
         assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == "config error: evolve requires dynamics.kind == 'continuous'\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_walk_dynamics_mismatch(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, base_config())
+        assert main(["walk", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == "config error: walk requires dynamics.kind == 'walk'\n"
+        assert not (tmp_path / "o").exists()
 
     def test_boundary_leak_exit_code(self, tmp_path):
         # The state starts on the wall at n = 3: refused before the first step.
@@ -354,11 +351,9 @@ class TestExitCodes:
             "state": {"name": "double_delta", "params": {"n1": 2, "n2": 3, "alpha": 1.0}},
             "dynamics": {"kind": "walk", "theta": 0.0, "steps": 4, "mode": "walk"},
         }
-        cfg = write_config(tmp_path, doc)
-        assert main(["walk", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-        assert not (tmp_path / "o").exists()
+        refused(tmp_path, doc)
 
-    def test_walk_reaching_the_wall_exits_3(self, tmp_path, capsys):
+    def test_walk_reaching_the_wall_exits_3(self, tmp_path):
         # theta = 0 moves spin 0 left and spin 1 right by one site a step: from
         # n = -1 and 1 the walls at -3 and 3 fill after two steps, so the third
         # step is refused while evolving, after snapshots 0 to 2 are written.
@@ -368,39 +363,30 @@ class TestExitCodes:
             "state": {"name": "double_delta", "params": {"n1": -1, "n2": 1, "alpha": 1.0}},
             "dynamics": {"kind": "walk", "theta": 0.0, "steps": 4, "mode": "walk"},
         }
-        cfg = write_config(tmp_path, doc)
-        assert main(["validate", "--config", cfg]) == 0
-        out = tmp_path / "o"
-        assert main(["walk", "--config", cfg, "--out", str(out), "--quiet"]) == 3
-        assert "boundary sites hold population" in capsys.readouterr().err
-        assert sorted(p.name for p in out.glob("snapshot_*.csv")) == [f"snapshot_00{i}.csv" for i in range(3)]
+        status, _, run_status, run_said = verdict(doc, tmp_path)
+        assert (status, run_status) == (0, 3)
+        assert "boundary sites hold population" in run_said
+        snapshots = sorted(p.name for p in (tmp_path / "out").glob("snapshot_*.csv"))
+        assert snapshots == [f"snapshot_00{i}.csv" for i in range(3)]
 
     @pytest.mark.parametrize(
-        "command, scenario, edit",
+        "scenario, edit",
         [
-            ("walk", "walk_hadamard", lambda doc: doc.update(window={"n_min": 0, "n_max": 1})),
-            ("walk", "walk_hadamard", lambda doc: doc["state"]["params"].update(n1=16)),
+            ("walk_hadamard", lambda doc: doc.update(window={"n_min": 0, "n_max": 1})),
+            ("walk_hadamard", lambda doc: doc["state"]["params"].update(n1=16)),
             (
-                "evolve",
                 "fig2_bloch",
                 lambda doc: (doc["dynamics"].update(method="rk4"), doc["tolerances"].update(eps_boundary=1e-300)),
             ),
         ],
         ids=["walk_two_sites", "walk_state_on_wall", "density_initial_leak"],
     )
-    def test_pre_step_refusal_is_validated(self, tmp_path, capsys, command, scenario, edit):
+    def test_pre_step_refusal_is_validated(self, tmp_path, scenario, edit):
         # validate reports the refusal with the run's message, and the refused
-        # run leaves no output directory behind.
+        # run leaves no output directory behind: the verdict's rules.
         doc = json.loads((SCENARIOS / f"{scenario}.json").read_text())
         edit(doc)
-        cfg = write_config(tmp_path, doc)
-        assert main(["validate", "--config", cfg]) == 2
-        lines = capsys.readouterr().out.splitlines()
-        errors = [line[len("error: "):] for line in lines if line.startswith("error: ")]
-        out = tmp_path / "out"
-        assert main([command, "--config", cfg, "--out", str(out), "--quiet"]) == 2
-        assert capsys.readouterr().err == f"config error: {'; '.join(errors)}\n"
-        assert not out.exists()
+        refused(tmp_path, doc)
 
     @pytest.mark.parametrize(
         "dt, names",
@@ -412,18 +398,14 @@ class TestExitCodes:
         ],
         ids=["dt", "default_dt", "dt_zero", "dt_negative"],
     )
-    def test_step_refusal_names_its_inputs(self, tmp_path, capsys, dt, names):
+    def test_step_refusal_names_its_inputs(self, tmp_path, dt, names):
         # The step count up to the last time is set by the time as much as by
         # the step; a step that is not positive is the step's fault alone.
         doc = json.loads((SCENARIOS / "fig2_bloch.json").read_text())
         doc["dynamics"].update(method="rk4", times=[0.0, 1e5])
         if dt is not None:
             doc["dynamics"]["dt"] = dt
-        cfg = write_config(tmp_path, doc)
-        assert main(["validate", "--config", cfg]) == 2
-        assert f"error: {names}: " in capsys.readouterr().out
-        assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "out"), "--quiet"]) == 2
-        assert capsys.readouterr().err.startswith(f"config error: {names}: ")
+        assert refused(tmp_path, doc).startswith(f"error: {names}: ")
 
     def test_no_output_directory(self, tmp_path):
         doc = base_config()
@@ -552,6 +534,9 @@ class TestNonFiniteConfig:
             (_set(("state", "params", "center"), "6"), "state.params.center"),
             (_set(("state", "params", "center"), True), "state.params.center"),
             (_set(("state", "params", "bogus"), 1), "state.params.bogus"),
+            (_set(("state", "name"), None), "state.name"),
+            (_set(("state", "name"), "gaussian"), "state.name"),
+            (_set(("state", "name"), 5), "state.name"),
             (
                 _set(("state",), {"name": "werner", "params": {"a_site": 0, "b_site": 1, "z": "0.5"}}),
                 "state.params.z",
@@ -610,7 +595,8 @@ class TestNonFiniteConfig:
             "two_path_nan", "two_path_negative", "eps_boundary_negative", "gamma_nan",
             "dissipator_overflow", "dissipator_overflow_small_gamma",
             "n_k_overflow", "dt_tiny", "snapshot_steps_int", "directory_int", "center_float",
-            "center_string", "center_bool", "unknown_param", "werner_z_string", "walk_steps_huge",
+            "center_string", "center_bool", "unknown_param", "state_name_null", "state_name_unknown",
+            "state_name_int", "werner_z_string", "walk_steps_huge",
             "n_k_unallocatable", "werner_window_huge", "double_delta_window_huge",
             "sigma_zero", "sigma_negative", "sigma_underflow", "sigma_exponent_overflow",
             "sigma_exponent_overflow_wide", "walk_snapshots_default_huge", "walk_snapshots_listed_huge",
@@ -620,38 +606,21 @@ class TestNonFiniteConfig:
             "default_step_norm_inf", "default_step_too_many",
         ],
     )
-    def test_rejected_with_field_name(self, tmp_path, capsys, edit, field):
+    def test_rejected_with_field_name(self, tmp_path, edit, field):
         doc = continuous_config()
         edit(doc)
-        cfg = write_config(tmp_path, doc)
-        # A warning (numpy's RuntimeWarning, say) would reach stderr outside pytest.
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-            assert field in capsys.readouterr().err
-            assert main(["validate", "--config", cfg]) == 2
-        assert [str(w.message) for w in caught] == []
         # Parse errors on stderr, diagnostics on stdout: one line, naming the edited field.
-        (line,) = "".join(capsys.readouterr()).splitlines()
+        (line,) = refused(tmp_path, doc).splitlines()
         assert field in line
-        assert not (tmp_path / "o").exists()
 
-    def test_continuous_snapshot_cap(self, tmp_path, capsys):
+    def test_continuous_snapshot_cap(self, tmp_path):
         # validate first: a run of the uncapped config would keep 10,001 densities.
-        cfg = write_config(tmp_path, continuous_config(times=[1e-4 * i for i in range(10_001)]))
-        assert main(["validate", "--config", cfg]) == 2
-        assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-        message = "dynamics.times lists 10001 snapshots, more than 10000"
-        assert capsys.readouterr().err.count(message) == 2
-        assert not (tmp_path / "o").exists()
+        doc = continuous_config(times=[1e-4 * i for i in range(10_001)])
+        assert "dynamics.times lists 10001 snapshots, more than 10000" in refused(tmp_path, doc)
 
-    def test_unedited_fixture_runs(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, continuous_config())
-        assert main(["validate", "--config", cfg]) == 0
-        assert "no diagnostics" in capsys.readouterr().out
-        out = tmp_path / "o"
-        assert main(["evolve", "--config", cfg, "--out", str(out), "--quiet"]) == 0
-        manifest = json.loads((out / "manifest.json").read_text())
+    def test_unedited_fixture_runs(self, tmp_path):
+        assert verdict(continuous_config(), tmp_path) == OK
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert manifest["diagnostics"]["two_path_max_deviation"] < 1e-10
 
     def test_default_tolerances(self, tmp_path):
@@ -688,58 +657,43 @@ MISSING_FIELDS = [
 ] + [("walk", path) for path in [("dynamics", "theta"), ("dynamics", "steps"), ("dynamics", "noise", "p")]]
 
 
-def _dotted(path):
-    return "".join(f"[{key}]" if isinstance(key, int) else f".{key}" for key in path)[1:]
-
-
 @pytest.mark.parametrize(
-    "command, path", MISSING_FIELDS, ids=[_dotted(path) for _, path in MISSING_FIELDS]
+    "command, path", MISSING_FIELDS, ids=[config_sweep._dotted(path) for _, path in MISSING_FIELDS]
 )
-def test_missing_required_field_names_its_path(tmp_path, capsys, command, path):
+def test_missing_required_field_names_its_path(tmp_path, command, path):
     doc = continuous_config() if command == "evolve" else walk_config()
     *parents, leaf = path
     block = doc
     for key in parents:
         block = block[key]
     del block[leaf]
-    cfg = write_config(tmp_path, doc)
-    for argv in (["validate", "--config", cfg], [command, "--config", cfg, "--out", str(tmp_path / "o")]):
-        assert main(argv) == 2
-        (line,) = "".join(capsys.readouterr()).splitlines()
-        assert line.endswith(f"missing required field {_dotted(path)}")
-    assert not (tmp_path / "o").exists()
+    (line,) = refused(tmp_path, doc).splitlines()
+    assert line.endswith(f"missing required field {config_sweep._dotted(path)}")
 
 
-def test_readme_example_config_validates(tmp_path, capsys):
+def test_readme_example_config_validates(tmp_path):
     readme = (REPO / "README.md").read_text()
     example = readme.split("Config shape:\n\n```json\n", 1)[1].split("```", 1)[0]
-    assert main(["validate", "--config", write_config(tmp_path, json.loads(example))]) == 0
-    assert capsys.readouterr().out == "ok: no diagnostics\n"
+    assert verdict(json.loads(example), tmp_path) == OK
 
 
 class TestConfigTypes:
     @pytest.mark.parametrize("value", ["false", 0.5, None], ids=["string", "number", "null"])
-    def test_spin_coupled_must_be_boolean(self, tmp_path, capsys, value):
+    def test_spin_coupled_must_be_boolean(self, tmp_path, value):
         doc = continuous_config()
         doc["dynamics"]["hamiltonian"]["spin_coupled"] = value
-        cfg = write_config(tmp_path, doc)
-        assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-        assert "dynamics.hamiltonian.spin_coupled" in capsys.readouterr().err
-        assert not (tmp_path / "o").exists()
+        assert "dynamics.hamiltonian.spin_coupled" in refused(tmp_path, doc)
 
     @pytest.mark.parametrize(
         "entry",
         [[math.nan, 0.0], [0.0, math.inf], [1.0, 0.0, 0.0], "1"],
         ids=["nan", "infinity", "three_numbers", "string"],
     )
-    def test_custom_lindblad_op_entries(self, tmp_path, capsys, entry):
+    def test_custom_lindblad_op_entries(self, tmp_path, entry):
         op = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-1.0, 0.0]]]
         op[1][0] = entry
         doc = continuous_config(method="rk4", noise={"lindblad": [{"op": op, "gamma": 0.1}]})
-        cfg = write_config(tmp_path, doc)
-        assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-        assert "dynamics.noise.lindblad[0].op" in capsys.readouterr().err
-        assert not (tmp_path / "o").exists()
+        assert "dynamics.noise.lindblad[0].op" in refused(tmp_path, doc)
 
     def test_custom_lindblad_op_matches_named(self, tmp_path):
         outputs = []
@@ -770,15 +724,10 @@ class TestConfigBlocks:
     @pytest.mark.parametrize(
         "path, value", NON_OBJECT_BLOCKS, ids=[".".join(path) for path, _ in NON_OBJECT_BLOCKS]
     )
-    def test_non_object_block_names_its_path(self, tmp_path, capsys, path, value):
+    def test_non_object_block_names_its_path(self, tmp_path, path, value):
         doc = continuous_config()
         _set(path, value)(doc)
-        cfg = write_config(tmp_path, doc)
-        field = ".".join(path) + " must be a JSON object"
-        for command in ("validate", "evolve"):
-            assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-            assert field in capsys.readouterr().err
-        assert not (tmp_path / "o").exists()
+        assert ".".join(path) + " must be a JSON object" in refused(tmp_path, doc)
 
 
 UNKNOWN_KEYS = [
@@ -795,16 +744,11 @@ UNKNOWN_KEYS = [
 
 class TestUnknownKeys:
     @pytest.mark.parametrize("edit, field", UNKNOWN_KEYS, ids=[f for _, f in UNKNOWN_KEYS])
-    def test_refused_with_its_path(self, tmp_path, capsys, edit, field):
+    def test_refused_with_its_path(self, tmp_path, edit, field):
         doc = continuous_config()
         edit(doc)
-        cfg = write_config(tmp_path, doc)
-        command = "walk" if doc["dynamics"]["kind"] == "walk" else "evolve"
-        for argv in (["validate", "--config", cfg], [command, "--config", cfg, "--out", str(tmp_path / "o")]):
-            assert main(argv) == 2
-            (line,) = "".join(capsys.readouterr()).splitlines()
-            assert f"{field} is not a key of " in line
-        assert not (tmp_path / "o").exists()
+        (line,) = refused(tmp_path, doc).splitlines()
+        assert f"{field} is not a key of " in line
 
 
 # Two faults in one block: the first in the table's key order (the order its
@@ -828,11 +772,10 @@ TWO_FAULTS = [
 @pytest.mark.parametrize(
     "edit, message", TWO_FAULTS, ids=["noise_and_method", "op_and_gamma", "noise_only_and_snapshots"]
 )
-def test_two_faults_name_the_first_in_table_order(tmp_path, capsys, edit, message):
+def test_two_faults_name_the_first_in_table_order(tmp_path, edit, message):
     doc = continuous_config()
     edit(doc)
-    assert main(["validate", "--config", write_config(tmp_path, doc)]) == 2
-    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert refused(tmp_path, doc) == f"config error: {message}\n"
 
 
 def test_polynomial_with_zero_constant_is_linear(tmp_path):
@@ -876,17 +819,9 @@ class TestBesselSlack:
         ],
         ids=["half_period", "fig2_center_20"],
     )
-    def test_validate_refuses_where_evolve_refuses(self, tmp_path, capsys, doc, rows):
-        text = f"kernel needs {rows} empty m-rows"
-        cfg = write_config(tmp_path, doc)
-        assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-        err = capsys.readouterr().err
-        assert text in err
-        assert main(["validate", "--config", cfg]) == 2
-        out = capsys.readouterr().out
-        assert text in out
-        assert out.removeprefix("error: ") == err.removeprefix("config error: ")
-        assert not (tmp_path / "o").exists()
+    def test_validate_refuses_where_evolve_refuses(self, tmp_path, doc, rows):
+        (line,) = refused(tmp_path, doc).splitlines()
+        assert f"kernel needs {rows} empty m-rows" in line
 
     # The band reach itself fails: its argument needs more than the order cap,
     # or lambda a t overflows.
@@ -895,23 +830,15 @@ class TestBesselSlack:
         [(100.0, 0.01, [0.0, 100.0]), (1.0, 1e300, [0.0, 1e10])],
         ids=["reach_past_order_cap", "lambda_t_overflow"],
     )
-    def test_reach_failure_names_the_times(self, tmp_path, capsys, j_hop, slope, times):
+    def test_reach_failure_names_the_times(self, tmp_path, j_hop, slope, times):
         doc = fig2_config(3, times)
         doc["dynamics"]["hamiltonian"].update(j_hop=j_hop, potential={"kind": "linear", "slope": slope})
-        cfg = write_config(tmp_path, doc)
-        assert main(["validate", "--config", cfg]) == 2
-        assert capsys.readouterr().out.startswith("error: dynamics.times: ")
-        assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-        assert "dynamics.times: " in capsys.readouterr().err
-        assert not (tmp_path / "o").exists()
+        assert refused(tmp_path, doc).startswith("error: dynamics.times: ")
 
-    def test_build_failure_is_a_diagnostic(self, tmp_path, capsys):
+    def test_build_failure_is_a_diagnostic(self, tmp_path):
         doc = continuous_config()
         doc["state"] = {"name": "cat", "params": {"a_site": -2}}
-        cfg = write_config(tmp_path, doc)
-        assert main(["validate", "--config", cfg]) == 2
-        assert capsys.readouterr().out == "error: missing required field state.params.b_site\n"
-        assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert refused(tmp_path, doc) == "error: missing required field state.params.b_site\n"
 
 
 def channel_config(method, spin_coupled, lindblad):
@@ -929,37 +856,24 @@ def sigma_x_config(method, spin_coupled):
 SIGMA_MINUS = {"op": [[0, 0], [1, 0]], "gamma": 0.3}
 
 
-def assert_noise_refused(tmp_path, capsys, doc):
-    cfg = write_config(tmp_path, doc)
-    assert main(["validate", "--config", cfg]) == 2
-    assert "error: dynamics.noise: " in capsys.readouterr().out
-    assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-    assert "dynamics.noise" in capsys.readouterr().err
-    assert not (tmp_path / "o").exists()
-
-
 class TestClosedFormChannel:
     # sigma_x mixes W_00 with W_11, which a sigma_z-coupled potential drives apart:
     # the closed form would be off by about 1e-2 here.
     @pytest.mark.parametrize("method", ["closed_form", "both"])
-    def test_sigma_x_refused_with_spin_coupling(self, tmp_path, capsys, method):
-        assert_noise_refused(tmp_path, capsys, sigma_x_config(method, spin_coupled=True))
+    def test_sigma_x_refused_with_spin_coupling(self, tmp_path, method):
+        assert "error: dynamics.noise: " in refused(tmp_path, sigma_x_config(method, spin_coupled=True))
 
     @pytest.mark.parametrize("method, spin_coupled", [("rk4", True), ("both", False)])
     def test_sigma_x_runs_where_exact(self, tmp_path, method, spin_coupled):
-        cfg = write_config(tmp_path, sigma_x_config(method, spin_coupled))
-        assert main(["validate", "--config", cfg]) == 0
-        assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 0
+        assert verdict(sigma_x_config(method, spin_coupled), tmp_path) == OK
 
     # Amplitude damping moves weight from W_00 to W_11 as well.
     @pytest.mark.parametrize("method", ["closed_form", "both"])
-    def test_sigma_minus_refused_with_spin_coupling(self, tmp_path, capsys, method):
-        assert_noise_refused(tmp_path, capsys, channel_config(method, True, [SIGMA_MINUS]))
+    def test_sigma_minus_refused_with_spin_coupling(self, tmp_path, method):
+        assert "error: dynamics.noise: " in refused(tmp_path, channel_config(method, True, [SIGMA_MINUS]))
 
     def test_sigma_minus_runs_with_rk4(self, tmp_path):
-        cfg = write_config(tmp_path, channel_config("rk4", True, [SIGMA_MINUS]))
-        assert main(["validate", "--config", cfg]) == 0
-        assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 0
+        assert verdict(channel_config("rk4", True, [SIGMA_MINUS]), tmp_path) == OK
 
     # Every channel set that commutes with the Hamiltonian flow has a closed form.
     @pytest.mark.parametrize(
@@ -978,11 +892,8 @@ class TestClosedFormChannel:
         ids=["scalar_any_channels", "spin_coupled_diagonal_channels"],
     )
     def test_commuting_channels_run_both(self, tmp_path, spin_coupled, lindblad):
-        cfg = write_config(tmp_path, channel_config("both", spin_coupled, lindblad))
-        assert main(["validate", "--config", cfg]) == 0
-        out = tmp_path / "o"
-        assert main(["evolve", "--config", cfg, "--out", str(out), "--quiet"]) == 0
-        manifest = json.loads((out / "manifest.json").read_text())
+        assert verdict(channel_config("both", spin_coupled, lindblad), tmp_path) == OK
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert manifest["diagnostics"]["two_path_max_deviation"] < 1e-12
 
 
@@ -1076,16 +987,12 @@ class TestEvolveCommand:
         assert "boundary population" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_long_closed_form_time(self, tmp_path, capsys):
+    def test_long_closed_form_time(self, tmp_path):
         # lambda_a t = 1e12: the kernel's phases are taken at lambda_a t mod 4 pi.
         doc = json.loads((SCENARIOS / "fig2_bloch.json").read_text())
         doc["dynamics"]["times"] = [0.0, 1e12]
-        cfg = write_config(tmp_path, doc)
-        assert main(["validate", "--config", cfg]) == 0
-        assert capsys.readouterr().out == "ok: no diagnostics\n"
-        out = tmp_path / "out"
-        assert main(["evolve", "--config", cfg, "--out", str(out), "--quiet"]) == 0
-        marginal = np.loadtxt(out / "marginal_position_001.csv", delimiter=",", skiprows=1)
+        assert verdict(doc, tmp_path) == OK
+        marginal = np.loadtxt(tmp_path / "out" / "marginal_position_001.csv", delimiter=",", skiprows=1)
         assert abs(marginal[:, 1].sum() + marginal[:, 7].sum() - 1.0) < 1e-13  # re00 + re11
 
     def test_sigma_z_closed_form_timeseries(self, tmp_path):

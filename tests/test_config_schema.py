@@ -1,21 +1,17 @@
 """The config schema: README's defaults paragraph and a seeded mutation sweep
 both read the parser's own table (scenario._CONFIG and scenario._STATES)."""
 
-import importlib.util
 import json
 import re
 from pathlib import Path
 
 import pytest
 
+from conftest import config_sweep
 from lattice_wigner.errors import ConfigError
-from lattice_wigner.scenario import _CONFIG, _POTENTIAL, _STATES, REQUIRED, parse_config
+from lattice_wigner.scenario import _CONFIG, _POTENTIAL, _STATES, REQUIRED, _fields, parse_config
 
 REPO = Path(__file__).resolve().parents[1]
-
-_spec = importlib.util.spec_from_file_location("config_sweep", REPO / "tools" / "config_sweep.py")
-config_sweep = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(config_sweep)
 
 
 def readme_defaults() -> dict:
@@ -58,11 +54,9 @@ def names_it(readme_name: str, name: str) -> bool:
 
 def converts(convert, value, default, where):
     """(whether the key takes value, its converted value), as the parser reads
-    it: null stands for an absent key whose default is null."""
-    if value is None and default is None:
-        return True, None
+    it: through _fields, on a table of that one key."""
     try:
-        return True, convert(value, where)
+        return True, _fields({"key": value}, where, {"key": (convert, default)})["key"]
     except ConfigError:
         return False, None
 
@@ -89,7 +83,7 @@ def test_readme_defaults_match_the_table():
 @pytest.mark.parametrize("seed", [1, 2])
 def test_seeded_mutation_sweep(seed):
     # Two seeded samples hold a tenth of tools/config_sweep.py's mutations; 2-3 s each.
-    checked, _, broken = config_sweep.sweep(sample=240, seed=seed, log=lambda line: None)
+    checked, _, broken, _ = config_sweep.sweep(sample=240, seed=seed, log=lambda line: None)
     assert checked == 240
     assert broken == []
 
@@ -102,11 +96,8 @@ def test_sweep_reaches_every_kind_and_state(tmp_path):
         reached |= {base["state"]["name"], ("dynamics", dynamics["kind"])}
         if "hamiltonian" in dynamics:
             reached.add(("potential", dynamics["hamiltonian"]["potential"]["kind"]))
-        config = tmp_path / f"{name}.json"
-        config.write_text(json.dumps(base))
-        assert config_sweep._call(["validate", "--config", str(config)]) == (0, "ok: no diagnostics\n", "", []), name
-        run = [config_sweep._command(base), "--config", str(config), "--out", str(tmp_path / name), "--quiet"]
-        assert config_sweep._call(run) == (0, "", "", []), name
+        (tmp_path / name).mkdir()
+        assert config_sweep.verdict(base, tmp_path / name) == (0, "ok: no diagnostics\n", 0, ""), name
     dynamics_kinds = _CONFIG["dynamics"][0].blocks
     wanted = set(_STATES) | {("dynamics", k) for k in dynamics_kinds}
     wanted |= {("potential", k) for k in _POTENTIAL.blocks}

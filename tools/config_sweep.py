@@ -5,28 +5,29 @@ base config, set to each value of a fixed list, through `validate` and the run.
     PYTHONPATH=src python3 tools/config_sweep.py [--sample N] [--seed S]
 
 The base configs are small (21-41 sites), each validates clean and runs, and
-between them they hold every named
-state, every `kind` of `dynamics` and `potential`, a polynomial potential, a
-custom Lindblad op and a site-basis walk noise. For each base, the sweep walks
-the keys of `scenario._CONFIG` and `scenario._STATES` that the base reaches
-(its blocks, kinds, state params and Lindblad entries). It sets each key to
-each of VALUES, to nothing (the key removed) and to the values on each side of
-its documented cap (`times` also to a last time past the density route's step
-cap); a `kind` also takes every kind, and `state.name` every state name. Each
-mutated config runs in process, `validate` first and then the command its
-`dynamics.kind` calls for (`state`, `evolve` or `walk`), and must keep four
-rules:
+between them they hold every named state, every `kind` of `dynamics` and
+`potential`, a polynomial potential, a custom Lindblad op and a site-basis walk
+noise. For each base, the sweep walks the keys of `scenario._CONFIG` and
+`scenario._STATES` that the base reaches (its blocks, kinds, state params and
+Lindblad entries). It sets each key to each of VALUES, to nothing (the key
+removed) and to the values on each side of its documented cap (`times` also to
+a last time past the density route's step cap); a `kind` also takes every kind,
+and `state.name` every state name. Each mutated config runs in process through
+`verdict` (which Tier-1's tests that pair `validate` with a run call too),
+`validate` first and then the command its `dynamics.kind` calls for (`state`,
+`evolve` or `walk`), and must keep four rules:
 
   - no command exits 1 (a traceback);
-  - no command emits a RuntimeWarning;
-  - `validate` exit 2 => the run exits 2 with the same message;
+  - no command emits a warning (numpy's RuntimeWarning, say);
+  - `validate` exit 2 => the run exits 2 with the same message, leaving no output directory;
   - `validate` exit 0 => the run exits 0 or 3.
 
-A mutation that `validate` accepts is not run when it asks for more than
-MAX_RUN_SNAPSHOTS snapshots or MAX_RUN_STEPS walk steps (the values just
-under a cap); it is counted as skipped. With --sample N, a seeded sample of N
-mutations runs instead of all of them. Exit status: 0 when every mutation keeps
-the rules, 1 otherwise, with one line per broken rule.
+A mutation that `validate` accepts is skipped, not run, when it asks for more
+than MAX_RUN_SNAPSHOTS snapshots or MAX_RUN_STEPS walk steps (the values just
+under a cap). --sample N runs a seeded sample of N mutations. The summary also
+counts the refusals that do not name the mutated key's dotted path (a count,
+not a rule). Exit status: 0 when every mutation keeps the rules, 1 otherwise,
+with one line per broken rule.
 """
 
 from __future__ import annotations
@@ -216,8 +217,8 @@ def mutated(base: dict, path: tuple, value) -> dict:
     return doc
 
 
-def _command(doc: dict) -> str:
-    dynamics = doc.get("dynamics")
+def _command(doc) -> str:
+    dynamics = doc.get("dynamics") if isinstance(doc, dict) else None
     kind = dynamics.get("kind") if isinstance(dynamics, dict) else None
     return "evolve" if kind == "continuous" else "walk" if kind == "walk" else "state"
 
@@ -233,7 +234,7 @@ def _too_long(doc: dict) -> bool:
 
 
 def _call(argv: list) -> tuple:
-    """(exit status, stdout, stderr, RuntimeWarnings) of one in-process command;
+    """(exit status, stdout, stderr, warnings) of one in-process command;
     an exception that escapes main is exit 1, as it is from the shell."""
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stdout(out), \
@@ -244,53 +245,71 @@ def _call(argv: list) -> tuple:
         except Exception as exc:  # noqa: BLE001 - a traceback is what the sweep looks for
             status = 1
             print(f"{type(exc).__name__}: {exc}", file=err)
-    found = [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]
+    found = [f"{w.category.__name__}: {w.message}" for w in caught]
     return status, out.getvalue(), err.getvalue(), found
 
 
-def check(doc: dict, tmp: Path) -> tuple:
-    """(broken rules, whether the run was skipped) of one config."""
+class Broken(AssertionError):
+    """The rules one config breaks: args[0], one line each."""
+
+
+def verdict(doc, tmp: Path) -> tuple:
+    """(validate's exit status and stdout + stderr, then the run's: None, None when
+    skipped) of one config, a dict or a file's bytes, at tmp/config.json, run to
+    tmp/out; raises Broken unless the two keep the rules above."""
     config = tmp / "config.json"
-    config.write_text(json.dumps(doc))
+    config.write_bytes(doc if isinstance(doc, bytes) else json.dumps(doc).encode())
     status, out, err, caught = _call(["validate", "--config", str(config)])
     broken = [f"validate exits 1: {err.strip()}"] if status == 1 else []
     broken += [f"validate warns: {message}" for message in caught]
-    if status == 0 and _too_long(doc):
-        return broken, True
-    errors = [line[len("error: "):] for line in out.splitlines() if line.startswith("error: ")]
-    said = err if err else f"config error: {'; '.join(errors)}\n"
-    command = _command(doc)
-    run_dir = tmp / "out"
-    run_status, _, run_err, caught = _call([command, "--config", str(config), "--out", str(run_dir), "--quiet"])
-    shutil.rmtree(run_dir, ignore_errors=True)
-    broken += [f"{command} warns: {message}" for message in caught]
-    if run_status == 1:
-        broken.append(f"{command} exits 1: {run_err.strip()}")
-    elif status == 2 and (run_status, run_err) != (2, said):
-        broken.append(f"validate exits 2 ({said.strip()}) but {command} exits {run_status} ({run_err.strip()})")
-    elif status == 0 and run_status not in (0, 3):
-        broken.append(f"validate exits 0 but {command} exits {run_status} ({run_err.strip()})")
-    return broken, False
+    run_status = run_said = None
+    if status != 0 or not _too_long(doc):
+        errors = [line[len("error: "):] for line in out.splitlines() if line.startswith("error: ")]
+        said = err if err else f"config error: {'; '.join(errors)}\n"
+        command, dest = _command(doc), tmp / "out"
+        shutil.rmtree(dest, ignore_errors=True)  # what an earlier run left
+        run_status, run_out, run_err, caught = _call([command, "--config", str(config), "--out", str(dest), "--quiet"])
+        run_said = run_out + run_err
+        broken += [f"{command} warns: {message}" for message in caught]
+        if run_status == 1:
+            broken.append(f"{command} exits 1: {run_err.strip()}")
+        elif status == 2 and (run_status, run_said) != (2, said):
+            broken.append(f"validate exits 2 ({said.strip()}) but {command} exits {run_status} ({run_said.strip()})")
+        elif status == 2 and dest.exists():
+            broken.append(f"{command} refuses but leaves {dest.name}/ behind")
+        elif status == 0 and run_status not in (0, 3):
+            broken.append(f"validate exits 0 but {command} exits {run_status} ({run_err.strip()})")
+    if broken:
+        raise Broken(broken)
+    return status, out + err, run_status, run_said
 
 
 def sweep(sample=None, seed: int = 0, log=print) -> tuple:
     """Check every mutation of every base (or a seeded sample of them); returns
-    (mutations checked, runs skipped, broken-rule lines)."""
+    (mutations checked, runs skipped, broken-rule lines, refusals that do not
+    name the mutated key)."""
     cases = [(name, None, None) for name in BASES]
     cases += [(name, path, value) for name, base in BASES.items() for path, value in mutations(base)]
     if sample is not None:
         cases = random.Random(seed).sample(cases, sample)
-    skipped, broken = 0, []
+    skipped, broken, unnamed = 0, [], 0
     with tempfile.TemporaryDirectory() as tmp:
         for name, path, value in cases:
             doc = BASES[name] if path is None else mutated(BASES[name], path, value)
-            found, skip = check(doc, Path(tmp))
-            skipped += skip
-            shown = "unmutated" if path is None else f"{'.'.join(map(str, path))} = {_show(value)}"
-            for line in found:
-                broken.append(f"{name}: {shown}: {line}")
-                log(broken[-1])
-    return len(cases), skipped, broken
+            shown = "unmutated" if path is None else f"{_dotted(path)} = {_show(value)}"
+            try:
+                status, said, run_status, _ = verdict(doc, Path(tmp))
+                skipped += run_status is None
+                unnamed += bool(path) and status == 2 and _dotted(path) not in said
+            except Broken as exc:
+                for line in exc.args[0]:
+                    broken.append(f"{name}: {shown}: {line}")
+                    log(broken[-1])
+    return len(cases), skipped, broken, unnamed
+
+
+def _dotted(path: tuple) -> str:  # as messages name it: dynamics.noise.lindblad[0].op
+    return "".join(f"[{key}]" if isinstance(key, int) else f".{key}" for key in path)[1:]
 
 
 def _show(value) -> str:
@@ -306,8 +325,9 @@ def _main(argv=None) -> int:
     parser.add_argument("--sample", type=int, default=None, help="check a seeded sample of N mutations")
     parser.add_argument("--seed", type=int, default=0, help="seed of the sample")
     args = parser.parse_args(argv)
-    checked, skipped, broken = sweep(args.sample, args.seed)
-    print(f"{checked} configs over {len(BASES)} bases: {len(broken)} broken rules, {skipped} runs skipped")
+    checked, skipped, broken, unnamed = sweep(args.sample, args.seed)
+    print(f"{checked} configs over {len(BASES)} bases: {len(broken)} broken rules, {skipped} runs skipped, "
+          f"{unnamed} refusals not naming the mutated key")
     return 1 if broken else 0
 
 
