@@ -582,12 +582,15 @@ def _bessel_band_propagate(w0: WignerMatrix, j_hop: float, lambda_a: float, t: f
     support off the m-grid.
 
     Layout: one zero-padded (ab, m, k) array of shape (4, n_pad, n_k), with
-    ab = 2a + b, holds the field from the first FFT to the last.  The k-FFT
-    pair runs in place on its first n_m rows along the contiguous last axis,
-    the m-FFT pair on all of it along axis 1.  Each phase is built once per
-    distinct shift and multiplies the entries that share it.  The arithmetic
-    and its order are those of the plain (m, k, 2, 2) formulation, so every
-    output bit is too.
+    ab = 2a + b, holds the field from the k-phase to the last FFT.  The forward
+    k-FFT of every entry that no t-dependent dress touches comes from w0, which
+    keeps it (WignerMatrix.k_spectrum, or diagonal_k_spectrum under sigma_z
+    coupling); the k-phase multiplies it into the first n_m rows, where the
+    dressed off-diagonal entries are transformed in place.  The inverse k-FFT
+    runs there along the contiguous last axis, the m-FFT pair on all of it
+    along axis 1.  Each phase is built once per distinct shift and multiplies
+    the entries that share it.  The arithmetic and its order are those of the
+    plain (m, k, 2, 2) formulation, so every output bit is too.
     """
     reach = band_reach(w0, j_hop, lambda_a, (t,))
     n_m, n_k = w0.n_m, w0.kgrid.n_k
@@ -595,24 +598,25 @@ def _bessel_band_propagate(w0: WignerMatrix, j_hop: float, lambda_a: float, t: f
     signs = np.asarray(spin_signs, dtype=float)
     shifts, entry = np.unique(0.5 * delta * np.add.outer(signs, signs), return_inverse=True)
     entry = entry.reshape(4)  # the shift index of spin entry ab = 2a + b
+    n_pad = _smooth_length(n_m + reach)
+    spec = np.zeros((4, n_pad, n_k), dtype=complex)  # a -0.0 pad would flip output zeros
+    head = spec[:, :n_m]
     dress = None
-    if signs[0] != signs[1]:  # equal signs make the dress all ones
+    if signs[0] == signs[1]:  # equal signs make the dress all ones: no entry needs it
+        sources = w0.k_spectrum
+    else:
         # The diagonal entries are multiplied by its ones too: a product with
         # 1 + 0j can turn a -0.0 part into 0.0, and the bits must not change.
         dress = np.ones((4, n_m, 1), dtype=complex)
         dress[1, :, 0] = np.exp(-0.25j * delta * (signs[0] - signs[1]) * w0.m_values)
         dress[2] = dress[1].conj()
-    n_pad = _smooth_length(n_m + reach)
-    spec = np.zeros((4, n_pad, n_k), dtype=complex)  # a -0.0 pad would flip output zeros
-    head = spec[:, :n_m]
-    view = w0.values.reshape(n_m, n_k, 4).transpose(2, 0, 1)  # (ab, m, k)
-    if dress is None:
-        np.fft.fft(view, axis=2, out=head)
-    else:
-        np.fft.fft(np.multiply(dress, view, out=head), axis=2, out=head)
+        off = head[1:3]
+        np.fft.fft(np.multiply(dress[1:3], w0.entries[1:3], out=off), axis=2, out=off)
+        diagonal = w0.diagonal_k_spectrum
+        sources = (diagonal[0], off[0], off[1], diagonal[1])
     k_phase = np.exp(1j * np.multiply.outer(shifts, w0.kgrid.modes()))
     for ab in range(4):
-        head[ab] *= k_phase[entry[ab]]
+        np.multiply(sources[ab], k_phase[entry[ab]], out=head[ab])
     np.fft.ifft(head, axis=2, out=head)
     np.fft.fft(spec, axis=1, out=spec)
     scale = -8.0 * (j_hop / lambda_a) * math.sin(0.5 * delta)
@@ -626,14 +630,15 @@ def _bessel_band_propagate(w0: WignerMatrix, j_hop: float, lambda_a: float, t: f
             spec[ab] *= phase
     del phase  # the output copy below is the peak: the padded grid plus the output
     np.fft.ifft(spec, axis=1, out=spec)
-    out = np.empty((n_m, n_k, 2, 2), dtype=complex)
-    rows = out.reshape(n_m, n_k, 4).transpose(2, 0, 1)  # (ab, m, k) view
     if dress is None:
-        np.copyto(rows, head)
+        values = head.transpose(1, 2, 0).reshape(n_m, n_k, 2, 2)  # a view: the intake's copy transposes
     else:
-        np.multiply(dress, head, out=rows)
-    del spec, head, rows  # the field's intake copies out: free the padded grid first
-    return w0.with_values(out)
+        values = np.empty((n_m, n_k, 2, 2), dtype=complex)
+        # Strided into the (ab, m, k) view of values, as the plain layout does:
+        # an in-place head *= dress takes another loop and changes bits.
+        np.multiply(dress, head, out=values.reshape(n_m, n_k, 4).transpose(2, 0, 1))
+        del spec, head  # the field's intake copies out: free the padded grid first
+    return w0.with_values(values)
 
 
 def linear_potential_propagate(

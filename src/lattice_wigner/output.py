@@ -12,8 +12,10 @@ entries of a product state that share a factor), so each block of rows costs
 one np.unique per dtype and formats each distinct value of the block once.
 Values are keyed on their bit patterns, so -0.0 and 0.0 stay apart, and each
 dtype is keyed apart, so int 1 and float 1.0 do too.  The few distinct ints
-take repr().  The distinct float64 values, nearly all of the work, go through
-one vectorized kernel, _float_records, in place of one repr() call each:
+take repr(), and so do the float64 values of a block with few of them.  The
+distinct float64 values of the other blocks, nearly all of the work, go
+through one vectorized kernel, _float_records, in place of one repr() call
+each:
 
 * Digits: Schubfach (R. Giulietti, "The Schubfach way to render doubles",
   2020) finds the shortest decimal that rounds back to the value, and of
@@ -55,6 +57,14 @@ SPIN_HEADER = ("re00", "im00", "re01", "im01", "re10", "im10", "re11", "im11")
 # keeps memory: cli_oracle's peak RSS is 38.7 MB at 1024 rows (39.7 MB with
 # one repr() per value) and 40.7 MB at 2048.
 _BLOCK_ROWS = 1024
+
+# Fewest distinct float64 values of a block that the kernel formats; fewer go
+# through repr().  The kernel costs some 0.2 ms a call at any size.  Median
+# CPU per call on 2 cores, kernel against repr(): 64 values 0.21 / 0.02-0.09 ms,
+# 256 values 0.25-0.27 / 0.09-0.38 ms, 512 values 0.28-0.30 / 0.16-0.70 ms
+# (short decimals, normal draws and random bit patterns, in that order of
+# repr()'s cost).  At 256 neither loses more than 0.11 ms.
+_KERNEL_MIN_VALUES = 256
 
 _RECORD = 24  # bytes in a cell's record: a sign byte and 23 for the longest body
 _U = np.uint64
@@ -229,7 +239,9 @@ def _repr_records(values) -> np.ndarray:
 def _fill_block(cells, block) -> None:
     """Put each cell's record into cells[row, column, :24].
 
-    Each distinct bit pattern of each dtype is formatted once.
+    Each distinct bit pattern of each dtype is formatted once: by the float
+    kernel when a block holds at least _KERNEL_MIN_VALUES distinct float64
+    values, else by repr().
     """
     rows = len(cells)
     by_dtype: dict = {}
@@ -238,7 +250,7 @@ def _fill_block(cells, block) -> None:
     for dtype, idx in by_dtype.items():
         keys = np.concatenate([block[i].view(f"u{dtype.itemsize}") for i in idx])
         distinct, inverse = np.unique(keys, return_inverse=True)
-        if dtype == np.float64:
+        if dtype == np.float64 and len(distinct) >= _KERNEL_MIN_VALUES:
             records = _float_records(distinct)
         else:
             records = _repr_records(distinct.view(dtype))

@@ -35,11 +35,12 @@ from .continuous import (
     HamiltonianSpec,
     NoiseSpec,
     Potential,
-    _bessel_band_propagate,
     _density_route,
     _step_plan,
     band_reach,
     decohere_wigner,
+    linear_potential_propagate,
+    spin_linear_propagate,
 )
 from .errors import (
     BoundaryLeakError, ConfigError, ConvergenceError, DomainError, InvariantViolation,
@@ -520,10 +521,11 @@ def _continuous_snapshots(cfg: ScenarioConfig, dyn: ContinuousDynamics, w0, rho0
         leak, densities = _density_route(rho0, h, dyn.noise, dyn.times, dyn.dt, cfg.tolerances.eps_boundary)
         _running_max(diagnostics, "boundary_leak", leak)
     lam_a = h.lambda_a(cfg.window) if dyn.method != "rk4" else None
+    propagate = spin_linear_propagate if h.spin_coupled else linear_potential_propagate
     for t in dyn.times:
         wt = oracle = None
         if lam_a is not None:
-            wt = _bessel_band_propagate(w0, h.j_hop, lam_a, t, h.spin_signs)
+            wt = propagate(w0, h.j_hop, lam_a, t)
             wt = wt if dyn.noise is None else decohere_wigner(wt, dyn.noise, t)
             _running_max(diagnostics, "wigner_boundary_weight", edge_weight(wt))
         if dyn.method != "closed_form":

@@ -104,6 +104,24 @@ class WignerMatrix(_Field):
 
     spin_shape = (2, 2)
 
+    @property
+    def entries(self) -> np.ndarray:
+        """The values as an (ab, m, k) view, ab = 2a + b."""
+        return self.values.reshape(self.n_m, self.kgrid.n_k, 4).transpose(2, 0, 1)
+
+    @cached_property
+    def k_spectrum(self) -> np.ndarray:
+        """FFT along k of every spin entry, (ab, m, k): made on first use and kept
+        with the field, read-only like its values (one more field-sized array)."""
+        return _k_fft(self.entries)
+
+    @cached_property
+    def diagonal_k_spectrum(self) -> np.ndarray:
+        """k_spectrum of the diagonal entries W_00 and W_11, (a, m, k), each first
+        multiplied by 1 + 0j: the sigma_z-coupled Bessel-band kernel dresses every
+        entry, and that product can turn a -0.0 part into 0.0.  Half a field."""
+        return _k_fft(self.entries[::3], dress=np.ones((2, self.n_m, 1), dtype=complex))
+
     def m_index(self, m: int) -> int:
         if not self.m_min <= m <= self.m_max:
             raise GridError(f"m={m} outside [{self.m_min}, {self.m_max}]")
@@ -118,6 +136,15 @@ class WignerMatrix(_Field):
             and self.m_max == other.m_max
             and self.kgrid.n_k == other.kgrid.n_k
         )
+
+
+def _k_fft(entries: np.ndarray, dress=None) -> np.ndarray:
+    """A read-only, C-ordered FFT along the last axis of (entry, m, k) values,
+    multiplied first by dress if one is given."""
+    spec = np.empty(entries.shape, dtype=complex)
+    np.fft.fft(entries if dress is None else np.multiply(dress, entries, out=spec), axis=2, out=spec)
+    spec.setflags(write=False)
+    return spec
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ import pytest
 from conftest import config_sweep
 from lattice_wigner import KGrid, LatticeWindow, TwoGaussianSpec, WignerMatrix, two_gaussian_state
 from lattice_wigner.cli import main
-from lattice_wigner import wigner_of_pure
+from lattice_wigner import output, wigner_of_pure
 from lattice_wigner.output import _BLOCK_ROWS, SPIN_HEADER, _float_records, spin_columns, write_csv
 from lattice_wigner.scenario import Tolerances, _grid_table, parse_config
 
@@ -188,6 +188,25 @@ class TestWriterOracle:
         header = ("n", "x") + SPIN_HEADER
         self.assert_same_bytes(tmp_path, header, [np.arange(rows), *floats])
 
+    def test_blocks_on_both_sides_of_the_kernel_crossover(self, tmp_path, monkeypatch):
+        # Block 1 holds one distinct float fewer than the crossover, so repr()
+        # formats it; block 2 holds exactly the crossover's count, and the
+        # remainder block many more, so the kernel formats those two.
+        kernel = []
+        records = output._float_records
+        monkeypatch.setattr(output, "_float_records", lambda bits: kernel.append(len(bits)) or records(bits))
+        n = output._KERNEL_MIN_VALUES
+        rng = np.random.default_rng(17)
+        few = np.concatenate([[0.0, -0.0, np.inf, np.nan, 5e-324], rng.normal(size=n - 6)])
+        pool = rng.normal(size=n)
+        x = np.concatenate([
+            rng.permutation(np.resize(few, _BLOCK_ROWS)),
+            rng.permutation(np.resize(pool, _BLOCK_ROWS)),
+            rng.normal(size=_BLOCK_ROWS // 2),
+        ])
+        self.assert_same_bytes(tmp_path, ("n", "x"), [np.arange(len(x)), x])
+        assert kernel == [n, _BLOCK_ROWS // 2]
+
     def test_memory_bounded_by_the_block(self, tmp_path):
         # Ten times the rows must not cost more memory: each block of rows is
         # formatted, written and dropped before the next.
@@ -297,11 +316,9 @@ class TestValidateCommand:
         ],
         ids=["not_utf8", "deep_nesting", "long_integer"],
     )
-    @pytest.mark.parametrize("command", ["validate", "state"])
-    def test_unreadable_json_exits_2(self, tmp_path, raw, command):
+    def test_unreadable_json_exits_2(self, tmp_path, raw):
         # Each raised a traceback (exit 1) from json.load: UnicodeDecodeError,
-        # RecursionError and the integer digit limit's ValueError. Each command
-        # id runs both validate and state, as every verdict does.
+        # RecursionError and the integer digit limit's ValueError.
         (line,) = refused(tmp_path, raw).splitlines()
         assert line.startswith(f"config error: config {tmp_path / 'config.json'} is not valid JSON: ")
 

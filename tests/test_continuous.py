@@ -559,6 +559,40 @@ class TestBandKernelBits:
             spin_linear_propagate(w0, 1.0, 1.0, t)
         assert len(calls) == 1
 
+    def test_kept_spectrum_matches_reference(self):
+        # Each field keeps its k-spectrum after the first propagation; the
+        # later ones, interleaved over both sign patterns, must still give the
+        # reference's bits.  With lambda_a = 1 the kernel reduces t = 1e12 to
+        # fmod(t, 4 pi) first, so the reference runs at the reduced time.
+        _, _, _, w0 = gaussian_setup(LatticeWindow(-30, 30), KGrid(129), center=2, sigma=2.0, spin=np.array([0.6, 0.8j]))
+        for field in (w0, with_negative_zeros(w0)):
+            for t in (0.0, 0.4, 1.3, 2.0 * math.pi, 5.1, 1e12):
+                for signs in BOTH_SIGNS:
+                    out = _bessel_band_propagate(field, 0.9, 1.0, t, signs)
+                    ref = reference_band_propagate(field, 0.9, 1.0, math.fmod(t, 4.0 * math.pi), signs)
+                    assert same_bits(out.values, ref.values), (t, signs)
+
+    @pytest.mark.parametrize("propagate, undressed, dressed", [
+        (linear_potential_propagate, 4, 0), (spin_linear_propagate, 2, 2),
+    ], ids=["equal_signs", "sigma_z"])
+    def test_spectrum_taken_once_per_field(self, monkeypatch, propagate, undressed, dressed):
+        # w0's forward k-FFT is kept on the field: a time sweep takes it once.
+        # Only the sigma_z dress depends on t, so its two off-diagonal entries
+        # are transformed again at every time.
+        entries = []
+        fft = np.fft.fft
+        def counting(a, *args, axis=-1, **kwargs):
+            if axis == 2:  # along k of (ab, m, k) entries; the m-FFT runs on axis 1
+                entries.append(a.shape[0])
+            return fft(a, *args, axis=axis, **kwargs)
+
+        _, _, _, w0 = gaussian_setup()
+        monkeypatch.setattr(np.fft, "fft", counting)
+        times = (0.5, 1.0, 1.5)
+        for t in times:
+            propagate(w0, 1.0, 1.0, t)
+        assert sum(entries) == undressed + dressed * len(times)
+
     @pytest.mark.parametrize("lambda_a, error", [(0.05, WindowError), (0.0, DomainError)])
     def test_same_refusal(self, lambda_a, error):
         _, _, _, w0 = gaussian_setup(LatticeWindow(-16, 16), KGrid(72))
