@@ -316,10 +316,15 @@ class TestValidateCommand:
         ],
         ids=["not_utf8", "deep_nesting", "long_integer"],
     )
-    def test_unreadable_json_exits_2(self, tmp_path, raw):
+    @pytest.mark.parametrize("command", ["validate", "state"])
+    def test_unreadable_json_exits_2(self, tmp_path, raw, command):
         # Each raised a traceback (exit 1) from json.load: UnicodeDecodeError,
-        # RecursionError and the integer digit limit's ValueError.
-        (line,) = refused(tmp_path, raw).splitlines()
+        # RecursionError and the integer digit limit's ValueError. The command
+        # id names whose refusal is read: validate's, or the run's (state, as
+        # no dynamics can be read from the config).
+        status, said, run_status, run_said = verdict(raw, tmp_path)
+        assert (status, run_status) == (2, 2), said
+        (line,) = (said if command == "validate" else run_said).splitlines()
         assert line.startswith(f"config error: config {tmp_path / 'config.json'} is not valid JSON: ")
 
     def test_missing_field(self, tmp_path):
