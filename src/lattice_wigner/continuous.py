@@ -413,11 +413,11 @@ def von_neumann_exact(
     """
     if noise is not None and not noise.commutes_with(h):
         raise DomainError("the spin channels do not commute with the Hamiltonian; use lindblad_rk4")
-    leak, snapshots = _density_route(rho0, h, noise, times, dt, eps_boundary)
+    leak, snapshots = density_route(rho0, h, noise, times, dt, eps_boundary)
     return EvolutionResult(tuple(snapshots), leak)
 
 
-def _density_route(
+def density_route(
     rho0: DensityOperator,
     h: HamiltonianSpec,
     noise: Optional[NoiseSpec],
@@ -583,14 +583,15 @@ def _bessel_band_propagate(w0: WignerMatrix, j_hop: float, lambda_a: float, t: f
 
     Layout: one zero-padded (ab, m, k) array of shape (4, n_pad, n_k), with
     ab = 2a + b, holds the field from the k-phase to the last FFT.  The forward
-    k-FFT of every entry that no t-dependent dress touches comes from w0, which
-    keeps it (WignerMatrix.k_spectrum, or diagonal_k_spectrum under sigma_z
-    coupling); the k-phase multiplies it into the first n_m rows, where the
-    dressed off-diagonal entries are transformed in place.  The inverse k-FFT
-    runs there along the contiguous last axis, the m-FFT pair on all of it
-    along axis 1.  Each phase is built once per distinct shift and multiplies
-    the entries that share it.  The arithmetic and its order are those of the
-    plain (m, k, 2, 2) formulation, so every output bit is too.
+    k-FFT of every undressed entry comes from w0, which keeps it
+    (WignerMatrix.k_spectrum); the dress is 1 on the diagonal (s_a = s_b), so
+    under sigma_z coupling only the off-diagonal entries are dressed and
+    transformed, in place in the grid.  The k-phase multiplies the sources into
+    the first n_m rows, the inverse k-FFT runs there along the contiguous last
+    axis, the m-FFT pair on all of it along axis 1.  Each phase is built once
+    per distinct shift and multiplies the entries that share it.  The
+    arithmetic and its order are those of the plain (m, k, 2, 2) formulation,
+    so every output bit is too.
     """
     reach = band_reach(w0, j_hop, lambda_a, (t,))
     n_m, n_k = w0.n_m, w0.kgrid.n_k
@@ -601,19 +602,15 @@ def _bessel_band_propagate(w0: WignerMatrix, j_hop: float, lambda_a: float, t: f
     n_pad = _smooth_length(n_m + reach)
     spec = np.zeros((4, n_pad, n_k), dtype=complex)  # a -0.0 pad would flip output zeros
     head = spec[:, :n_m]
-    dress = None
-    if signs[0] == signs[1]:  # equal signs make the dress all ones: no entry needs it
-        sources = w0.k_spectrum
-    else:
-        # The diagonal entries are multiplied by its ones too: a product with
-        # 1 + 0j can turn a -0.0 part into 0.0, and the bits must not change.
-        dress = np.ones((4, n_m, 1), dtype=complex)
-        dress[1, :, 0] = np.exp(-0.25j * delta * (signs[0] - signs[1]) * w0.m_values)
-        dress[2] = dress[1].conj()
+    sources = w0.k_spectrum
+    dressed = signs[0] != signs[1]
+    if dressed:  # e^{-i delta m (s_a - s_b) / 4} on W_01, its conjugate on W_10
+        dress = np.empty((2, n_m, 1), dtype=complex)
+        dress[0, :, 0] = np.exp(-0.25j * delta * (signs[0] - signs[1]) * w0.m_values)
+        dress[1] = dress[0].conj()
         off = head[1:3]
-        np.fft.fft(np.multiply(dress[1:3], w0.entries[1:3], out=off), axis=2, out=off)
-        diagonal = w0.diagonal_k_spectrum
-        sources = (diagonal[0], off[0], off[1], diagonal[1])
+        np.fft.fft(np.multiply(dress, w0.entries[1:3], out=off), axis=2, out=off)
+        sources = (sources[0], off[0], off[1], sources[3])
     k_phase = np.exp(1j * np.multiply.outer(shifts, w0.kgrid.modes()))
     for ab in range(4):
         np.multiply(sources[ab], k_phase[entry[ab]], out=head[ab])
@@ -630,15 +627,13 @@ def _bessel_band_propagate(w0: WignerMatrix, j_hop: float, lambda_a: float, t: f
             spec[ab] *= phase
     del phase  # the output copy below is the peak: the padded grid plus the output
     np.fft.ifft(spec, axis=1, out=spec)
-    if dress is None:
-        values = head.transpose(1, 2, 0).reshape(n_m, n_k, 2, 2)  # a view: the intake's copy transposes
-    else:
-        values = np.empty((n_m, n_k, 2, 2), dtype=complex)
-        # Strided into the (ab, m, k) view of values, as the plain layout does:
-        # an in-place head *= dress takes another loop and changes bits.
-        np.multiply(dress, head, out=values.reshape(n_m, n_k, 4).transpose(2, 0, 1))
-        del spec, head  # the field's intake copies out: free the padded grid first
-    return w0.with_values(values)
+    values = head.transpose(1, 2, 0)  # a view: the intake's copy transposes
+    if dressed:
+        # Strided through the (m, k, ab) view, as the plain layout does: a
+        # contiguous head[1:3] *= dress takes another loop and changes bits.
+        off = values[:, :, 1:3]
+        np.multiply(dress.transpose(1, 2, 0), off, out=off)
+    return w0.with_values(values.reshape(n_m, n_k, 2, 2))
 
 
 def linear_potential_propagate(

@@ -35,10 +35,10 @@ from .continuous import (
     HamiltonianSpec,
     NoiseSpec,
     Potential,
-    _density_route,
     _step_plan,
     band_reach,
     decohere_wigner,
+    density_route,
     linear_potential_propagate,
     spin_linear_propagate,
 )
@@ -518,7 +518,7 @@ def _continuous_snapshots(cfg: ScenarioConfig, dyn: ContinuousDynamics, w0, rho0
     weight and two-path deviation go into diagnostics as running maxima."""
     h = dyn.hamiltonian
     if dyn.method != "closed_form":
-        leak, densities = _density_route(rho0, h, dyn.noise, dyn.times, dyn.dt, cfg.tolerances.eps_boundary)
+        leak, densities = density_route(rho0, h, dyn.noise, dyn.times, dyn.dt, cfg.tolerances.eps_boundary)
         _running_max(diagnostics, "boundary_leak", leak)
     lam_a = h.lambda_a(cfg.window) if dyn.method != "rk4" else None
     propagate = spin_linear_propagate if h.spin_coupled else linear_potential_propagate

@@ -111,16 +111,13 @@ class WignerMatrix(_Field):
 
     @cached_property
     def k_spectrum(self) -> np.ndarray:
-        """FFT along k of every spin entry, (ab, m, k): made on first use and kept
-        with the field, read-only like its values (one more field-sized array)."""
-        return _k_fft(self.entries)
-
-    @cached_property
-    def diagonal_k_spectrum(self) -> np.ndarray:
-        """k_spectrum of the diagonal entries W_00 and W_11, (a, m, k), each first
-        multiplied by 1 + 0j: the sigma_z-coupled Bessel-band kernel dresses every
-        entry, and that product can turn a -0.0 part into 0.0.  Half a field."""
-        return _k_fft(self.entries[::3], dress=np.ones((2, self.n_m, 1), dtype=complex))
+        """FFT along k of every spin entry, a C-ordered (ab, m, k) array: made on
+        first use and kept with the field, read-only like its values (one more
+        field-sized array)."""
+        spec = np.empty((4, self.n_m, self.kgrid.n_k), dtype=complex)
+        np.fft.fft(self.entries, axis=2, out=spec)
+        spec.setflags(write=False)
+        return spec
 
     def m_index(self, m: int) -> int:
         if not self.m_min <= m <= self.m_max:
@@ -136,15 +133,6 @@ class WignerMatrix(_Field):
             and self.m_max == other.m_max
             and self.kgrid.n_k == other.kgrid.n_k
         )
-
-
-def _k_fft(entries: np.ndarray, dress=None) -> np.ndarray:
-    """A read-only, C-ordered FFT along the last axis of (entry, m, k) values,
-    multiplied first by dress if one is given."""
-    spec = np.empty(entries.shape, dtype=complex)
-    np.fft.fft(entries if dress is None else np.multiply(dress, entries, out=spec), axis=2, out=spec)
-    spec.setflags(write=False)
-    return spec
 
 
 @dataclass(frozen=True)

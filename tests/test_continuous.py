@@ -31,7 +31,7 @@ from lattice_wigner import (
     wigner_of_density,
 )
 from lattice_wigner import continuous, wigner
-from lattice_wigner.continuous import _bessel_band_propagate, _density_route, _step_plan, band_reach
+from lattice_wigner.continuous import _bessel_band_propagate, _step_plan, band_reach, density_route
 from lattice_wigner.grids import k_derivative, k_shift
 from lattice_wigner.states import PAULI_X, PAULI_Y, PAULI_Z
 
@@ -304,7 +304,7 @@ class TestDensityRoute:
     def route_and_rk4(self, op):
         _, grid, rho0, w0 = gaussian_setup(LatticeWindow(-20, 20), KGrid(96), spin="plus")
         noise = NoiseSpec(((op, 0.2),))
-        leak, snapshots = _density_route(rho0, self.H_SPLIT, noise, self.TIMES, 0.01, 1e-8)
+        leak, snapshots = density_route(rho0, self.H_SPLIT, noise, self.TIMES, 0.01, 1e-8)
         rk4 = lindblad_rk4(rho0, self.H_SPLIT, noise, self.TIMES, 0.01, 1e-8)
         return grid, w0, noise, leak, list(snapshots), rk4
 
@@ -329,7 +329,7 @@ class TestDensityRoute:
         made = []
         monkeypatch.setattr(continuous, "DensityOperator", lambda window, mat: made.append(mat) or mat)
         _, _, rho0, _ = gaussian_setup(LatticeWindow(-12, 12), KGrid(52))
-        _, snapshots = _density_route(rho0, HamiltonianSpec(1.0), None, [0.5, 1.0], None, 1e-8)
+        _, snapshots = density_route(rho0, HamiltonianSpec(1.0), None, [0.5, 1.0], None, 1e-8)
         assert made == []
         next(snapshots)
         assert len(made) == 1
@@ -337,14 +337,14 @@ class TestDensityRoute:
     def test_leak_raises_before_the_first_snapshot(self):
         rho0 = density_from_pure(gaussian_product_state(0, 1.3, "up", LatticeWindow(-8, 8)))
         with pytest.raises(BoundaryLeakError, match="during step towards t=6.0"):
-            _density_route(rho0, HamiltonianSpec(1.0), None, [0.5, 6.0], None, 1e-8)
+            density_route(rho0, HamiltonianSpec(1.0), None, [0.5, 6.0], None, 1e-8)
 
     def test_time_without_steps_keeps_the_previous_density(self):
         # t = 0 first is rho0 itself; a repeated time repeats its density, so
         # the channel acts once per snapshot time, not once per listing.
         _, _, rho0, _ = gaussian_setup(LatticeWindow(-12, 12), KGrid(52), spin="plus")
         noise = NoiseSpec(((PAULI_X, 0.2),))
-        _, snapshots = _density_route(rho0, HamiltonianSpec(1.0), noise, [0.0, 0.0, 0.5, 0.5], None, 1e-8)
+        _, snapshots = density_route(rho0, HamiltonianSpec(1.0), noise, [0.0, 0.0, 0.5, 0.5], None, 1e-8)
         first, again, later, repeat = (s.matrix for s in snapshots)
         assert same_bits(first, rho0.matrix) and same_bits(again, rho0.matrix)
         assert same_bits(repeat, later) and not np.array_equal(later, rho0.matrix)
@@ -563,22 +563,25 @@ class TestBandKernelBits:
         # Each field keeps its k-spectrum after the first propagation; the
         # later ones, interleaved over both sign patterns, must still give the
         # reference's bits.  With lambda_a = 1 the kernel reduces t = 1e12 to
-        # fmod(t, 4 pi) first, so the reference runs at the reduced time.
-        _, _, _, w0 = gaussian_setup(LatticeWindow(-30, 30), KGrid(129), center=2, sigma=2.0, spin=np.array([0.6, 0.8j]))
-        for field in (w0, with_negative_zeros(w0)):
-            for t in (0.0, 0.4, 1.3, 2.0 * math.pi, 5.1, 1e12):
-                for signs in BOTH_SIGNS:
-                    out = _bessel_band_propagate(field, 0.9, 1.0, t, signs)
-                    ref = reference_band_propagate(field, 0.9, 1.0, math.fmod(t, 4.0 * math.pi), signs)
-                    assert same_bits(out.values, ref.values), (t, signs)
+        # fmod(t, 4 pi) first, so the reference runs at the reduced time.  A
+        # basis spin leaves three entries all zero, and its sigma_z outputs
+        # hold thousands of -0.0 cells.
+        for spin in (np.array([0.6, 0.8j]), "up", "down"):
+            _, _, _, w0 = gaussian_setup(LatticeWindow(-30, 30), KGrid(129), center=2, sigma=2.0, spin=spin)
+            for field in (w0, with_negative_zeros(w0)):
+                for t in (0.0, 0.4, 1.3, 2.0 * math.pi, 5.1, 1e12):
+                    for signs in BOTH_SIGNS:
+                        out = _bessel_band_propagate(field, 0.9, 1.0, t, signs)
+                        ref = reference_band_propagate(field, 0.9, 1.0, math.fmod(t, 4.0 * math.pi), signs)
+                        assert same_bits(out.values, ref.values), (spin, t, signs)
 
-    @pytest.mark.parametrize("propagate, undressed, dressed", [
-        (linear_potential_propagate, 4, 0), (spin_linear_propagate, 2, 2),
+    @pytest.mark.parametrize("propagate, dressed", [
+        (linear_potential_propagate, 0), (spin_linear_propagate, 2),
     ], ids=["equal_signs", "sigma_z"])
-    def test_spectrum_taken_once_per_field(self, monkeypatch, propagate, undressed, dressed):
-        # w0's forward k-FFT is kept on the field: a time sweep takes it once.
-        # Only the sigma_z dress depends on t, so its two off-diagonal entries
-        # are transformed again at every time.
+    def test_spectrum_taken_once_per_field(self, monkeypatch, propagate, dressed):
+        # w0's forward k-FFT of all four entries is kept on the field: a time
+        # sweep takes it once.  Only the sigma_z dress depends on t, so its two
+        # off-diagonal entries are transformed again at every time.
         entries = []
         fft = np.fft.fft
         def counting(a, *args, axis=-1, **kwargs):
@@ -591,7 +594,7 @@ class TestBandKernelBits:
         times = (0.5, 1.0, 1.5)
         for t in times:
             propagate(w0, 1.0, 1.0, t)
-        assert sum(entries) == undressed + dressed * len(times)
+        assert sum(entries) == 4 + dressed * len(times)
 
     @pytest.mark.parametrize("lambda_a, error", [(0.05, WindowError), (0.0, DomainError)])
     def test_same_refusal(self, lambda_a, error):

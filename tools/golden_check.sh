@@ -68,9 +68,11 @@ RUNS = [  # (command, name, scenario, edits): edits map a dotted key path to its
     ("evolve", "fig2_odd_nk_channel", FIG2, {"kgrid.n_k": 193, "state.params.spin": "plus", **BOTH, **SIGMA_X}),
     # The manifest holds the two-path deviation and edge weight maximized over 12 snapshots.
     ("evolve", "fig2_many_both", FIG2, {**BOTH, "dynamics.times": [4.7 * i / 11 for i in range(12)]}),
-    # The same for sigma_z coupling (fig3 runs both routes): the field's kept diagonal
+    # The same for sigma_z coupling (fig3 runs both routes): the field's kept
     # k-spectrum serves 12 times, and its dressed off-diagonal entries are transformed at each.
     ("evolve", "fig3_many_both", FIG3, {"dynamics.times": [i / 11 for i in range(12)]}),
+    # Spin up leaves three entries all zero: the sigma_z outputs hold thousands of -0.0 cells.
+    ("evolve", "fig3_spin_up", FIG3, {"state.params.spin": "up"}),
     # RK4 route: the channel does not commute with the sigma_z-coupled H.
     ("evolve", "fig3_rk4_sigma_x", FIG3, {**SIGMA_X, "dynamics.method": "rk4", "dynamics.times": [0.0, 0.5]}),
     # lambda a = 0.91, not 1 as in every committed config: the Bessel-band kernel's
