@@ -16,6 +16,7 @@ evolving.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 
@@ -25,7 +26,6 @@ from .errors import (
     InvariantViolation,
     LatticeWignerError,
 )
-from .scenario import ScenarioConfig, parse_config, run, validate_config
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -52,7 +52,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config(path: str) -> ScenarioConfig:
+def _load_config(path: str):
+    """The scenario.ScenarioConfig of the JSON file at path."""
+    from .scenario import parse_config
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -65,6 +68,18 @@ def _load_config(path: str) -> ScenarioConfig:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    if argv is None:
+        # A process of its own: import the pipeline (numpy and the layers, about
+        # 33,000 objects the cyclic GC tracks) with the GC off, then freeze them,
+        # so that neither later collections nor interpreter shutdown traverse
+        # them.  Called with argv (tests, a benchmark child), main leaves the GC
+        # as it found it.
+        gc.disable()
+        from . import scenario  # noqa: F401
+        gc.freeze()
+        gc.enable()
+    from .scenario import run, validate_config
+
     try:
         cfg = _load_config(args.config)
     except ConfigError as exc:

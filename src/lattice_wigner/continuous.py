@@ -46,7 +46,11 @@ from .errors import (
 )
 from .grids import TWO_PI, k_derivative
 from .special import bessel_tail_order
+# DEFAULT_EPS_BOUNDARY and _MAX_STEPS are defined in states, which parsing any
+# config loads, and stay importable from here.
 from .states import (
+    _MAX_STEPS,
+    DEFAULT_EPS_BOUNDARY,
     SPIN_MATRICES,
     DensityOperator,
     LatticeWindow,
@@ -61,18 +65,11 @@ from .wigner import WignerMatrix
 #: Highest supported polynomial potential degree.
 MAX_POTENTIAL_DEGREE = 6
 
-#: Default boundary-population tolerance for window-truncation monitoring.
-DEFAULT_EPS_BOUNDARY = 1e-8
-
 #: RK4 refuses to step once dt * (spectral norm estimate) exceeds this.
 _STABILITY_CAP = 0.5
 
 #: Default dt satisfies dt * (spectral norm estimate) <= this.
 _DEFAULT_STEP_FRACTION = 0.05
-
-#: Longest step grid (t_end / dt) a density route accepts.  Configured runs
-#: take a few thousand steps; a dt that asks for more would practically never end.
-_MAX_STEPS = 10**6
 
 #: Common period in delta = lambda_a t of every phase the Bessel-band kernel builds: 2 pi for
 #: e^{i delta d}, 4 pi for sin(delta / 2), sin(k +- delta / 2) and the sigma_z dress e^{-i delta m / 2}.
@@ -128,7 +125,19 @@ class Potential:
         return len(self.coeffs) - 1
 
     def derivative_values(self, order: int, x: np.ndarray) -> np.ndarray:
-        return np.polynomial.polynomial.polyval(x, np.polynomial.polynomial.polyder(self.coeffs, order))
+        """V's order-th derivative at x, bit for bit numpy.polynomial's
+        polyval(x, polyder(coeffs, order)), through the same recurrences
+        without importing numpy.polynomial."""
+        c = np.array(self.coeffs)
+        if order >= len(c):
+            c = c[:1] * 0  # as polyder: zero with the constant's sign
+        else:
+            for _ in range(order):
+                c = np.arange(1, len(c)) * c[1:]  # der[j - 1] = j * c[j]
+        value = c[-1] + x * 0  # Horner
+        for i in range(2, len(c) + 1):
+            value = c[-i] + value * x
+        return value
 
     def values(self, x: np.ndarray) -> np.ndarray:
         return self.derivative_values(0, x)

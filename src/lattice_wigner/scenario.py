@@ -12,8 +12,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import partial
+from importlib import import_module
+from operator import attrgetter
 from pathlib import Path
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
@@ -29,27 +31,14 @@ from .analytic import (
     two_gaussian_state,
     werner_density,
 )
-from .continuous import (
-    _MAX_STEPS,
-    DEFAULT_EPS_BOUNDARY,
-    HamiltonianSpec,
-    NoiseSpec,
-    Potential,
-    _step_plan,
-    band_reach,
-    decohere_wigner,
-    density_route,
-    linear_potential_propagate,
-    spin_linear_propagate,
-)
 from .errors import (
     BoundaryLeakError, ConfigError, ConvergenceError, DomainError, InvariantViolation,
     LatticeWignerError, StepCountError, StepSizeError, WindowError,
 )
 from .grids import KGrid
-from .negativity import matrix_negativity
-from .output import SPIN_HEADER, spin_columns, write_csv, write_json
 from .states import (
+    _MAX_STEPS,
+    DEFAULT_EPS_BOUNDARY,
     SPIN_MATRICES,
     SPIN_VECTORS,
     DensityOperator,
@@ -58,7 +47,6 @@ from .states import (
     _spin_populations,
     density_from_pure,
 )
-from .walk import CoinSpec, ProjectiveNoiseSpec, _require_walkable, walk_snapshots
 from .wigner import (
     WignerMatrix,
     _require_grid,
@@ -70,6 +58,14 @@ from .wigner import (
     occupied_rows,
     wigner_of_density,
 )
+
+# A run imports the layers it uses where it uses them (a CLI process pays for
+# what its command runs): `continuous` for continuous dynamics, `walk` for
+# walks, `negativity` where eta is computed and `output` where files are written.
+if TYPE_CHECKING:
+    from .continuous import HamiltonianSpec, NoiseSpec
+    from .walk import CoinSpec, ProjectiveNoiseSpec
+
 
 @dataclass(frozen=True)
 class Diagnostic:
@@ -127,6 +123,14 @@ class ScenarioConfig:
 
 REQUIRED = object()  # the default of a key that must be present
 
+
+def _imported(module: str, name: str):
+    """The builder module.name (name may be dotted), looked up at each call, so
+    that parsing a config without that block never imports module."""
+    get = attrgetter(name)
+    return lambda *args, **kwargs: get(import_module(module, __package__))(*args, **kwargs)
+
+
 #: Most snapshots a run writes: each is a Wigner CSV and a side-table CSV.
 _MAX_SNAPSHOTS = 10_000
 
@@ -147,15 +151,17 @@ def _need(doc: dict, key: str, where: str):
 def _fields(doc, where: str, table: dict) -> dict:
     """doc's values by key, converted in the table's order: a key outside the
     table is refused (a misspelt key would fall back to its default unseen, and
-    could switch off a gate), an absent key takes its default, and null stands
-    for absent where the default is null. The keys of the whole config
-    ("config") are paths of their own."""
+    could switch off a gate), and an absent or null key takes its default; a
+    required key is refused when absent and converted (so refused) when null.
+    The keys of the whole config ("config") are paths of their own."""
     unknown = sorted(_object(doc, where).keys() - table.keys())
     if unknown:
         raise ConfigError(f"{where}.{unknown[0]} is not a key of {where}: {', '.join(table)}")
     values = {}
     for key, (convert, default) in table.items():
-        value = _need(doc, key, where) if default is REQUIRED else doc.get(key, default)
+        value = _need(doc, key, where) if default is REQUIRED else doc.get(key)
+        if value is None and default is not REQUIRED:
+            value = default
         path = key if where == "config" else f"{where}.{key}"
         values[key] = None if value is None and default is None else convert(value, path)
     return values
@@ -325,6 +331,8 @@ def _walk(theta, steps, mode, noise, snapshot_steps) -> WalkDynamics:
         raise ConfigError("dynamics.snapshot_steps must lie in [0, steps]")
     elif any(b <= a for a, b in zip(snapshot_steps, snapshot_steps[1:])):
         raise ConfigError("dynamics.snapshot_steps must be strictly ascending")
+    from .walk import CoinSpec
+
     try:
         coin = CoinSpec(theta)
     except LatticeWignerError as exc:
@@ -336,18 +344,20 @@ _KIND = (_same, REQUIRED)  # read by _Kinds before the block's other keys
 _NO_KIND = _Block({"kind": _KIND}, lambda: None)
 _POTENTIAL = _Kinds("one of ", {
     "none": _NO_KIND,
-    "linear": _Block({"kind": _KIND, "slope": (_as_number, REQUIRED)}, Potential.linear),
-    "polynomial": _Block({"kind": _KIND, "coeffs": (_as_coeffs, REQUIRED)}, Potential.polynomial),
+    "linear": _Block({"kind": _KIND, "slope": (_as_number, REQUIRED)}, _imported(".continuous", "Potential.linear")),
+    "polynomial": _Block({"kind": _KIND, "coeffs": (_as_coeffs, REQUIRED)},
+                         _imported(".continuous", "Potential.polynomial")),
 })
 _HAMILTONIAN = _Block({
     "j_hop": (_as_number, REQUIRED),
     "potential": (_POTENTIAL, None),
     "spin_coupled": (_must(lambda v: isinstance(v, bool), "true or false"), False),
-}, HamiltonianSpec)
+}, _imported(".continuous", "HamiltonianSpec"))
 _LINDBLAD_ENTRY = _Block(
     {"op": (_as_spin_op, REQUIRED), "gamma": (_as_nonnegative, REQUIRED)}, lambda op, gamma: (op, gamma)
 )
-_NOISE = _Block({"lindblad": (_as_lindblad, ())}, lambda lindblad: NoiseSpec(lindblad) if lindblad else None)
+_NOISE_SPEC = _imported(".continuous", "NoiseSpec")
+_NOISE = _Block({"lindblad": (_as_lindblad, ())}, lambda lindblad: _NOISE_SPEC(lindblad) if lindblad else None)
 _CONTINUOUS = _Block({
     "kind": _KIND,
     "hamiltonian": (_HAMILTONIAN, REQUIRED),
@@ -361,7 +371,8 @@ _WALK = _Block({
     "theta": (_as_number, REQUIRED),
     "steps": (_as_steps, REQUIRED),
     "mode": (_must(lambda v: v in ("walk", "noise_only"), "'walk' or 'noise_only'"), "walk"),
-    "noise": (_Block({"p": (_as_number, REQUIRED), "basis": (_same, "spin")}, ProjectiveNoiseSpec), None),
+    "noise": (_Block({"p": (_as_number, REQUIRED), "basis": (_same, "spin")},
+                     _imported(".walk", "ProjectiveNoiseSpec")), None),
     "snapshot_steps": (_as_snapshot_steps, None),
 }, _walk)
 # Each named state: its builder, called with the window and the converted
@@ -474,13 +485,17 @@ def _preflight(cfg: ScenarioConfig) -> tuple:
 
     dyn = cfg.dynamics
     if isinstance(dyn, ContinuousDynamics):
+        from .continuous import _step_plan, band_reach
+
         h = dyn.hamiltonian
         potential = _attempt(diags, "dynamics.hamiltonian.potential, window.a", h.site_potential, cfg.window)
         if dyn.method in ("closed_form", "both"):
             if dyn.noise is not None and not dyn.noise.commutes_with(h):
                 message = "closed-form decoherence needs channels that commute with the hamiltonian"
                 diags.append(Diagnostic("error", f"dynamics.noise: {message} (use method rk4)"))
-            lam_a = _attempt(diags, "dynamics.hamiltonian.potential, window.a", h.lambda_a, cfg.window)
+            lam_a = _attempt(
+                diags, "dynamics.hamiltonian.j_hop, dynamics.hamiltonian.potential, window.a", h.lambda_a, cfg.window
+            )
             if lam_a is not None and w0 is not None:
                 where = {DomainError: "dynamics.times", ConvergenceError: "dynamics.times", WindowError: "window"}
                 _attempt(diags, where, band_reach, w0, h.j_hop, lam_a, dyn.times)
@@ -494,6 +509,8 @@ def _preflight(cfg: ScenarioConfig) -> tuple:
                      BoundaryLeakError: "state, tolerances.eps_boundary"}
             _attempt(diags, where, _step_plan, rho0, h, dyn.noise, dyn.times, dyn.dt, eps)
     elif isinstance(dyn, WalkDynamics) and dyn.mode == "walk" and rho0 is not None:
+        from .walk import _require_walkable
+
         if dyn.steps:
             _attempt(diags, "state, window", _require_walkable, rho0)
         lo, hi = occupied_rows(rho0.site_populations())
@@ -516,6 +533,8 @@ def _continuous_snapshots(cfg: ScenarioConfig, dyn: ContinuousDynamics, w0, rho0
     route's leak monitor runs first, so it refuses a run before any file is written;
     then each time's density and fields are made, compared and dropped in turn.  Edge
     weight and two-path deviation go into diagnostics as running maxima."""
+    from .continuous import decohere_wigner, density_route, linear_potential_propagate, spin_linear_propagate
+
     h = dyn.hamiltonian
     if dyn.method != "closed_form":
         leak, densities = density_route(rho0, h, dyn.noise, dyn.times, dyn.dt, cfg.tolerances.eps_boundary)
@@ -560,6 +579,8 @@ def _sidecar(cfg: ScenarioConfig, command: str, w: WignerMatrix) -> dict:
 
 def _grid_table(w: WignerMatrix, t=None):
     """Header and columns of a Wigner grid: rows over m (outer) then k (inner)."""
+    from .output import SPIN_HEADER, spin_columns
+
     n_m, n_k = w.values.shape[:2]
     header = ("m", "k") + SPIN_HEADER
     columns = [np.repeat(w.m_values, n_k), np.tile(w.kgrid.points, n_m), *spin_columns(w.values)]
@@ -570,6 +591,8 @@ def _grid_table(w: WignerMatrix, t=None):
 
 def _marginal_table(w: WignerMatrix):
     """Header and columns of the position marginal: one row per site."""
+    from .output import SPIN_HEADER, spin_columns
+
     sites, blocks = marginal_position(w)
     return ("n",) + SPIN_HEADER, [sites, *spin_columns(blocks)]
 
@@ -578,6 +601,8 @@ def _walk_snapshots(cfg: ScenarioConfig, dyn: WalkDynamics, rho0: DensityOperato
     """(step, field, side-table name, side table) per walk snapshot, each
     transformed as it arrives, so a run holds one density and one field at a
     time; the boundary population goes into diagnostics as a running maximum."""
+    from .walk import walk_snapshots
+
     include_walk = dyn.mode == "walk"
     for step, rho in walk_snapshots(rho0, dyn.coin, dyn.steps, dyn.noise, include_walk, dyn.snapshot_steps):
         _running_max(diagnostics, "boundary_leak", rho.boundary_population())
@@ -606,6 +631,7 @@ def run(cfg: ScenarioConfig, command: str, out_dir, quiet: bool = False) -> dict
     errors = [d.message for d in diags if d.severity == "error"]
     if errors:
         raise ConfigError("; ".join(errors))
+    from .output import SPIN_HEADER, spin_columns, write_csv, write_json
 
     out = Path(out_dir)
     files = []
@@ -637,6 +663,8 @@ def run(cfg: ScenarioConfig, command: str, out_dir, quiet: bool = False) -> dict
             [cfg.kgrid.points, *spin_columns(marginal_momentum(w0))],
         )
     else:
+        from .negativity import matrix_negativity
+
         if isinstance(dyn, ContinuousDynamics):
             snapshots = _continuous_snapshots(cfg, dyn, w0, rho0, diagnostics)
         else:
@@ -650,6 +678,8 @@ def run(cfg: ScenarioConfig, command: str, out_dir, quiet: bool = False) -> dict
         emit("negativity_timeseries.csv", write_csv, ("t", "eta"), eta_columns)
 
     if command == "negativity":
+        from .negativity import matrix_negativity
+
         report = matrix_negativity(w0)
         emit(
             "negativity.json",

@@ -24,6 +24,14 @@ NORM_TOL = 1e-12
 UNITARITY_TOL = 1e-12
 POSITIVITY_TOL = 1e-10
 
+#: Default boundary-population tolerance for window-truncation monitoring.
+DEFAULT_EPS_BOUNDARY = 1e-8
+
+#: Longest step grid (t_end / dt) a density route accepts, and most steps a walk
+#: takes.  Configured runs take a few thousand steps; a dt that asks for more
+#: would practically never end.
+_MAX_STEPS = 10**6
+
 ID2 = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)

@@ -611,6 +611,13 @@ class TestNonFiniteConfig:
                 _default_step(potential={"kind": "polynomial", "coeffs": [0, 0, 1e300]}),
                 "dynamics.hamiltonian, window.a: default dt=1.25e-304 (0.05 / norm estimate 4e+302) makes",
             ),
+            # 8 J / (slope * a) overflows through J: the refusal names j_hop with slope and spacing.
+            (
+                lambda doc: doc["dynamics"].update(method="closed_form", dt=None, hamiltonian={
+                    "j_hop": 1e308, "potential": {"kind": "linear", "slope": 1.0}}),
+                "dynamics.hamiltonian.j_hop, dynamics.hamiltonian.potential, window.a: 8 J / lambda_a is not finite",
+            ),
+            (_set(("window", "n_min"), None), "window.n_min"),  # null stands for absent; n_min has no default
         ],
         ids=[
             "times_inf", "j_hop_nan", "j_hop_overflow", "slope_inf", "dt_minus_inf",
@@ -625,7 +632,7 @@ class TestNonFiniteConfig:
             "spacing_overflow", "slope_overflow", "directory_empty",
             "lambda_a_zero", "lambda_a_zero_small_slope", "lambda_a_subnormal",
             "alpha_square_overflow", "alpha_complex_square_overflow", "beta_square_overflow",
-            "default_step_norm_inf", "default_step_too_many",
+            "default_step_norm_inf", "default_step_too_many", "lambda_a_j_hop_overflow", "n_min_null",
         ],
     )
     def test_rejected_with_field_name(self, tmp_path, edit, field):
@@ -700,7 +707,7 @@ def test_readme_example_config_validates(tmp_path):
 
 
 class TestConfigTypes:
-    @pytest.mark.parametrize("value", ["false", 0.5, None], ids=["string", "number", "null"])
+    @pytest.mark.parametrize("value", ["false", 0.5], ids=["string", "number"])
     def test_spin_coupled_must_be_boolean(self, tmp_path, value):
         doc = continuous_config()
         doc["dynamics"]["hamiltonian"]["spin_coupled"] = value
@@ -726,6 +733,38 @@ class TestConfigTypes:
             assert main(["evolve", "--config", cfg, "--out", str(out), "--quiet"]) == 0
             outputs.append((out / "snapshot_001.csv").read_bytes())
         assert outputs[0] == outputs[1]
+
+
+ABSENT = config_sweep.ABSENT
+
+# (path, what null there stands for: the key's default, or ABSENT where the default
+# is the key removed); the block with null and the one with the default run alike.
+NULL_AS_DEFAULT = [
+    (("state", "params"), ABSENT),  # {}: refused alike, naming the missing state.params.center
+    (("tolerances",), ABSENT),
+    (("tolerances", "eps_boundary"), 1e-8),  # a null gate takes its default, it is not switched off
+    (("dynamics", "method"), "closed_form"),
+    (("dynamics", "hamiltonian", "spin_coupled"), False),
+]
+
+
+class TestNullMeansDefault:
+    @pytest.mark.parametrize(
+        "path, default", NULL_AS_DEFAULT, ids=[config_sweep._dotted(path) for path, _ in NULL_AS_DEFAULT]
+    )
+    def test_runs_as_its_default(self, tmp_path, path, default):
+        outcomes = []
+        for name, value in (("null", None), ("default", default)):
+            (tmp_path / name).mkdir()
+            doc = config_sweep.mutated(continuous_config(), path, value)
+            outcome = verdict(doc, tmp_path / name)
+            out = tmp_path / name / "out"
+            files = {p.name: p.read_bytes() for p in sorted(out.iterdir())} if out.exists() else {}
+            if "manifest.json" in files:  # whose "config" echoes the document as written
+                files["manifest.json"] = json.loads(files["manifest.json"])["diagnostics"]
+            outcomes.append((outcome, files))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][0][0] == (2 if path == ("state", "params") else 0)
 
 
 NON_OBJECT_BLOCKS = [

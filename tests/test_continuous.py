@@ -108,6 +108,22 @@ class TestHamiltonianSpec:
         for order in range(degree + 1, degree + 3):
             assert not np.any(pot.derivative_values(order, x))
 
+    @pytest.mark.parametrize(
+        "coeffs",
+        [(0.0, 1.0), (0.0, 0.2, 0.05), (-0.0,), (-2.5, 0.0, -0.0, 3.0)]
+        + [tuple(np.random.default_rng(10 + d).normal(size=d + 1) * 10.0 ** np.arange(-3, d - 2)) for d in range(7)],
+        ids=["committed_linear", "sweep_polynomial", "negative_zero", "zero_terms"] + [f"random_{d}" for d in range(7)],
+    )
+    def test_derivative_values_match_numpy_polynomial(self, coeffs):
+        # The same recurrences as numpy.polynomial's polyder and polyval, so the
+        # same bits, for every order up to two past the degree (whose zero keeps
+        # the constant's sign there), at +-0.0 and at sites and midpoints.
+        pot = Potential.polynomial(coeffs)
+        x = np.concatenate([0.5 * np.arange(-41, 42), [-0.0, 1e-300, -3.7e12]])
+        for order in range(len(coeffs) + 2):
+            want = np.polynomial.polynomial.polyval(x, np.polynomial.polynomial.polyder(pot.coeffs, order))
+            assert same_bits(pot.derivative_values(order, x), want), order
+
     @pytest.mark.parametrize("j_hop", [math.nan, math.inf, -math.inf])
     def test_non_finite_j_hop_refused(self, j_hop):
         # Refused when built, before a step rule or the Wigner generator sees it.
