@@ -22,8 +22,8 @@ _EXPORTS = {
         "InvariantViolation", "LatticeWignerError", "StateError", "StepCountError",
         "StepSizeError", "WindowError",
     ),
-    "grids": ("KGrid", "k_derivative", "k_shift", "periodic_trapezoid"),
-    "special": ("bessel_jn", "bessel_jn_band", "bessel_jn_sequence", "theta3"),
+    "grids": ("KGrid", "k_derivative"),
+    "special": ("bessel_jn", "bessel_jn_sequence", "theta3"),
     "states": (
         "DensityOperator", "LatticeDensity", "LatticeWindow", "PureState", "apply_spin_rotation",
         "density_from_pure", "lattice_density_from_amplitudes", "spin_trace",
@@ -48,7 +48,7 @@ _EXPORTS = {
     ),
     "walk": (
         "CoinSpec", "ProjectiveNoiseSpec", "coin_operator", "iterated_cat_wigner", "projective_map",
-        "qw_step_state", "qw_step_wigner", "walk_trajectory", "walk_unitary",
+        "qw_step_state", "qw_step_wigner", "walk_trajectory",
     ),
     "negativity": ("NegativityReport", "matrix_negativity", "scalar_negativity"),
     "scenario": ("ScenarioConfig", "build_state", "parse_config", "run", "validate_config"),

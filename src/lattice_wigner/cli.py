@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import os
 import sys
 
 from .errors import (
@@ -67,13 +68,20 @@ def _load_config(path: str):
 
 
 def main(argv=None) -> int:
+    """Run the command in argv (sys.argv when None) and return its exit status.
+
+    Reading sys.argv, main is a process of its own and pins BLAS to one thread
+    before numpy loads, whatever the caller set: the density route's products
+    change their last bits with the thread count.  Called with argv, numpy may
+    have loaded already, so the caller's thread count holds."""
     args = _build_parser().parse_args(argv)
     if argv is None:
-        # A process of its own: import the pipeline (numpy and the layers, about
-        # 33,000 objects the cyclic GC tracks) with the GC off, then freeze them,
-        # so that neither later collections nor interpreter shutdown traverse
-        # them.  Called with argv (tests, a benchmark child), main leaves the GC
-        # as it found it.
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            os.environ[var] = "1"
+        # Import the pipeline (numpy and the layers, about 33,000 objects the
+        # cyclic GC tracks) with the GC off, then freeze them, so that neither
+        # later collections nor interpreter shutdown traverse them.  Called with
+        # argv (tests, a benchmark child), main leaves the GC as it found it.
         gc.disable()
         from . import scenario  # noqa: F401
         gc.freeze()

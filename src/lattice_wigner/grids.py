@@ -1,19 +1,17 @@
-"""Uniform quasi-momentum grids, exact periodic quadrature, spectral helpers.
+"""Uniform quasi-momentum grids and the spectral k-derivative.
 
 The quasi-momentum coordinate k lives on the half-open interval [-pi, pi).
 Every Wigner function built from a finitely supported density operator is a
 trigonometric polynomial in k, so a uniform grid with enough points makes the
 k-integrals *exact* rather than approximate: the rectangle rule on a periodic
 function integrates e^{i d k} to exactly 2*pi*delta_{d,0} whenever |d| < n_k.
-The same finite Fourier representation gives exact spectral derivatives and
-exact evaluation at shifted arguments k + delta.
+The same finite Fourier representation gives exact spectral derivatives.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -54,50 +52,17 @@ class KGrid:
         return np.rint(np.fft.fftfreq(self.n_k) * self.n_k).astype(int)
 
 
-def periodic_trapezoid(samples, grid: KGrid, axis: int = -1):
-    """Integrate samples of a periodic function over [-pi, pi).
-
-    Returns (2*pi/n_k) * sum(samples).  Exact for trigonometric polynomials
-    with all mode numbers |d| < n_k; a mode with d a nonzero multiple of n_k
-    aliases onto the constant and integrates to 2*pi.
-    """
-    samples = np.asarray(samples)
-    if samples.shape[axis] != grid.n_k:
-        raise GridError(
-            f"sample count {samples.shape[axis]} does not match n_k={grid.n_k}"
-        )
-    return grid.weight * samples.sum(axis=axis)
-
-
-def _k_multiply(values, grid: KGrid, factor: Optional[np.ndarray], axis: int) -> np.ndarray:
-    """Multiply the spectrum of `values` along the k axis by `factor` (one entry per mode).
-
-    factor=None is the identity: it returns a copy without the FFT round trip,
-    whose rounding would change the last bits.
-    """
+def k_derivative(values, grid: KGrid, order: int = 1, axis: int = -1) -> np.ndarray:
+    """Spectral derivative d^order/dk^order along the k axis.  Order 0 returns a
+    copy without the FFT round trip, whose rounding would change the last bits."""
+    if order < 0:
+        raise GridError("derivative order must be >= 0")
     values = np.asarray(values, dtype=complex)
     if values.shape[axis] != grid.n_k:
         raise GridError("k axis length does not match grid")
-    if factor is None:
+    if not order:
         return values.copy()
-    spec = np.fft.fft(values, axis=axis)
     shape = [1] * values.ndim
     shape[axis] = grid.n_k
-    return np.fft.ifft(spec * factor.reshape(shape), axis=axis)
-
-
-def k_shift(values, grid: KGrid, delta: float, axis: int = -1) -> np.ndarray:
-    """Evaluate the trigonometric interpolant of `values` at k + delta.
-
-    Exact for band-limited data (all modes |d| <= (n_k-1)//2), which is the
-    case for every Wigner grid satisfying the n_k >= 2W+1 condition.  delta
-    may be any real number; periodicity is automatic.
-    """
-    return _k_multiply(values, grid, np.exp(1j * grid.modes() * float(delta)), axis)
-
-
-def k_derivative(values, grid: KGrid, order: int = 1, axis: int = -1) -> np.ndarray:
-    """Spectral derivative d^order/dk^order along the k axis."""
-    if order < 0:
-        raise GridError("derivative order must be >= 0")
-    return _k_multiply(values, grid, (1j * grid.modes()) ** order if order else None, axis)
+    factor = (1j * grid.modes()) ** order
+    return np.fft.ifft(np.fft.fft(values, axis=axis) * factor.reshape(shape), axis=axis)

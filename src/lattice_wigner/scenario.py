@@ -493,9 +493,11 @@ def _preflight(cfg: ScenarioConfig) -> tuple:
             if dyn.noise is not None and not dyn.noise.commutes_with(h):
                 message = "closed-form decoherence needs channels that commute with the hamiltonian"
                 diags.append(Diagnostic("error", f"dynamics.noise: {message} (use method rk4)"))
-            lam_a = _attempt(
-                diags, "dynamics.hamiltonian.j_hop, dynamics.hamiltonian.potential, window.a", h.lambda_a, cfg.window
-            )
+            # Only a linear potential has a lambda_a; then J and a decide whether 8 J / (lambda a) is finite.
+            linear = h.potential is not None and h.potential.is_linear
+            where = ("dynamics.hamiltonian.j_hop, dynamics.hamiltonian.potential, window.a" if linear
+                     else "dynamics.method, dynamics.hamiltonian.potential")
+            lam_a = _attempt(diags, where, h.lambda_a, cfg.window)
             if lam_a is not None and w0 is not None:
                 where = {DomainError: "dynamics.times", ConvergenceError: "dynamics.times", WindowError: "window"}
                 _attempt(diags, where, band_reach, w0, h.j_hop, lam_a, dyn.times)

@@ -112,35 +112,15 @@ def bessel_jn_sequence(n_max: int, x: float) -> np.ndarray:
 
 
 def bessel_jn(n: int, z: float) -> float:
-    """Bessel function of the first kind J_n(z) for integer n and real z:
-    entry n of the band :func:`bessel_jn_band` of width |n|."""
+    """Bessel function of the first kind J_n(z) for integer n and real z, folded
+    onto J_|n|(|z|) by J_{-n}(z) = J_n(-z) = (-1)^n J_n(z).  A test oracle: the
+    propagators use the Jacobi-Anger kernel."""
     if abs(n) > MAX_ORDER:
         raise DomainError(f"|n|={abs(n)} exceeds max_order={MAX_ORDER}")
     if not math.isfinite(z):
         raise DomainError(f"bessel_jn requires finite z, got {z!r}")
-    return float(bessel_jn_band(abs(n), z)[n + abs(n)])
-
-
-def bessel_jn_band(d_max: int, z: float) -> np.ndarray:
-    """J_d(z) for d = -d_max..d_max, returned with index d + d_max.
-
-    Negative orders and arguments are folded here, with J_{-d}(z) =
-    (-1)^d J_d(z) and J_d(-z) = (-1)^d J_d(z); :func:`bessel_jn` reads one
-    entry.  A test oracle: the propagators use the Jacobi-Anger kernel.
-    """
-    if d_max < 0:
-        raise DomainError("d_max must be >= 0")
-    seq = bessel_jn_sequence(d_max, abs(z))
-    out = np.empty(2 * d_max + 1)
-    signs = np.ones(d_max + 1)
-    if z < 0.0:
-        signs[1::2] = -1.0  # J_d(-x) = (-1)^d J_d(x)
-    pos = seq * signs
-    out[d_max:] = pos
-    neg_signs = np.ones(d_max + 1)
-    neg_signs[1::2] = -1.0  # J_{-d}(x) = (-1)^d J_d(x)
-    out[:d_max] = (pos * neg_signs)[1:][::-1]
-    return out
+    value = float(bessel_jn_sequence(abs(n), abs(z))[abs(n)])
+    return -value if n % 2 and (z < 0.0) != (n < 0) else value
 
 
 def bessel_tail_order(z: float) -> int:

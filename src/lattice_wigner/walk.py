@@ -67,19 +67,6 @@ def coin_operator(theta: float) -> np.ndarray:
     return np.array([[c, -s], [-s, -c]], dtype=complex)
 
 
-def walk_unitary(theta: float, window: LatticeWindow) -> np.ndarray:
-    """Dense one-step operator on the composite space (hard-wall truncated); a test oracle."""
-    w = window.width
-    coin_full = np.kron(np.eye(w), coin_operator(theta))
-    shift = np.zeros((2 * w, 2 * w), dtype=complex)
-    for i in range(w):
-        if i - 1 >= 0:
-            shift[2 * (i - 1), 2 * i] = 1.0  # |n-1, L> <n, L|
-        if i + 1 < w:
-            shift[2 * (i + 1) + 1, 2 * i + 1] = 1.0  # |n+1, R> <n, R|
-    return shift @ coin_full
-
-
 def _require_walkable(rho: DensityOperator) -> None:
     """Refuse a walk step from rho unless its window has three sites or more and empty walls."""
     if rho.window.width < 3:

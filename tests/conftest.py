@@ -2,8 +2,10 @@
 
 The oracles here deliberately avoid the package's vectorized kernels: the
 naive Wigner transforms are plain Python loops over the defining sums, the
-Bessel oracle is quadrature of the integral representation, and the walk
-oracle pushes amplitude vectors around by hand.  They are slow and obviously
+Bessel oracle is quadrature of the integral representation, k_shift
+evaluates the k-interpolant through its full spectrum, and the walk oracles
+push amplitude vectors around by hand (amplitude_walk_oracle) or build the
+dense one-step operator (walk_unitary).  They are slow and obviously
 correct, which is the point.  The reference_* functions are the previous
 formulas of rewritten kernels, kept verbatim so the rewrites can be checked
 bit for bit.
@@ -23,6 +25,7 @@ from lattice_wigner import (
     LatticeWindow,
     PureState,
     WignerMatrix,
+    coin_operator,
     density_from_pure,
     gaussian_product_state,
     wigner_of_density,
@@ -99,6 +102,17 @@ def theta_partial_sum_oracle(z, q, terms=200):
     for n in range(1, terms + 1):
         total += q ** (n * n) * (np.exp(2j * z * n) + np.exp(-2j * z * n))
     return total
+
+
+def k_shift(values, grid, delta, axis=-1):
+    """The trigonometric interpolant of `values` along the k axis, evaluated at
+    k + delta.  Exact for band-limited data (all modes |d| <= (n_k-1)//2), as
+    every Wigner grid with n_k >= 2W+1 is; periodicity is automatic."""
+    values = np.asarray(values, dtype=complex)
+    shape = [1] * values.ndim
+    shape[axis] = grid.n_k
+    phase = np.exp(1j * grid.modes() * float(delta)).reshape(shape)
+    return np.fft.ifft(np.fft.fft(values, axis=axis) * phase, axis=axis)
 
 
 def random_pure(window, rng):
@@ -258,6 +272,20 @@ def amplitude_walk_oracle(window, psi0, theta, steps):
     for (site, spin), val in amp.items():
         probs[site - window.n_min] += abs(val) ** 2
     return probs
+
+
+def walk_unitary(theta, window):
+    """Dense one-step walk operator on the composite space, hard walls
+    truncating it: the oracle of the structured state step."""
+    w = window.width
+    coin_full = np.kron(np.eye(w), coin_operator(theta))
+    shift = np.zeros((2 * w, 2 * w), dtype=complex)
+    for i in range(w):
+        if i - 1 >= 0:
+            shift[2 * (i - 1), 2 * i] = 1.0  # |n-1, L> <n, L|
+        if i + 1 < w:
+            shift[2 * (i + 1) + 1, 2 * i + 1] = 1.0  # |n+1, R> <n, R|
+    return shift @ coin_full
 
 
 @pytest.fixture

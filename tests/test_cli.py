@@ -331,14 +331,19 @@ class TestValidateCommand:
         assert "kgrid" in refused(tmp_path, {"window": {"n_min": 0, "n_max": 4}})
 
     def test_closed_form_needs_linear(self, tmp_path):
-        doc = base_config()
-        doc["dynamics"] = {
-            "kind": "continuous",
-            "hamiltonian": {"j_hop": 1.0, "potential": {"kind": "polynomial", "coeffs": [0, 0, 0.1]}},
-            "method": "closed_form",
-            "times": [0.0, 1.0],
-        }
-        assert "linear" in refused(tmp_path, doc)
+        # The method asks for lambda_a, which the potential lacks; J plays no part.
+        message = "dynamics.method, dynamics.hamiltonian.potential: lambda_a is only defined for linear potentials"
+        for potential in ({"kind": "none"}, {"kind": "polynomial", "coeffs": [0, 0, 0.1]}):
+            doc = base_config()
+            doc["dynamics"] = {
+                "kind": "continuous",
+                "hamiltonian": {"j_hop": 1.0, "potential": potential},
+                "method": "closed_form",
+                "times": [0.0, 1.0],
+            }
+            status, said, run_status, run_said = verdict(doc, tmp_path)
+            assert (status, run_status) == (2, 2), said
+            assert (said, run_said) == (f"error: {message}\n", f"config error: {message}\n")
 
 
 class TestExitCodes:
@@ -1150,26 +1155,3 @@ class TestNegativityCommand:
         monkeypatch.chdir(tmp_path)
         assert main(["negativity", "--config", cfg, "--quiet"]) == 0
         assert (tmp_path / "cfg_out" / "negativity.json").is_file()
-
-
-class TestDeterminism:
-    def test_repeated_runs_byte_identical(self, tmp_path):
-        doc = {
-            "window": {"n_min": -26, "n_max": 26, "a": 1.0},
-            "kgrid": {"n_k": 112},
-            "state": {"name": "product_gaussian", "params": {"center": 0, "sigma": 1.5, "spin": "up"}},
-            "dynamics": {
-                "kind": "continuous",
-                "hamiltonian": {"j_hop": 1.0, "potential": {"kind": "linear", "slope": 1.0}},
-                "method": "closed_form",
-                "times": [0.0, 1.1, 2.2],
-            },
-        }
-        cfg = write_config(tmp_path, doc)
-        out_a, out_b = tmp_path / "a", tmp_path / "b"
-        assert main(["evolve", "--config", cfg, "--out", str(out_a), "--quiet"]) == 0
-        assert main(["evolve", "--config", cfg, "--out", str(out_b), "--quiet"]) == 0
-        names = sorted(p.name for p in out_a.iterdir())
-        assert names == sorted(p.name for p in out_b.iterdir())
-        for name in names:
-            assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name

@@ -32,10 +32,11 @@ from lattice_wigner import (
 )
 from lattice_wigner import continuous, wigner
 from lattice_wigner.continuous import _bessel_band_propagate, _step_plan, band_reach, density_route
-from lattice_wigner.grids import k_derivative, k_shift
+from lattice_wigner.grids import k_derivative
 from lattice_wigner.states import PAULI_X, PAULI_Y, PAULI_Z
 
 from conftest import (
+    k_shift,
     random_density,
     reference_band_propagate,
     reference_derivative_values,

@@ -3,7 +3,9 @@ import re
 import numpy as np
 import pytest
 
-from lattice_wigner import GridError, KGrid, k_derivative, k_shift, periodic_trapezoid
+from lattice_wigner import GridError, KGrid, k_derivative
+
+from conftest import k_shift
 
 
 def test_points_layout():
@@ -27,14 +29,17 @@ def test_numpy_integer_n_k():
     assert g == KGrid(16) and repr(g) == repr(KGrid(16)) and hash(g) == hash(KGrid(16))
 
 
+# The k-integrals (marginal_position, the negativities) are g.weight * sum over k.
+
+
 def test_constant_integrates_to_two_pi():
     g = KGrid(16)
-    assert periodic_trapezoid(np.ones(16), g) == pytest.approx(2 * np.pi, abs=1e-14)
+    assert g.weight * np.ones(16).sum() == pytest.approx(2 * np.pi, abs=1e-14)
 
 
 def test_single_mode_vanishes():
     g = KGrid(8)
-    val = periodic_trapezoid(np.exp(1j * g.points), g)
+    val = g.weight * np.exp(1j * g.points).sum()
     assert abs(val) < 1e-13
 
 
@@ -42,28 +47,19 @@ def test_single_mode_vanishes():
 def test_exactness_all_modes(n_k):
     g = KGrid(n_k)
     for d in range(-(n_k - 1), n_k):
-        val = periodic_trapezoid(np.exp(1j * d * g.points), g)
+        val = g.weight * np.exp(1j * d * g.points).sum()
         expected = 2 * np.pi if d == 0 else 0.0
         assert abs(val - expected) < 1e-13
 
 
 @pytest.mark.parametrize("n_k", [4, 5, 11])
 def test_aliased_mode_matches_direct_sum(n_k):
-    # Above the bandwidth the rule returns the quadrature of the aliased mode;
-    # either way it must equal plain summation.
+    # Above the bandwidth the rule returns the quadrature of the aliased mode.
     g = KGrid(n_k)
-    samples = np.exp(1j * 5 * g.points)
-    direct = (2 * np.pi / n_k) * samples.sum()
-    assert periodic_trapezoid(samples, g) == pytest.approx(direct, abs=1e-14)
+    val = g.weight * np.exp(1j * 5 * g.points).sum()
     alias = 5 % n_k
     expected = 2 * np.pi * np.exp(1j * 5 * (-np.pi)) if alias == 0 else 0.0
-    assert abs(direct - expected) < 1e-12
-
-
-def test_length_mismatch():
-    g = KGrid(8)
-    with pytest.raises(GridError):
-        periodic_trapezoid(np.ones(7), g)
+    assert abs(val - expected) < 1e-12
 
 
 def test_k_shift_exact_on_band_limited_data(rng):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from lattice_wigner import ConvergenceError, DomainError, bessel_jn, bessel_jn_band, theta3
+from lattice_wigner import ConvergenceError, DomainError, bessel_jn, theta3
 from lattice_wigner.special import bessel_jn_sequence, bessel_tail_order
 
 from conftest import bessel_quadrature_oracle, theta_partial_sum_oracle
@@ -70,13 +70,10 @@ class TestBesselJn:
         assert abs(total - 1.0) < 1e-8
 
     def test_parity_relations(self):
+        # Exact: bessel_jn folds both signs onto J_|n|(|z|) by negation.
         for n in range(-6, 7):
-            assert bessel_jn(n, -3.3) == pytest.approx(
-                (-1.0) ** n * bessel_jn(n, 3.3), abs=1e-15
-            )
-            assert bessel_jn(-n, 3.3) == pytest.approx(
-                (-1.0) ** n * bessel_jn(n, 3.3), abs=1e-15
-            )
+            assert bessel_jn(n, -3.3) == (-1.0) ** n * bessel_jn(n, 3.3)
+            assert bessel_jn(-n, 3.3) == (-1.0) ** n * bessel_jn(n, 3.3)
 
     def test_tiny_argument_series_branch(self):
         z = 1e-10
@@ -89,11 +86,6 @@ class TestBesselJn:
             bessel_jn(500, 1.0)
         with pytest.raises(DomainError):
             bessel_jn(0, float("inf"))
-
-    def test_band_layout(self):
-        band = bessel_jn_band(4, -2.7)
-        for d in range(-4, 5):
-            assert band[d + 4] == pytest.approx(bessel_jn(d, -2.7), abs=1e-15)
 
     def test_sequence_matches_scalar(self):
         seq = bessel_jn_sequence(15, 6.2)

@@ -1,8 +1,10 @@
 """What a process pays before its first step: `import lattice_wigner` loads
-nothing, a CLI command loads the layers it runs, and an in-process
-`cli.main(argv)` leaves the garbage collector as it found it."""
+nothing, a CLI command loads the layers it runs, a CLI process pins BLAS to one
+thread, and an in-process `cli.main(argv)` leaves the garbage collector as it
+found it."""
 
 import gc
+import hashlib
 import importlib
 import json
 import os
@@ -22,8 +24,8 @@ SCENARIOS = REPO / "scenarios"
 EXPORTED = {
     "errors": "BoundaryLeakError ConfigError ConvergenceError DomainError GridError InvariantViolation "
               "LatticeWignerError StateError StepCountError StepSizeError WindowError",
-    "grids": "KGrid k_derivative k_shift periodic_trapezoid",
-    "special": "bessel_jn bessel_jn_band bessel_jn_sequence theta3",
+    "grids": "KGrid k_derivative",
+    "special": "bessel_jn bessel_jn_sequence theta3",
     "states": "DensityOperator LatticeDensity LatticeWindow PureState apply_spin_rotation density_from_pure "
               "lattice_density_from_amplitudes spin_trace",
     "wigner": "ScalarWigner WignerMatrix apply_spin_rotation_wigner hermiticity_defect marginal_momentum "
@@ -38,7 +40,7 @@ EXPORTED = {
                   "lindblad_wigner_closed linear_potential_propagate spin_linear_propagate von_neumann_exact "
                   "wigner_evolution_rhs",
     "walk": "CoinSpec ProjectiveNoiseSpec coin_operator iterated_cat_wigner projective_map qw_step_state "
-            "qw_step_wigner walk_trajectory walk_unitary",
+            "qw_step_wigner walk_trajectory",
     "negativity": "NegativityReport matrix_negativity scalar_negativity",
     "scenario": "ScenarioConfig build_state parse_config run validate_config",
 }
@@ -113,6 +115,26 @@ def test_process_entry_freezes_the_import_heap():
         "print(json.dumps([code, gc.isenabled(), gc.get_freeze_count()]))", SCENARIOS / "fig2_bloch.json"
     ).splitlines()[-1])
     assert code == 0 and enabled and frozen > 10_000
+
+
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def test_process_entry_output_ignores_the_callers_blas_threads(tmp_path):
+    # fig3's density-route products change their last bits with the BLAS thread
+    # count; the process entry pins one thread, so every file is the same with
+    # the variable unset (two threads on two cores), set to 1 and set to 2.
+    digests = []
+    for threads in (None, "1", "2"):
+        env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+        env.update(PYTHONPATH=str(REPO / "src"), **({} if threads is None else {"OPENBLAS_NUM_THREADS": threads}))
+        out = tmp_path / f"threads-{threads}"
+        subprocess.run([sys.executable, "-m", "lattice_wigner.cli", "evolve", "--config",
+                        str(SCENARIOS / "fig3_spin_split.json"), "--out", str(out), "--quiet"],
+                       env=env, timeout=300, check=True)
+        digests.append({p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()})
+    assert "manifest.json" in digests[0]
+    assert digests[0] == digests[1] == digests[2]
 
 
 def test_in_process_main_leaves_the_gc_as_it_was(tmp_path):

@@ -26,11 +26,10 @@ from lattice_wigner import (
     qw_step_wigner,
     reconstruct_density,
     walk_trajectory,
-    walk_unitary,
     wigner_of_density,
 )
 
-from conftest import amplitude_walk_oracle
+from conftest import amplitude_walk_oracle, walk_unitary
 
 
 def localized(window, site, spin):
