@@ -6,7 +6,7 @@ Subcommands:
               operator: exact eigh when closed, RK4 with Lindblad noise), or both
   walk        discrete-time quantum walk, optionally with projective noise
   negativity  trace-norm negativity (JSON; timeseries CSV under dynamics)
-  validate    the checks a run makes before its first step, nothing evolved
+  validate    the checks a run makes before its first step; nothing evolved or written
 
 Exit codes: 0 success; 2 config error, refused before the first step as validate
 reports it, or an output directory or file that cannot be written; 3 found while
@@ -48,7 +48,8 @@ def _build_parser() -> argparse.ArgumentParser:
     ):
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", required=True, help="path to the scenario JSON")
-        cmd.add_argument("--out", default=None, help="output directory (overrides config)")
+        if name != "validate":  # the one command that writes no file
+            cmd.add_argument("--out", default=None, help="output directory (overrides config)")
         cmd.add_argument("--quiet", action="store_true", help="skip the written-file list and validate's ok line")
     return parser
 

@@ -106,10 +106,6 @@ class Potential:
             raise DomainError("linear potential requires a nonzero slope")
         return cls((0.0, float(slope)))
 
-    @classmethod
-    def polynomial(cls, coeffs) -> "Potential":
-        return cls(tuple(coeffs))
-
     @property
     def is_linear(self) -> bool:
         return len(self.coeffs) == 2 and self.coeffs[0] == 0.0 and self.coeffs[1] != 0.0

@@ -345,8 +345,7 @@ _NO_KIND = _Block({"kind": _KIND}, lambda: None)
 _POTENTIAL = _Kinds("one of ", {
     "none": _NO_KIND,
     "linear": _Block({"kind": _KIND, "slope": (_as_number, REQUIRED)}, _imported(".continuous", "Potential.linear")),
-    "polynomial": _Block({"kind": _KIND, "coeffs": (_as_coeffs, REQUIRED)},
-                         _imported(".continuous", "Potential.polynomial")),
+    "polynomial": _Block({"kind": _KIND, "coeffs": (_as_coeffs, REQUIRED)}, _imported(".continuous", "Potential")),
 })
 _HAMILTONIAN = _Block({
     "j_hop": (_as_number, REQUIRED),

@@ -1,7 +1,8 @@
 """Shared fixtures and independent oracles.
 
 The oracles here deliberately avoid the package's vectorized kernels: the
-naive Wigner transforms are plain Python loops over the defining sums, the
+one Wigner oracle, naive_wigner_values, is the defining direct sum with an
+explicit phase for every pair, vectorized per m-row but without an FFT; the
 Bessel oracle is quadrature of the integral representation, k_shift
 evaluates the k-interpolant through its full spectrum, and the walk oracles
 push amplitude vectors around by hand (amplitude_walk_oracle) or build the
@@ -43,49 +44,22 @@ config_sweep = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(config_sweep)
 
 
-def naive_wigner_values(matrix, window, kgrid):
-    """Triple-loop evaluation of the defining transform sum.
+def naive_wigner_values(op, window, kgrid):
+    """The defining sum W_ab(m, k) = (1/2 pi) sum_n <n,a|op|m-n,b> e^{-i(2n-m)k},
+    one m-row at a time with an explicit phase for every pair.
 
-    matrix: (2W, 2W) composite-space operator, site-major spin-minor.
+    op: (2W, 2W) composite-space operator, site-major spin-minor.
     Returns (2W-1, n_k, 2, 2) complex values.
     """
-    w = window.width
-    n_m = 2 * w - 1
-    out = np.zeros((n_m, kgrid.n_k, 2, 2), dtype=complex)
-    for i in range(n_m):
-        m = 2 * window.n_min + i
-        for j, k in enumerate(kgrid.points):
-            for a in range(2):
-                for b in range(2):
-                    total = 0.0 + 0.0j
-                    for n in range(window.n_min, window.n_max + 1):
-                        np_ = m - n
-                        if np_ < window.n_min or np_ > window.n_max:
-                            continue
-                        row = 2 * (n - window.n_min) + a
-                        col = 2 * (np_ - window.n_min) + b
-                        total += matrix[row, col] * np.exp(-1j * (2 * n - m) * k)
-                    out[i, j, a, b] = total / (2 * np.pi)
-    return out
-
-
-def naive_scalar_wigner_values(matrix, window, kgrid):
-    """Spinless version of the naive transform: matrix is (W, W)."""
-    w = window.width
-    n_m = 2 * w - 1
-    out = np.zeros((n_m, kgrid.n_k), dtype=complex)
-    for i in range(n_m):
-        m = 2 * window.n_min + i
-        for j, k in enumerate(kgrid.points):
-            total = 0.0 + 0.0j
-            for n in range(window.n_min, window.n_max + 1):
-                np_ = m - n
-                if np_ < window.n_min or np_ > window.n_max:
-                    continue
-                total += matrix[n - window.n_min, np_ - window.n_min] * np.exp(
-                    -1j * (2 * n - m) * k
-                )
-            out[i, j] = total / (2 * np.pi)
+    n_min, n_max, w = window.n_min, window.n_max, window.width
+    blocks = np.asarray(op).reshape(w, 2, w, 2)
+    out = np.zeros((2 * w - 1, kgrid.n_k, 2, 2), dtype=complex)
+    for i in range(2 * w - 1):
+        m = 2 * n_min + i
+        ns = np.arange(max(n_min, m - n_max), min(n_max, m - n_min) + 1)
+        phases = np.exp(-1j * np.outer(2 * ns - m, kgrid.points))
+        coeffs = blocks[ns - n_min, :, m - ns - n_min, :]
+        out[i] = np.tensordot(phases, coeffs, axes=(0, 0)) / TWO_PI
     return out
 
 
@@ -113,6 +87,12 @@ def k_shift(values, grid, delta, axis=-1):
     shape[axis] = grid.n_k
     phase = np.exp(1j * grid.modes() * float(delta)).reshape(shape)
     return np.fft.ifft(np.fft.fft(values, axis=axis) * phase, axis=axis)
+
+
+def delta_state(window, site, spin=0):
+    amps = np.zeros((window.width, 2), dtype=complex)
+    amps[window.index(site), spin] = 1.0
+    return PureState(window, amps)
 
 
 def random_pure(window, rng):
@@ -206,16 +186,6 @@ def reference_band_propagate(w0, j_hop, lambda_a, t, spin_signs):
     spec *= np.exp(-1j * np.multiply.outer(sin_q, z))[:, :, entry]
     spec = np.fft.ifft(spec, axis=0)[: w0.n_m]
     return w0.with_values(spec.copy() if dress is None else dress * spec)
-
-
-def reference_derivative_values(coeffs, order, x):
-    """The potential's order-th derivative at x through hand-differentiated
-    coefficients.  Kept only as the bitwise reference of Potential.derivative_values."""
-    for _ in range(order):
-        coeffs = tuple(p * coeffs[p] for p in range(1, len(coeffs)))
-        if not coeffs:
-            return np.polynomial.polynomial.polyval(x, (0.0,))
-    return np.polynomial.polynomial.polyval(x, coeffs)
 
 
 def reference_transform_values(op, window, kgrid):

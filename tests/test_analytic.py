@@ -36,7 +36,7 @@ from lattice_wigner import (
 from lattice_wigner.analytic import gaussian_norm_constant, site_pair_kernel
 from lattice_wigner.states import DensityOperator, PureState
 
-from conftest import naive_scalar_wigner_values
+from conftest import naive_wigner_values
 
 TWO_PI = 2.0 * np.pi
 
@@ -115,7 +115,7 @@ class TestSpinlessDoubleDelta:
         amps[small_window.index(n2)] = alpha
         amps /= np.linalg.norm(amps)
         rho_l = np.outer(amps, amps.conj())
-        naive = naive_scalar_wigner_values(rho_l, small_window, small_grid)
+        naive = naive_wigner_values(np.kron(rho_l, np.diag([1.0, 0.0])), small_window, small_grid)[..., 0, 0]
         assert np.max(np.abs(closed.values - naive)) < 1e-14
 
     def test_interference_maximum_for_real_alpha(self, small_window, small_grid):

@@ -296,6 +296,15 @@ class TestValidateCommand:
         assert main(["validate", "--config", cfg]) == 0
         assert "no diagnostics" in capsys.readouterr().out
 
+    def test_out_is_a_usage_error(self, tmp_path, capsys):
+        # validate writes no file, so it has no --out to ignore.
+        cfg = write_config(tmp_path, base_config())
+        with pytest.raises(SystemExit) as exc:
+            main(["validate", "--config", cfg, "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --out" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_grid_too_coarse_names_bound(self, tmp_path):
         said = refused(tmp_path, base_config(kgrid={"n_k": 16}))
         assert "2W+1" in said and "43" in said
@@ -964,21 +973,15 @@ class TestClosedFormChannel:
 
 
 class TestEvolveCommand:
+    @staticmethod
+    def noise_free(two_path):
+        doc = continuous_config(times=[0.0, 1.0])
+        del doc["dynamics"]["noise"]
+        doc["tolerances"] = {"two_path": two_path}
+        return doc
+
     def test_both_methods_agree_and_report(self, tmp_path):
-        doc = {
-            "window": {"n_min": -20, "n_max": 20, "a": 1.0},
-            "kgrid": {"n_k": 96},
-            "state": {"name": "product_gaussian", "params": {"center": 0, "sigma": 1.5, "spin": "up"}},
-            "dynamics": {
-                "kind": "continuous",
-                "hamiltonian": {"j_hop": 1.0, "potential": {"kind": "linear", "slope": 1.0}},
-                "method": "both",
-                "times": [0.0, 1.0],
-                "dt": 0.002,
-            },
-            "tolerances": {"two_path": 1e-6},
-        }
-        cfg = write_config(tmp_path, doc)
+        cfg = write_config(tmp_path, self.noise_free(1e-6))
         out = tmp_path / "out"
         assert main(["evolve", "--config", cfg, "--out", str(out), "--quiet"]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
@@ -989,20 +992,7 @@ class TestEvolveCommand:
         assert first[0].startswith("t,m,k")
 
     def test_two_path_violation_exits_3(self, tmp_path):
-        doc = {
-            "window": {"n_min": -20, "n_max": 20, "a": 1.0},
-            "kgrid": {"n_k": 96},
-            "state": {"name": "product_gaussian", "params": {"center": 0, "sigma": 1.5, "spin": "up"}},
-            "dynamics": {
-                "kind": "continuous",
-                "hamiltonian": {"j_hop": 1.0, "potential": {"kind": "linear", "slope": 1.0}},
-                "method": "both",
-                "times": [0.0, 1.0],
-                "dt": 0.002,
-            },
-            "tolerances": {"two_path": 1e-18},
-        }
-        cfg = write_config(tmp_path, doc)
+        cfg = write_config(tmp_path, self.noise_free(1e-18))
         assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
 
     def test_snapshots_stream(self, tmp_path):

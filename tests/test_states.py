@@ -34,13 +34,7 @@ from lattice_wigner.continuous import band_reach
 from lattice_wigner.states import ID2, PAULI_X, SPIN_VECTORS, lattice_density_from_amplitudes
 from lattice_wigner.wigner import occupied_rows
 
-from conftest import random_density, random_su2
-
-
-def delta_state(window, site, spin=0):
-    amps = np.zeros((window.width, 2), dtype=complex)
-    amps[window.index(site), spin] = 1.0
-    return PureState(window, amps)
+from conftest import delta_state, random_density, random_su2
 
 
 class TestWindow:

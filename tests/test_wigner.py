@@ -33,6 +33,7 @@ from lattice_wigner.states import SPIN_VECTORS
 from lattice_wigner.wigner import diagonal_imag_max
 
 from conftest import (
+    delta_state,
     naive_wigner_values,
     probe_fields,
     random_density,
@@ -43,26 +44,6 @@ from conftest import (
 )
 
 TWO_PI = 2.0 * np.pi
-
-
-def delta_state(window, site, spin=0):
-    amps = np.zeros((window.width, 2), dtype=complex)
-    amps[window.index(site), spin] = 1.0
-    return PureState(window, amps)
-
-
-def per_m_transform(op, window, kgrid):
-    """Direct sum, one m-row at a time: explicit phases e^{-i(2n-m)k} for every pair."""
-    n_min, n_max, w = window.n_min, window.n_max, window.width
-    blocks = np.asarray(op).reshape(w, 2, w, 2)
-    out = np.zeros((2 * w - 1, kgrid.n_k, 2, 2), dtype=complex)
-    for i in range(2 * w - 1):
-        m = 2 * n_min + i
-        ns = np.arange(max(n_min, m - n_max), min(n_max, m - n_min) + 1)
-        phases = np.exp(-1j * np.outer(2 * ns - m, kgrid.points))
-        coeffs = blocks[ns - n_min, :, m - ns - n_min, :]
-        out[i] = np.tensordot(phases, coeffs, axes=(0, 0)) / TWO_PI
-    return out
 
 
 def per_m_reconstruction(values, window, kgrid):
@@ -88,7 +69,7 @@ class TestFftKernelsAgainstDirectSum:
         window, grid = LatticeWindow(3 - width, 2), KGrid(n_k)
         op = (rng.normal(size=(window.dim,) * 2) + 1j * rng.normal(size=(window.dim,) * 2)) / window.dim
         w = wigner_of_operator(op, window, grid)
-        assert np.max(np.abs(w.values - per_m_transform(op, window, grid))) < 1e-14
+        assert np.max(np.abs(w.values - naive_wigner_values(op, window, grid))) < 1e-14
 
     @pytest.mark.parametrize("width, n_k", FFT_CASES)
     def test_reconstruction_round_trip(self, width, n_k, rng):
