@@ -3,7 +3,8 @@
 Subcommands:
   state       build a state, transform it, write the Wigner grid + marginals
   evolve      continuous-time dynamics: closed_form (phase space), rk4 (density
-              operator: exact eigh when closed, RK4 with Lindblad noise), or both
+              operator: exact eigh plus the channel flow e^{tD} when the channels
+              commute with H, RK4 otherwise), or both
   walk        discrete-time quantum walk, optionally with projective noise
   negativity  trace-norm negativity (JSON; timeseries CSV under dynamics)
   validate    the checks a run makes before its first step; nothing evolved or written

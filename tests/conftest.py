@@ -12,8 +12,8 @@ formulas of rewritten kernels, kept verbatim so the rewrites can be checked
 bit for bit.
 """
 
-import importlib.util
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -36,12 +36,11 @@ from lattice_wigner.grids import TWO_PI
 from lattice_wigner.negativity import HERMITICITY_TOL
 from lattice_wigner.wigner import INV_TWO_PI, _pair_map
 
-# tools/config_sweep.py: its verdict is the one check that validate and the run agree.
-_spec = importlib.util.spec_from_file_location(
-    "config_sweep", Path(__file__).resolve().parents[1] / "tools" / "config_sweep.py"
-)
-config_sweep = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(config_sweep)
+# tools/: config_sweep's verdict is the one check that validate and the run agree;
+# golden_check holds the table of golden runs and the one config-key edit.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
+import config_sweep  # noqa: E402
+import golden_check  # noqa: E402
 
 
 def naive_wigner_values(op, window, kgrid):

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import config_sweep
+from conftest import config_sweep, golden_check
 from lattice_wigner import KGrid, LatticeWindow, TwoGaussianSpec, WignerMatrix, two_gaussian_state
 from lattice_wigner.cli import main
 from lattice_wigner import output, wigner_of_pure
@@ -17,6 +17,7 @@ REPO = Path(__file__).resolve().parents[1]
 SCENARIOS = REPO / "scenarios"
 OK = (0, "ok: no diagnostics\n", 0, "")  # a verdict: validate and the run both pass, saying nothing else
 verdict = config_sweep.verdict  # validate and the run on one config, held to the same rules as the sweep's
+ABSENT = golden_check.ABSENT  # the edit that removes its key
 
 
 def refused(tmp_path, doc):
@@ -406,23 +407,18 @@ class TestExitCodes:
         assert snapshots == [f"snapshot_00{i}.csv" for i in range(3)]
 
     @pytest.mark.parametrize(
-        "scenario, edit",
+        "scenario, edits",
         [
-            ("walk_hadamard", lambda doc: doc.update(window={"n_min": 0, "n_max": 1})),
-            ("walk_hadamard", lambda doc: doc["state"]["params"].update(n1=16)),
-            (
-                "fig2_bloch",
-                lambda doc: (doc["dynamics"].update(method="rk4"), doc["tolerances"].update(eps_boundary=1e-300)),
-            ),
+            ("walk_hadamard", {"window": {"n_min": 0, "n_max": 1}}),
+            ("walk_hadamard", {"state.params.n1": 16}),
+            ("fig2_bloch", {"dynamics.method": "rk4", "tolerances.eps_boundary": 1e-300}),
         ],
         ids=["walk_two_sites", "walk_state_on_wall", "density_initial_leak"],
     )
-    def test_pre_step_refusal_is_validated(self, tmp_path, scenario, edit):
+    def test_pre_step_refusal_is_validated(self, tmp_path, scenario, edits):
         # validate reports the refusal with the run's message, and the refused
         # run leaves no output directory behind: the verdict's rules.
-        doc = json.loads((SCENARIOS / f"{scenario}.json").read_text())
-        edit(doc)
-        refused(tmp_path, doc)
+        refused(tmp_path, golden_check.edited(scenario, edits))
 
     @pytest.mark.parametrize(
         "dt, names",
@@ -437,10 +433,8 @@ class TestExitCodes:
     def test_step_refusal_names_its_inputs(self, tmp_path, dt, names):
         # The step count up to the last time is set by the time as much as by
         # the step; a step that is not positive is the step's fault alone.
-        doc = json.loads((SCENARIOS / "fig2_bloch.json").read_text())
-        doc["dynamics"].update(method="rk4", times=[0.0, 1e5])
-        if dt is not None:
-            doc["dynamics"]["dt"] = dt
+        edits = {"dynamics.method": "rk4", "dynamics.times": [0.0, 1e5]}
+        doc = golden_check.edited("fig2_bloch", edits if dt is None else {**edits, "dynamics.dt": dt})
         assert refused(tmp_path, doc).startswith(f"error: {names}: ")
 
     def test_no_output_directory(self, tmp_path):
@@ -496,10 +490,7 @@ def continuous_config(**dynamics):
 
 def _set(path, value):
     def edit(doc):
-        *parents, leaf = path
-        for key in parents:
-            doc = doc[key]
-        doc[leaf] = value
+        golden_check._parent(doc, path)[path[-1]] = value
 
     return edit
 
@@ -704,12 +695,7 @@ MISSING_FIELDS = [
     "command, path", MISSING_FIELDS, ids=[config_sweep._dotted(path) for _, path in MISSING_FIELDS]
 )
 def test_missing_required_field_names_its_path(tmp_path, command, path):
-    doc = continuous_config() if command == "evolve" else walk_config()
-    *parents, leaf = path
-    block = doc
-    for key in parents:
-        block = block[key]
-    del block[leaf]
+    doc = golden_check.mutated(continuous_config() if command == "evolve" else walk_config(), path, ABSENT)
     (line,) = refused(tmp_path, doc).splitlines()
     assert line.endswith(f"missing required field {config_sweep._dotted(path)}")
 
@@ -749,8 +735,6 @@ class TestConfigTypes:
         assert outputs[0] == outputs[1]
 
 
-ABSENT = config_sweep.ABSENT
-
 # (path, what null there stands for: the key's default, or ABSENT where the default
 # is the key removed); the block with null and the one with the default run alike.
 NULL_AS_DEFAULT = [
@@ -770,7 +754,7 @@ class TestNullMeansDefault:
         outcomes = []
         for name, value in (("null", None), ("default", default)):
             (tmp_path / name).mkdir()
-            doc = config_sweep.mutated(continuous_config(), path, value)
+            doc = golden_check.mutated(continuous_config(), path, value)
             outcome = verdict(doc, tmp_path / name)
             out = tmp_path / name / "out"
             files = {p.name: p.read_bytes() for p in sorted(out.iterdir())} if out.exists() else {}
@@ -876,10 +860,7 @@ def narrow_window(doc):
 
 
 def fig2_config(center, times):
-    doc = json.loads((SCENARIOS / "fig2_bloch.json").read_text())
-    doc["state"]["params"]["center"] = center
-    doc["dynamics"]["times"] = times
-    return doc
+    return golden_check.edited("fig2_bloch", {"state.params.center": center, "dynamics.times": times})
 
 
 class TestBesselSlack:
@@ -1023,10 +1004,10 @@ class TestEvolveCommand:
         assert small[1] < 1.5 * small[0], small
         # Six times the times at W = 41, where a kept density trajectory (one
         # 2W x 2W matrix per time) would outweigh the run's Wigner grids.
-        doc = json.loads((SCENARIOS / "fig2_bloch.json").read_text())
-        doc.update(window={"n_min": -20, "n_max": 20}, kgrid={"n_k": 84})
-        doc["state"]["params"].update(center=0, sigma=1.5)
-        doc["dynamics"]["method"] = "both"
+        doc = golden_check.edited("fig2_bloch", {
+            "window": {"n_min": -20, "n_max": 20}, "kgrid": {"n_k": 84},
+            "state.params.center": 0, "state.params.sigma": 1.5, "dynamics.method": "both",
+        })
         dense = peaks(doc, "fig2", (4, 24))
         assert dense[1] < 1.1 * dense[0], dense
 
@@ -1045,8 +1026,7 @@ class TestEvolveCommand:
 
     def test_long_closed_form_time(self, tmp_path):
         # lambda_a t = 1e12: the kernel's phases are taken at lambda_a t mod 4 pi.
-        doc = json.loads((SCENARIOS / "fig2_bloch.json").read_text())
-        doc["dynamics"]["times"] = [0.0, 1e12]
+        doc = golden_check.edited("fig2_bloch", {"dynamics.times": [0.0, 1e12]})
         assert verdict(doc, tmp_path) == OK
         marginal = np.loadtxt(tmp_path / "out" / "marginal_position_001.csv", delimiter=",", skiprows=1)
         assert abs(marginal[:, 1].sum() + marginal[:, 7].sum() - 1.0) < 1e-13  # re00 + re11
@@ -1094,8 +1074,7 @@ class TestWalkCommand:
         # snapshot is written and dropped before the next step is taken.
         peaks = []
         for steps in (40, 400):
-            doc = json.loads((SCENARIOS / "cat_projective.json").read_text())
-            doc["dynamics"]["steps"] = steps
+            doc = golden_check.edited("cat_projective", {"dynamics.steps": steps})
             cfg = write_config(tmp_path, doc, f"steps_{steps}.json")
             tracemalloc.start()
             try:

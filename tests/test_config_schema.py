@@ -1,5 +1,7 @@
 """The config schema: README's defaults paragraph and a seeded mutation sweep
-both read the parser's own table (scenario._CONFIG and scenario._STATES)."""
+both read the parser's own table (scenario._CONFIG and scenario._STATES), and
+every row of the golden runs' table (tools/golden_check.py's RUNS) is a config
+that the schema accepts, or refuses where the row is meant to be malformed."""
 
 import json
 import re
@@ -7,11 +9,12 @@ from pathlib import Path
 
 import pytest
 
-from conftest import config_sweep
+from conftest import config_sweep, golden_check
 from lattice_wigner.errors import ConfigError
-from lattice_wigner.scenario import _CONFIG, _POTENTIAL, _STATES, REQUIRED, _fields, parse_config
+from lattice_wigner.scenario import _CONFIG, _POTENTIAL, _STATES, REQUIRED, _fields, parse_config, validate_config
 
 REPO = Path(__file__).resolve().parents[1]
+RUNS = golden_check.RUNS
 
 
 def readme_defaults() -> dict:
@@ -109,3 +112,19 @@ def test_absent_params_are_not_shared():
     doc = {"window": {"n_min": -3, "n_max": 3}, "kgrid": {"n_k": 16}, "state": {"name": "werner"}}
     parse_config(doc).state_params["z"] = 0.5
     assert parse_config(doc).state_params == {}
+
+
+def test_golden_rows_are_unique_and_committed():
+    # Each (command, name) names the row's output, <command>-<name>, in the golden check.
+    pairs = [(command, name) for command, name, _, _ in RUNS]
+    assert len(set(pairs)) == len(pairs)
+    assert all((REPO / "scenarios" / f"{scenario}.json").is_file() for _, _, scenario, _ in RUNS)
+
+
+@pytest.mark.parametrize("name, scenario, edits", [row[1:] for row in RUNS], ids=[f"{c}-{n}" for c, n, _, _ in RUNS])
+def test_golden_row_config(tmp_path, name, scenario, edits):
+    doc = golden_check.edited(scenario, edits)
+    if name.startswith("malformed-"):  # verdict raises unless validate and the run refuse it alike
+        assert config_sweep.verdict(doc, tmp_path)[0] == 2
+    else:
+        assert validate_config(parse_config(doc)) == []

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import copy
 import io
 import json
 import math
@@ -45,6 +44,7 @@ import tempfile
 import warnings
 from pathlib import Path
 
+from golden_check import ABSENT, _parent, mutated  # ABSENT: the mutation that removes the key
 from lattice_wigner.cli import main
 from lattice_wigner.continuous import _MAX_STEPS
 from lattice_wigner.scenario import (
@@ -61,7 +61,6 @@ from lattice_wigner.scenario import (
 )
 
 VALUES = [None, True, "x", -1, 0, 0.5, 2, 1e308, -1e308, math.nan, math.inf, [], {}, 10**30, -0.0]
-ABSENT = object()  # the mutation that removes the key
 EVERY = object()  # walk every kind, named state and list entry instead of a doc's
 MAX_RUN_SNAPSHOTS = 64
 MAX_RUN_STEPS = 10_000
@@ -199,22 +198,6 @@ def mutations(base: dict) -> list:
         removal = [ABSENT] if path[-1] in _parent(base, path) else []
         found += [(path, value) for value in VALUES + removal + choices + _cap_values(path[-1])]
     return found
-
-
-def _parent(doc: dict, path: tuple):
-    """The block (or list) that holds the key at path."""
-    for key in path[:-1]:
-        doc = doc[key]
-    return doc
-
-
-def mutated(base: dict, path: tuple, value) -> dict:
-    doc = copy.deepcopy(base)
-    if value is ABSENT:
-        del _parent(doc, path)[path[-1]]
-    else:
-        _parent(doc, path)[path[-1]] = copy.deepcopy(value)
-    return doc
 
 
 def _command(doc) -> str:

@@ -1,54 +1,37 @@
-#!/usr/bin/env bash
-# Byte-compare the golden CLI outputs of the working tree with those of a
-# revision (normally the parent commit).
-#
-#   tools/golden_check.sh PARENT_REV
-#
-# The revision is exported with `git archive` into a temporary directory.  The
-# table RUNS below names every golden run once, with the reason it is there.  A
-# row without edits runs on each tree's own scenarios/<scenario>.json; a row
-# with edits runs on a copy, <name>.json, written once from the working tree's
-# scenarios/ into the temporary directory.  Each tree's src/ runs every row, with
-# BLAS pinned to one thread, because the density route's last bits depend on the
-# thread count.  A run writes into <command>-<name>/; a `validate` run keeps its
-# stdout, then "stderr:" and its stderr, then its exit status, in
-# validate-<name>.txt, so the pre-run checks and their error messages are held
-# to the same byte-identity.  Every file, manifests included, is compared byte
-# for byte with `diff -r`.  Exit status: 0 when every file is byte-identical, 1
-# on any difference.
-set -euo pipefail
+#!/usr/bin/env python3
+"""Byte-compare the golden CLI outputs of the working tree with those of a
+revision (normally the parent commit).
 
-parent=${1:?usage: tools/golden_check.sh PARENT_REV}
-root=$(git -C "$(dirname "$0")" rev-parse --show-toplevel)
-python=${PYTHON:-python3}
-tmp=$(mktemp -d)
-trap 'rm -rf "$tmp"' EXIT
+    python3 tools/golden_check.py PARENT_REV
 
-mkdir "$tmp/parent-tree"
-git -C "$root" archive "$parent" | tar -x -C "$tmp/parent-tree"
-export OPENBLAS_NUM_THREADS=1
+The revision is exported with `git archive` into a temporary directory.  The
+table RUNS below names every golden run once, with the reason it is there.  A
+row without edits runs on each tree's own scenarios/<scenario>.json; a row
+with edits runs on a copy, <name>.json, written once from the working tree's
+scenarios/ into the temporary directory.  Each tree's src/ runs every row, with
+BLAS pinned to one thread, because the density route's last bits depend on the
+thread count.  A run writes into <command>-<name>/; a `validate` run keeps its
+stdout, then "stderr:" and its stderr, then its exit status, in
+validate-<name>.txt, so the pre-run checks and their error messages are held
+to the same byte-identity.  Every file, manifests included, is compared byte
+for byte with `diff -r`.  Exit status: 0 when every file is byte-identical, 1
+on any difference.  It imports nothing from the package, so it runs without
+PYTHONPATH; tools/config_sweep.py imports its mutated, and Tier-1 reads RUNS.
+"""
 
-golden_runs() {  # golden_runs TREE OUT: every line "command output config" of $tmp/runs
-    local tree=$1 out=$2 command output config status
-    mkdir "$out"
-    while read -r command output config; do
-        [[ $config = /* ]] || config=$tree/$config  # a committed scenario: this tree's own
-        if [[ $output = *.txt ]]; then  # a transcript: stdout, stderr and exit status
-            status=0
-            (cd "$tmp" && PYTHONPATH="$tree/src" "$python" -m lattice_wigner.cli "$command" --config "$config") \
-                </dev/null >"$out/$output" 2>"$tmp/stderr" || status=$?
-            { echo "stderr:"; cat "$tmp/stderr"; echo "exit status $status"; } >>"$out/$output"
-        else
-            (cd "$tmp" && PYTHONPATH="$tree/src" "$python" -m lattice_wigner.cli "$command" \
-                --config "$config" --out "$out/$output" --quiet) </dev/null
-        fi
-    done <"$tmp/runs"
-}
+import copy
+import io
+import json
+import math
+import os
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
 
-"$python" - "$root/scenarios" "$tmp" >"$tmp/runs" <<'EOF'
-import json, math, pathlib, sys
-scenarios, tmp = pathlib.Path(sys.argv[1]), pathlib.Path(sys.argv[2])
-ABSENT = object()  # an edit that removes its key
+ROOT = Path(__file__).resolve().parents[1]
+ABSENT = object()  # the edit that removes its key
 BOTH = {"dynamics.method": "both"}
 SIGMA_X = {"dynamics.noise": {"lindblad": [{"op": "sigma_x", "gamma": 0.2}]}}
 FIG2, FIG3, WALK = "fig2_bloch", "fig3_spin_split", "walk_hadamard"
@@ -113,28 +96,72 @@ RUNS = [  # (command, name, scenario, edits): edits map a dotted key path to its
     ("validate", "malformed-cat_param", "cat_projective",
      {"state": {"name": "cat", "params": {"a_site": -2, "b_site": 3, "phase": 0.5}}}),
 ]
-for command, name, scenario, edits in RUNS:
-    config = f"scenarios/{scenario}.json"
-    if edits:
-        doc = json.loads((scenarios / f"{scenario}.json").read_text())
-        for path, value in edits.items():
-            *parents, leaf = path.split(".")
-            block = doc
-            for key in parents:
-                block = block[key]
-            if value is ABSENT:
-                del block[leaf]
-            else:
-                block[leaf] = value
-        config = tmp / f"{name}.json"
-        config.write_text(json.dumps(doc))
-    print(command, f"{command}-{name}.txt" if command == "validate" else f"{command}-{name}", config)
-EOF
-golden_runs "$tmp/parent-tree" "$tmp/parent"
-golden_runs "$root" "$tmp/change"
-if diff -r "$tmp/parent" "$tmp/change"; then
-    echo "golden outputs byte-identical: $(find "$tmp/change" -type f | wc -l) files"
-else
-    echo "golden outputs differ from $parent" >&2
-    exit 1
-fi
+
+
+def _parent(doc: dict, path: tuple):
+    """The block (or list) that holds the key at path."""
+    for key in path[:-1]:
+        doc = doc[key]
+    return doc
+
+
+def mutated(base: dict, path: tuple, value) -> dict:
+    """A copy of base with the key at path set to value, or removed for ABSENT."""
+    doc = copy.deepcopy(base)
+    if value is ABSENT:
+        del _parent(doc, path)[path[-1]]
+    else:
+        _parent(doc, path)[path[-1]] = copy.deepcopy(value)
+    return doc
+
+
+def edited(scenario: str, edits: dict) -> dict:
+    """The working tree's scenarios/<scenario>.json with edits (dotted key path -> value) applied."""
+    doc = json.loads((ROOT / "scenarios" / f"{scenario}.json").read_text())
+    for path, value in edits.items():
+        doc = mutated(doc, tuple(path.split(".")), value)
+    return doc
+
+
+def golden_runs(tree: Path, out: Path, tmp: Path) -> None:
+    """Run every row of RUNS from tree's src/ into out, in tmp, where each edited row's config is."""
+    out.mkdir()
+    env = {**os.environ, "PYTHONPATH": str(tree / "src"), "OPENBLAS_NUM_THREADS": "1"}
+    for command, name, scenario, edits in RUNS:
+        config = tmp / f"{name}.json" if edits else tree / "scenarios" / f"{scenario}.json"
+        argv = [sys.executable, "-m", "lattice_wigner.cli", command, "--config", str(config)]
+        if command == "validate":  # a transcript: stdout, stderr and exit status
+            done = subprocess.run(argv, cwd=tmp, env=env, stdin=subprocess.DEVNULL, capture_output=True)
+            transcript = done.stdout + b"stderr:\n" + done.stderr + f"exit status {done.returncode}\n".encode()
+            (out / f"validate-{name}.txt").write_bytes(transcript)
+        else:
+            argv += ["--out", str(out / f"{command}-{name}"), "--quiet"]
+            subprocess.run(argv, cwd=tmp, env=env, stdin=subprocess.DEVNULL, check=True)
+
+
+def main(parent: str) -> int:
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", parent], stdout=subprocess.PIPE, check=True).stdout
+    with tempfile.TemporaryDirectory() as tmpdir:
+        tmp = Path(tmpdir)
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(tmp / "parent-tree", filter="data")
+        for _, name, scenario, edits in RUNS:
+            if edits:
+                (tmp / f"{name}.json").write_text(json.dumps(edited(scenario, edits)))
+        golden_runs(tmp / "parent-tree", tmp / "parent", tmp)
+        golden_runs(ROOT, tmp / "change", tmp)
+        if subprocess.run(["diff", "-r", tmp / "parent", tmp / "change"]).returncode:
+            print(f"golden outputs differ from {parent}", file=sys.stderr)
+            return 1
+        count = sum(path.is_file() for path in (tmp / "change").rglob("*"))
+        print(f"golden outputs byte-identical: {count} files")
+        return 0
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        sys.exit("usage: python3 tools/golden_check.py PARENT_REV")
+    try:
+        sys.exit(main(sys.argv[1]))
+    except subprocess.CalledProcessError as exc:  # its own message is printed above
+        sys.exit(f"{' '.join(map(str, exc.cmd))} exits {exc.returncode}")
