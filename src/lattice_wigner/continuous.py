@@ -116,10 +116,6 @@ class Potential:
             raise DomainError("slope is only defined for linear potentials")
         return self.coeffs[1]
 
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
     def derivative_values(self, order: int, x: np.ndarray) -> np.ndarray:
         """V's order-th derivative at x, bit for bit numpy.polynomial's
         polyval(x, polyder(coeffs, order)), through the same recurrences
@@ -517,7 +513,7 @@ def wigner_evolution_rhs(w: WignerMatrix, h: HamiltonianSpec, a: float = 1.0) ->
 
     x_mid = 0.5 * w.m_values * a
     signs = np.asarray(h.spin_signs)
-    for p in range(pot.degree + 1):
+    for p in range(len(pot.coeffs)):
         weight = np.subtract.outer(signs, (-1.0) ** p * signs)  # s_a - (-1)^p s_b
         live = weight != 0.0  # only these spin entries get order p
         vp = pot.derivative_values(p, x_mid)

@@ -512,11 +512,11 @@ def _preflight(cfg: ScenarioConfig) -> tuple:
     elif isinstance(dyn, WalkDynamics) and dyn.mode == "walk" and rho0 is not None:
         from .walk import _require_walkable
 
-        if dyn.steps:
+        if dyn.steps:  # a walk of no steps moves nothing
             _attempt(diags, "state, window", _require_walkable, rho0)
-        lo, hi = occupied_rows(rho0.site_populations())
-        if lo - dyn.steps <= 0 or hi + dyn.steps >= cfg.window.width - 1:
-            diags.append(Diagnostic("warning", f"{dyn.steps} walk steps may reach the window boundary"))
+            lo, hi = occupied_rows(rho0.site_populations())
+            if lo - dyn.steps <= 0 or hi + dyn.steps >= cfg.window.width - 1:
+                diags.append(Diagnostic("warning", f"{dyn.steps} walk steps may reach the window boundary"))
     return rho0, w0, diags
 
 

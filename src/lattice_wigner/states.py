@@ -22,7 +22,6 @@ HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
 NORM_TOL = 1e-12
 UNITARITY_TOL = 1e-12
-POSITIVITY_TOL = 1e-10
 
 #: Default boundary-population tolerance for window-truncation monitoring.
 DEFAULT_EPS_BOUNDARY = 1e-8
@@ -160,9 +159,8 @@ class PureState:
 class DensityOperator:
     """Hermitian, unit-trace operator on the composite (sites x spin) space.
 
-    Positivity is an on-demand check (:meth:`min_eigenvalue`), not part of
-    construction: the eigendecomposition costs O(W^3) and most call sites
-    produce operators that are positive by construction.
+    Positivity is not checked: it would cost an O(W^3) eigendecomposition per
+    operator.
     """
 
     window: LatticeWindow
@@ -181,17 +179,6 @@ class DensityOperator:
 
     def boundary_population(self) -> float:
         return _edge_population(self.site_populations())
-
-    def purity(self) -> float:
-        return float(np.real(np.vdot(self.matrix, self.matrix)))
-
-    def min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(self.matrix)[0])
-
-    def assert_positive(self) -> None:
-        lo = self.min_eigenvalue()
-        if lo < -POSITIVITY_TOL:
-            raise StateError(f"density operator has eigenvalue {lo:.3e} below -{POSITIVITY_TOL}")
 
 
 @dataclass(frozen=True)

@@ -119,20 +119,8 @@ class WignerMatrix(_Field):
         spec.setflags(write=False)
         return spec
 
-    def m_index(self, m: int) -> int:
-        if not self.m_min <= m <= self.m_max:
-            raise GridError(f"m={m} outside [{self.m_min}, {self.m_max}]")
-        return m - self.m_min
-
     def with_values(self, values) -> "WignerMatrix":
         return WignerMatrix(self.m_min, self.m_max, self.kgrid, values)
-
-    def same_grid(self, other: "WignerMatrix") -> bool:
-        return (
-            self.m_min == other.m_min
-            and self.m_max == other.m_max
-            and self.kgrid.n_k == other.kgrid.n_k
-        )
 
 
 @dataclass(frozen=True)
@@ -242,7 +230,7 @@ def marginal_momentum(w: WignerMatrix) -> np.ndarray:
 
 def trace_product(wc: WignerMatrix, wd: WignerMatrix) -> complex:
     """Pairing 2pi sum_ab sum_m int dk W^C_ab W^D_ba = tr(C D)."""
-    if not wc.same_grid(wd):
+    if (wc.m_min, wc.m_max, wc.kgrid.n_k) != (wd.m_min, wd.m_max, wd.kgrid.n_k):
         raise GridError("trace_product requires matching (m, k) grids")
     s = np.einsum("mkab,mkba->", wc.values, wd.values)
     return complex(TWO_PI * wc.kgrid.weight * s)

@@ -72,7 +72,7 @@ class TestStateCommand:
             two_gaussian_state(TwoGaussianSpec(6, -6, 1.5), window), grid
         )
         # spot-check the first row of the m = 12 block (peak of branch a)
-        i = w.m_index(12)
+        i = 12 - w.m_min
         row = lines[1 + i * grid.n_k].split(",")
         assert int(row[0]) == 12
         assert float(row[1]) == -math.pi
@@ -1093,6 +1093,14 @@ class TestWalkCommand:
         assert code == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert len([f for f in manifest["files"] if f.startswith("snapshot")]) == 4
+
+    def test_zero_steps_on_the_outermost_site_warn_nothing(self, tmp_path, capsys):
+        # A walk of no steps moves nothing, so it cannot reach the window boundary.
+        edits = {"dynamics.steps": 0, "dynamics.snapshot_steps": [0], "state.params.n1": -16}
+        cfg = write_config(tmp_path, golden_check.edited("walk_hadamard", edits))
+        assert main(["validate", "--config", cfg]) == 0
+        assert capsys.readouterr().out == "ok: no diagnostics\n"
+        assert main(["walk", "--config", cfg, "--out", str(tmp_path / "out"), "--quiet"]) == 0
 
 
 class TestNegativityCommand:

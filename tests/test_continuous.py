@@ -220,7 +220,7 @@ class TestVonNeumannRK4:
         res = lindblad_rk4(rho0, h, None, [2.0])
         final = res.snapshots[-1]
         assert abs(np.trace(final.matrix) - 1.0) < 1e-10
-        assert final.purity() == pytest.approx(1.0, abs=1e-8)
+        assert np.vdot(final.matrix, final.matrix).real == pytest.approx(1.0, abs=1e-8)
 
     def test_snapshot_schedule(self):
         window, grid, rho0, _ = gaussian_setup(LatticeWindow(-16, 16), KGrid(72))
@@ -744,7 +744,7 @@ class TestLindblad:
         res = lindblad_rk4(
             rho0, HamiltonianSpec(0.0), NoiseSpec(((PAULI_Z, 0.5),)), [0.5, 1.0, 2.0, 3.0], dt=0.01
         )
-        purities = [s.purity() for s in res.snapshots]
+        purities = [np.vdot(s.matrix, s.matrix).real for s in res.snapshots]
         assert all(b <= a + 1e-12 for a, b in zip(purities, purities[1:]))
 
     def test_closed_form_identity_at_gamma_zero(self):

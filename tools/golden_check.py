@@ -10,13 +10,15 @@ row without edits runs on each tree's own scenarios/<scenario>.json; a row
 with edits runs on a copy, <name>.json, written once from the working tree's
 scenarios/ into the temporary directory.  Each tree's src/ runs every row, with
 BLAS pinned to one thread, because the density route's last bits depend on the
-thread count.  A run writes into <command>-<name>/; a `validate` run keeps its
+thread count.  A run writes into <command>-<name>/, and every run keeps its
 stdout, then "stderr:" and its stderr, then its exit status, in
-validate-<name>.txt, so the pre-run checks and their error messages are held
-to the same byte-identity.  Every file, manifests included, is compared byte
-for byte with `diff -r`.  Exit status: 0 when every file is byte-identical, 1
-on any difference.  It imports nothing from the package, so it runs without
-PYTHONPATH; tools/config_sweep.py imports its mutated, and Tier-1 reads RUNS.
+<command>-<name>.txt, so the pre-run checks, the refusals and their error
+messages are held to the same byte-identity as the outputs; a run that exits
+non-zero is compared, not aborted.  Every file, manifests included, is
+compared byte for byte with `diff -r`.  Exit status: 0 when every file is
+byte-identical, 1 on any difference.  It imports nothing from the package, so
+it runs without PYTHONPATH; tools/config_sweep.py imports its mutated, and
+Tier-1 reads RUNS.
 """
 
 import copy
@@ -71,6 +73,10 @@ RUNS = [  # (command, name, scenario, edits): edits map a dotted key path to its
     # A time adding no steps keeps the previous density (t = 0 first and a repeated
     # time), and the channel acts once per snapshot time.
     ("evolve", "fig2_repeat_times", FIG2, {**BOTH, **SIGMA_X, "dynamics.times": [0.0, 0.0, 1.6, 1.6, 4.7]}),
+    # The density route's wall: the edge population passes eps_boundary before t = 20,
+    # so the run exits 3 with BoundaryLeakError's words and writes no directory.
+    ("evolve", "fig2_wall_rk4", FIG2,
+     {"dynamics.method": "rk4", "dynamics.hamiltonian.potential.slope": 0.05, "dynamics.times": [0, 20]}),
     # The one run whose config numbers reach NoiseSpec's intake: a custom op that
     # commutes with the spin-scalar H, so the exact density route and the closed form both run.
     ("evolve", "fig2_custom_op", FIG2, {**BOTH, "dynamics.noise": {"lindblad": [
@@ -130,13 +136,11 @@ def golden_runs(tree: Path, out: Path, tmp: Path) -> None:
     for command, name, scenario, edits in RUNS:
         config = tmp / f"{name}.json" if edits else tree / "scenarios" / f"{scenario}.json"
         argv = [sys.executable, "-m", "lattice_wigner.cli", command, "--config", str(config)]
-        if command == "validate":  # a transcript: stdout, stderr and exit status
-            done = subprocess.run(argv, cwd=tmp, env=env, stdin=subprocess.DEVNULL, capture_output=True)
-            transcript = done.stdout + b"stderr:\n" + done.stderr + f"exit status {done.returncode}\n".encode()
-            (out / f"validate-{name}.txt").write_bytes(transcript)
-        else:
+        if command != "validate":
             argv += ["--out", str(out / f"{command}-{name}"), "--quiet"]
-            subprocess.run(argv, cwd=tmp, env=env, stdin=subprocess.DEVNULL, check=True)
+        done = subprocess.run(argv, cwd=tmp, env=env, stdin=subprocess.DEVNULL, capture_output=True)
+        transcript = done.stdout + b"stderr:\n" + done.stderr + f"exit status {done.returncode}\n".encode()
+        (out / f"{command}-{name}.txt").write_bytes(transcript)
 
 
 def main(parent: str) -> int:
