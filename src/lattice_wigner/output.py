@@ -34,9 +34,9 @@ each:
 
 repr() is the oracle: tests/test_cli.py checks the kernel's bytes against it
 on the float64 edge cases and on random bit patterns, and checks whole tables
-against a writer that calls repr() per cell.  Formatting fig3's tables takes
-0.47 s of CPU, against 1.43 s with one repr() per distinct value (2 cores,
-numpy 2.4).
+against a writer that calls repr() per cell.  Writing fig3's tables takes
+0.25 s of CPU, against 0.79 s with one repr() per distinct value (median of 5
+runs on 2 cores, one BLAS thread, numpy 2.4.6).
 """
 
 from __future__ import annotations
@@ -50,18 +50,18 @@ SPIN_HEADER = ("re00", "im00", "re01", "im01", "re10", "im10", "re11", "im11")
 
 # Rows formatted per block.  A block holds the table's one cell buffer and the
 # kernel's temporaries for its distinct values, so a larger block raises a
-# run's peak memory; a smaller one pays the kernel's fixed cost (some hundred
-# numpy calls) and the per-block np.unique more often.  Measured on 2 cores
-# with one BLAS thread, writer CPU for fig2 / fig3: 512 rows 0.53 / 0.54 s,
-# 1024 rows 0.44 / 0.45 s, 2048 rows 0.39 / 0.40 s.  1024 is the best that
-# keeps memory: cli_oracle's peak RSS is 38.7 MB at 1024 rows (39.7 MB with
-# one repr() per value) and 40.7 MB at 2048.
+# writer's peak memory; a smaller one pays the kernel's fixed cost (some
+# hundred numpy calls) and the per-block np.unique more often.  Measured on 2
+# cores with one BLAS thread (median of 5 runs), writer CPU for fig2 / fig3:
+# 512 rows 0.30 / 0.29 s, 1024 rows 0.28 / 0.25 s, 2048 rows 0.22 / 0.24 s; the
+# writer's peak allocation for fig3 (tracemalloc): 1.1, 2.2 and 4.3 MB.  1024
+# keeps the writer near 2 MB.
 _BLOCK_ROWS = 1024
 
 # Fewest distinct float64 values of a block that the kernel formats; fewer go
-# through repr().  The kernel costs some 0.2 ms a call at any size.  Median
-# CPU per call on 2 cores, kernel against repr(): 64 values 0.21 / 0.02-0.09 ms,
-# 256 values 0.25-0.27 / 0.09-0.38 ms, 512 values 0.28-0.30 / 0.16-0.70 ms
+# through repr().  The kernel costs some 0.25 ms a call up to 256 values.
+# Median CPU per call on 2 cores, kernel against repr(): 64 values 0.23 /
+# 0.02-0.09 ms, 256 values 0.27 / 0.16-0.36 ms, 512 values 0.54 / 0.31-1.47 ms
 # (short decimals, normal draws and random bit patterns, in that order of
 # repr()'s cost).  At 256 neither loses more than 0.11 ms.
 _KERNEL_MIN_VALUES = 256

@@ -1,17 +1,20 @@
-"""What the golden runs reach: every function defined in src/ runs in some row
-of tools/golden_check.py's RUNS, or UNREACHED names it with its one reason.
+"""The golden rows' runner, tools/golden_check.py's run_rows: what the rows
+reach, that it writes what the process entry writes, and that call records
+every warning.
 
-One fresh interpreter sets a profiler before it imports the package (so code
-that runs at import time counts), runs every row through cli.main(argv), checks
-each row's exit status, and prints the (file, first line) of every code object
-that ran.  A definition added without a row or a reason fails here, and so does
-an UNREACHED entry whose function a row now runs."""
+Reach: every function defined in src/ runs in some row of RUNS, or UNREACHED
+names it with its one reason.  golden_check's child runs every row in one fresh
+interpreter (10-11 s here) under a profiler set before the package is imported,
+so code that runs at import time counts.  A definition added without a row or a
+reason fails here, and so does an UNREACHED entry whose function a row now runs.
+"""
 
 import ast
 import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -37,7 +40,6 @@ def criterion(n: int) -> str:
 UNREACHED = {
     "__init__.__dir__": ATTRIBUTE,
     "__init__.__getattr__": ATTRIBUTE,
-    "analytic.WernerSpec.__post_init__": criterion(8),
     "analytic._gauss_ksum": CLOSED_FORM,
     "analytic._gauss_ridge": CLOSED_FORM,
     "analytic._two_site_terms": CLOSED_FORM,
@@ -50,7 +52,6 @@ UNREACHED = {
     "analytic.site_pair_kernel": CLOSED_FORM,
     "analytic.spinless_double_delta_wigner": CLOSED_FORM,
     "analytic.two_gaussian_wigner_closed": CLOSED_FORM,
-    "analytic.werner_density": "the named state werner builds it; no golden row runs one",
     "analytic.werner_wigner": CLOSED_FORM,
     "continuous.lindblad_wigner_closed": criterion(5),
     "continuous.von_neumann_exact": criterion(3),
@@ -84,22 +85,34 @@ UNREACHED = {
 # A row's exit status: 2 for a malformed config, 3 for a run refused at the window's wall.
 STATUS = {"fig2_wall_rk4": 3}
 
-CHILD = """
-import contextlib, io, json, sys
+# golden_check's child, under a profiler set before anything is imported.
+CHILD = f"""
+import json, sys
 reached = set()
 def profile(frame, event, arg):
     if event == "call":
         reached.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
 sys.setprofile(profile)
-from lattice_wigner.cli import main
-for argv, status in json.loads(sys.stdin.read()):
-    with contextlib.redirect_stdout(io.StringIO()) as out, contextlib.redirect_stderr(io.StringIO()) as err:
-        got = main(argv)
-    if got != status:
-        sys.exit(f"{' '.join(argv)} exits {got}, not {status}: {out.getvalue()}{err.getvalue()}")
+{golden_check.CHILD}
 sys.setprofile(None)
 print(json.dumps(sorted(reached)))
 """
+
+
+def run_child(code: str, tmp_path, *rows) -> str:
+    """stdout of code run as golden_check's child on this checkout, in tmp_path,
+    writing the rows (every row when none) into tmp_path/in-process."""
+    golden_check.write_configs(tmp_path)
+    env = {**os.environ, "PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": "1"}
+    done = subprocess.run([sys.executable, "-c", code, SRC.parent, tmp_path / "in-process", *rows], cwd=tmp_path,
+                          env=env, stdin=subprocess.DEVNULL, capture_output=True, text=True, timeout=600)
+    if done.returncode:
+        pytest.fail(done.stderr)
+    return done.stdout
+
+
+def files(root: Path) -> dict:
+    return {path.relative_to(root): path.read_bytes() for path in sorted(root.rglob("*")) if path.is_file()}
 
 
 def definitions() -> dict:
@@ -121,28 +134,53 @@ def definitions() -> dict:
     return found
 
 
-def reached_lines(tmp_path) -> set:
-    """(file, first line) of every code object that the golden rows run."""
-    rows = []
-    for command, name, scenario, edits in golden_check.RUNS:
-        config = tmp_path / f"{name}.json"
-        config.write_text(json.dumps(golden_check.edited(scenario, edits)))
-        argv = [command, "--config", str(config)]
-        if command != "validate":
-            argv += ["--out", str(tmp_path / f"{command}-{name}"), "--quiet"]
-        rows.append((argv, 2 if name.startswith("malformed-") else STATUS.get(name, 0)))
-    env = {**os.environ, "PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": "1"}
-    done = subprocess.run([sys.executable, "-c", CHILD], input=json.dumps(rows), cwd=tmp_path, env=env,
-                          capture_output=True, text=True, timeout=600)
-    if done.returncode:
-        pytest.fail(done.stderr)
-    return {tuple(pair) for pair in json.loads(done.stdout)}
-
-
 def test_every_definition_runs_or_is_named(tmp_path):
-    reached = reached_lines(tmp_path)
+    reached = {tuple(pair) for pair in json.loads(run_child(CHILD, tmp_path))}
+    for command, name, _, _ in golden_check.RUNS:
+        transcript = (tmp_path / "in-process" / f"{command}-{name}.txt").read_text()
+        status = 2 if name.startswith("malformed-") else STATUS.get(name, 0)
+        assert transcript.endswith(f"exit status {status}\n"), f"{command} {name}: {transcript}"
     unreached = {name for name, lines in definitions().items() if not lines & reached}
     new = sorted(unreached - UNREACHED.keys())
     assert not new, f"no golden row runs these; add a row to RUNS or an UNREACHED reason: {new}"
     stale = sorted(UNREACHED.keys() - unreached)
     assert not stale, f"a golden row runs these, or src/ no longer defines them; drop them from UNREACHED: {stale}"
+
+
+def test_runner_writes_what_the_process_entry_writes(tmp_path, monkeypatch):
+    # The process entry (python -m, the frozen heap, BLAS pinned by main itself
+    # whatever the caller sets) against the child's in-process main(argv), with
+    # BLAS pinned by its environment: fig3's bits depend on the thread count.
+    # One row of each kind: outputs, a refusal, and a run stopped at the wall.
+    rows = ["evolve-fig3_spin_split", "validate-malformed-walk_basis", "evolve-fig2_wall_rk4"]
+    run_child(golden_check.CHILD, tmp_path, *rows)
+    env = {**os.environ, "PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": "2"}
+
+    def process(argv):
+        done = subprocess.run([sys.executable, "-m", "lattice_wigner.cli", *argv], env=env, stdin=subprocess.DEVNULL,
+                              capture_output=True, text=True, timeout=300)
+        return done.returncode, done.stdout, done.stderr, []
+
+    monkeypatch.setattr(golden_check, "call", process)
+    monkeypatch.chdir(tmp_path)  # where an edited row's config is
+    golden_check.run_rows(SRC.parent, tmp_path / "process", *rows)
+    written = files(tmp_path / "process")
+    assert written == files(tmp_path / "in-process")
+    assert len(written) > 3 and written[Path("evolve-fig2_wall_rk4.txt")].endswith(b"exit status 3\n")
+
+
+def test_call_records_a_warning_every_time(monkeypatch):
+    # One interpreter shares one warnings registry: without call's filter a
+    # warning would show once per line, not once per time it is raised.
+    from lattice_wigner import scenario
+
+    def warns(cfg):
+        for _ in range(2):
+            warnings.warn("overflow encountered in exp", RuntimeWarning)
+        return []
+
+    monkeypatch.setattr(scenario, "validate_config", warns)
+    argv = ["validate", "--config", str(SRC.parent / "scenarios" / "fig2_bloch.json")]
+    caught = ["RuntimeWarning: overflow encountered in exp"] * 2
+    for _ in range(2):
+        assert golden_check.call(argv) == (0, "ok: no diagnostics\n", "", caught)

@@ -12,10 +12,11 @@ noise. For each base, the sweep walks the keys of `scenario._CONFIG` and
 Lindblad entries). It sets each key to each of VALUES, to nothing (the key
 removed) and to the values on each side of its documented cap (`times` also to
 a last time past the density route's step cap); a `kind` also takes every kind,
-and `state.name` every state name. Each mutated config runs in process through
-`verdict` (which Tier-1's tests that pair `validate` with a run call too),
-`validate` first and then the command its `dynamics.kind` calls for (`state`,
-`evolve` or `walk`), and must keep four rules:
+and `state.name` every state name. Each mutated config runs in process, by
+golden_check's `call`, through `verdict` (which Tier-1's tests that pair
+`validate` with a run call too), `validate` first and then the command its
+`dynamics.kind` calls for (`state`, `evolve` or `walk`), and must keep four
+rules:
 
   - no command exits 1 (a traceback);
   - no command emits a warning (numpy's RuntimeWarning, say);
@@ -33,19 +34,15 @@ with one line per broken rule.
 from __future__ import annotations
 
 import argparse
-import contextlib
-import io
 import json
 import math
 import random
 import shutil
 import sys
 import tempfile
-import warnings
 from pathlib import Path
 
-from golden_check import ABSENT, _parent, mutated  # ABSENT: the mutation that removes the key
-from lattice_wigner.cli import main
+from golden_check import ABSENT, _parent, call, mutated  # ABSENT: the mutation that removes the key
 from lattice_wigner.continuous import _MAX_STEPS
 from lattice_wigner.scenario import (
     _CONFIG,
@@ -216,22 +213,6 @@ def _too_long(doc: dict) -> bool:
     return False
 
 
-def _call(argv: list) -> tuple:
-    """(exit status, stdout, stderr, warnings) of one in-process command;
-    an exception that escapes main is exit 1, as it is from the shell."""
-    out, err = io.StringIO(), io.StringIO()
-    with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stdout(out), \
-            contextlib.redirect_stderr(err):
-        warnings.simplefilter("always")
-        try:
-            status = main(argv)
-        except Exception as exc:  # noqa: BLE001 - a traceback is what the sweep looks for
-            status = 1
-            print(f"{type(exc).__name__}: {exc}", file=err)
-    found = [f"{w.category.__name__}: {w.message}" for w in caught]
-    return status, out.getvalue(), err.getvalue(), found
-
-
 class Broken(AssertionError):
     """The rules one config breaks: args[0], one line each."""
 
@@ -242,7 +223,7 @@ def verdict(doc, tmp: Path) -> tuple:
     tmp/out; raises Broken unless the two keep the rules above."""
     config = tmp / "config.json"
     config.write_bytes(doc if isinstance(doc, bytes) else json.dumps(doc).encode())
-    status, out, err, caught = _call(["validate", "--config", str(config)])
+    status, out, err, caught = call(["validate", "--config", str(config)])
     broken = [f"validate exits 1: {err.strip()}"] if status == 1 else []
     broken += [f"validate warns: {message}" for message in caught]
     run_status = run_said = None
@@ -251,7 +232,7 @@ def verdict(doc, tmp: Path) -> tuple:
         said = err if err else f"config error: {'; '.join(errors)}\n"
         command, dest = _command(doc), tmp / "out"
         shutil.rmtree(dest, ignore_errors=True)  # what an earlier run left
-        run_status, run_out, run_err, caught = _call([command, "--config", str(config), "--out", str(dest), "--quiet"])
+        run_status, run_out, run_err, caught = call([command, "--config", str(config), "--out", str(dest), "--quiet"])
         run_said = run_out + run_err
         broken += [f"{command} warns: {message}" for message in caught]
         if run_status == 1:

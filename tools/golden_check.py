@@ -8,19 +8,21 @@ The revision is exported with `git archive` into a temporary directory.  The
 table RUNS below names every golden run once, with the reason it is there.  A
 row without edits runs on each tree's own scenarios/<scenario>.json; a row
 with edits runs on a copy, <name>.json, written once from the working tree's
-scenarios/ into the temporary directory.  Each tree's src/ runs every row, with
-BLAS pinned to one thread, because the density route's last bits depend on the
-thread count.  A run writes into <command>-<name>/, and every run keeps its
-stdout, then "stderr:" and its stderr, then its exit status, in
-<command>-<name>.txt, so the pre-run checks, the refusals and their error
-messages are held to the same byte-identity as the outputs; a run that exits
-non-zero is compared, not aborted.  Every file, manifests included, is
-compared byte for byte with `diff -r`.  Exit status: 0 when every file is
-byte-identical, 1 on any difference.  It imports nothing from the package, so
-it runs without PYTHONPATH; tools/config_sweep.py imports its mutated, and
-Tier-1 reads RUNS.
+scenarios/ into the temporary directory.  Each tree runs every row in one child
+interpreter on its own src/ (run_rows: cli.main(argv) in process, by call),
+with BLAS pinned to one thread, since the density route's last bits depend on
+the thread count; the two children run at once (8-12 s on 2 cores, against 30 s
+for one process per row).  A run writes into <command>-<name>/ and keeps its
+stdout, "stderr:", its stderr and warnings, and its exit status in
+<command>-<name>.txt, so refusals and their messages are byte-compared too, and
+a run that exits non-zero is compared, not aborted.  `diff -r` compares every
+file.  Exit status: 0 when every file is byte-identical, 1 on any difference.
+The script imports nothing from the package, so it runs without PYTHONPATH;
+tools/config_sweep.py imports its mutated and call, and Tier-1 reads RUNS and
+checks run_rows against `python -m lattice_wigner.cli`.
 """
 
+import contextlib
 import copy
 import io
 import json
@@ -30,6 +32,8 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+import traceback
+import warnings
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -46,6 +50,9 @@ RUNS = [  # (command, name, scenario, edits): edits map a dotted key path to its
     ("walk", WALK, WALK, {}),
     ("negativity", "fig1_two_gaussian", "fig1_two_gaussian", {}),
     ("negativity", WALK, WALK, {}),
+    # The one row that builds a named Werner state: a mixed state's construction and its negativity.json.
+    ("negativity", "werner", "fig1_two_gaussian",
+     {"state": {"name": "werner", "params": {"a_site": -3, "b_site": 4, "z": 0.6}}}),
     # A real spinor: the committed configs use basis or "plus" spins, so most of
     # their cells repeat, and this copy has few repeated values.
     ("evolve", "fig3_spinor", FIG3, {"state.params.spin": [math.cos(0.9), math.sin(0.9)]}),
@@ -129,18 +136,58 @@ def edited(scenario: str, edits: dict) -> dict:
     return doc
 
 
-def golden_runs(tree: Path, out: Path, tmp: Path) -> None:
-    """Run every row of RUNS from tree's src/ into out, in tmp, where each edited row's config is."""
+def call(argv: list) -> tuple:
+    """(exit status, stdout, stderr, warnings) of one in-process cli.main(argv).
+    Every warning is recorded, each time it is raised.  An escaping exception is
+    what the shell would see: SystemExit its status, any other exit 1 with its
+    traceback on stderr."""
+    from lattice_wigner.cli import main
+
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        try:
+            status = main(argv)
+        except SystemExit as exc:  # argparse's usage error, with its status
+            status = exc.code
+        except Exception:  # noqa: BLE001 - a traceback is what the callers look for
+            status = 1
+            traceback.print_exc(file=err)
+    found = [f"{w.category.__name__}: {w.message}" for w in caught]
+    return status, out.getvalue(), err.getvalue(), found
+
+
+def write_configs(tmp: Path) -> None:
+    """Each edited row's config, <name>.json, in tmp, from the working tree's scenarios/."""
+    for _, name, scenario, edits in RUNS:
+        if edits:
+            (tmp / f"{name}.json").write_text(json.dumps(edited(scenario, edits)))
+
+
+def run_rows(tree, out, *only) -> None:
+    """Run the rows named <command>-<name> in only (every row when none) in this
+    interpreter, through call, into out: an unedited row on tree's scenarios/, an
+    edited one on <name>.json in the current directory.  A row writes into
+    <command>-<name>/ and keeps its transcript (stdout, "stderr:", stderr and its
+    warnings, "exit status N") in <command>-<name>.txt."""
+    tree, out = Path(tree), Path(out)
     out.mkdir()
-    env = {**os.environ, "PYTHONPATH": str(tree / "src"), "OPENBLAS_NUM_THREADS": "1"}
     for command, name, scenario, edits in RUNS:
-        config = tmp / f"{name}.json" if edits else tree / "scenarios" / f"{scenario}.json"
-        argv = [sys.executable, "-m", "lattice_wigner.cli", command, "--config", str(config)]
+        if only and f"{command}-{name}" not in only:
+            continue
+        config = Path.cwd() / f"{name}.json" if edits else tree / "scenarios" / f"{scenario}.json"
+        argv = [command, "--config", str(config)]
         if command != "validate":
             argv += ["--out", str(out / f"{command}-{name}"), "--quiet"]
-        done = subprocess.run(argv, cwd=tmp, env=env, stdin=subprocess.DEVNULL, capture_output=True)
-        transcript = done.stdout + b"stderr:\n" + done.stderr + f"exit status {done.returncode}\n".encode()
-        (out / f"{command}-{name}.txt").write_bytes(transcript)
+        status, stdout, stderr, caught = call(argv)
+        stderr += "".join(f"{line}\n" for line in caught)
+        (out / f"{command}-{name}.txt").write_text(f"{stdout}stderr:\n{stderr}exit status {status}\n")
+
+
+# A child interpreter that runs the rows: python -c CHILD TREE OUT [ROW ...], with tree's src/ on PYTHONPATH.
+CHILD = (f"import sys; sys.path.insert(0, {str(ROOT / 'tools')!r}); "
+         "import golden_check; golden_check.run_rows(*sys.argv[1:])")
 
 
 def main(parent: str) -> int:
@@ -149,11 +196,17 @@ def main(parent: str) -> int:
         tmp = Path(tmpdir)
         with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
             tar.extractall(tmp / "parent-tree", filter="data")
-        for _, name, scenario, edits in RUNS:
-            if edits:
-                (tmp / f"{name}.json").write_text(json.dumps(edited(scenario, edits)))
-        golden_runs(tmp / "parent-tree", tmp / "parent", tmp)
-        golden_runs(ROOT, tmp / "change", tmp)
+        write_configs(tmp)
+        # One interpreter per tree, both at once, with BLAS pinned to one thread.
+        children = [
+            subprocess.Popen([sys.executable, "-c", CHILD, tree, tmp / side], cwd=tmp, stdin=subprocess.DEVNULL,
+                             env={**os.environ, "PYTHONPATH": str(tree / "src"), "OPENBLAS_NUM_THREADS": "1"})
+            for tree, side in ((tmp / "parent-tree", "parent"), (ROOT, "change"))
+        ]
+        failed = [child for child in children if child.wait()]  # both end first; a traceback is printed above
+        if failed:
+            print(f"the rows of {failed[0].args[3]} exit {failed[0].returncode}", file=sys.stderr)
+            return 1
         if subprocess.run(["diff", "-r", tmp / "parent", tmp / "change"]).returncode:
             print(f"golden outputs differ from {parent}", file=sys.stderr)
             return 1
